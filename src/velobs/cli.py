@@ -20,6 +20,7 @@ from .controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                           PdConfig, PdGravity)
 from .dynamics import SingularInertiaError, TwoLinkArm, TwoLinkParams
 from .hybrid_logic import HybridConfig
+from .observers import compute_k0
 from .simulator import (Scenario, ScenarioError, SimulationBlowUp, Trajectory,
                         builtin_scenarios, simulate)
 
@@ -129,10 +130,7 @@ def apply_overrides(sc: Scenario, args) -> Scenario:
         sc = replace(sc, observer_mode=args.observer)
     if getattr(args, "gain", None) is not None and args.gain != sc.gain_mode:
         if args.gain == "constant":
-            v_max = sc.v_max
-            if v_max is None and sc.hybrid is not None:
-                v_max = sc.hybrid.v_bar * max(sc.r_guess, 1)
-            sc = replace(sc, gain_mode="constant", v_max=v_max)
+            sc = replace(sc, gain_mode="constant", v_max=sc.design_speed())
         else:
             hybrid = sc.hybrid
             if hybrid is None:
@@ -220,13 +218,12 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     traj = Trajectory.from_csv(args.csv)
     sc = apply_overrides(resolve_scenario(args.scenario), args)
+    sc.validate()
     traj.scenario = sc
-    from .observers import compute_k0
-    if sc.v_max is not None:
-        design_v = sc.v_max
-    else:
-        design_v = sc.hybrid.v_bar * max(sc.r_guess, 1)
-    design = compute_k0(sc.model, sc.eta, design_v)
+    if sc.observer_mode == "full":
+        # the file's estimate column is the active observer's
+        traj.active, traj.xhat2_full, traj.xhat2_reduced = "full", traj.xhat2_reduced, None
+    design = compute_k0(sc.model, sc.eta, sc.design_speed())
     lines = report_lines(traj, design)
     text = "\n".join(lines)
     print(text)

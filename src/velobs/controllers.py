@@ -1,11 +1,15 @@
 """Torque laws used by the scenario suite.
 
 All feedback laws take the observer velocity estimate, never the true joint
-velocity; positions are assumed measured.
+velocity; positions are assumed measured.  Each law is defined once, on
+Python floats, by its wrapper's `float_torque(g, q, xhat2, t)`, where g is
+the gravity torque at q; the simulator calls that, and `torque` and the
+module-level functions wrap it for arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import cos, sin
 
 import numpy as np
@@ -13,18 +17,20 @@ import numpy as np
 from .dynamics import RobotModel
 
 
-def open_loop_1(model: RobotModel, q, t: float) -> np.ndarray:
-    """Gravity compensation plus the bounded profile (cos(t/2), -cos t)."""
+def _two_joint_gravity(model: RobotModel, q) -> list[float]:
     if model.n != 2:
         raise ValueError("open-loop profiles are defined for two-joint models")
-    return model.gravity(q) + np.array([cos(0.5 * t), -cos(t)])
+    return model.gravity(q).tolist()
+
+
+def open_loop_1(model: RobotModel, q, t: float) -> np.ndarray:
+    """Gravity compensation plus the bounded profile (cos(t/2), -cos t)."""
+    return np.array(OpenLoopBounded.float_torque(_two_joint_gravity(model, q), q, None, t))
 
 
 def open_loop_2(model: RobotModel, q, t: float) -> np.ndarray:
     """Gravity compensation plus (sin t, 1 + sin 2t); drives speeds unbounded."""
-    if model.n != 2:
-        raise ValueError("open-loop profiles are defined for two-joint models")
-    return model.gravity(q) + np.array([sin(t), 1.0 + sin(2.0 * t)])
+    return np.array(OpenLoopUnbounded.float_torque(_two_joint_gravity(model, q), q, None, t))
 
 
 def _as_gain_matrix(k, n: int, name: str) -> np.ndarray:
@@ -55,12 +61,21 @@ class PdConfig:
         object.__setattr__(self, "kp", _as_gain_matrix(self.kp, n, "kp"))
         object.__setattr__(self, "kd", _as_gain_matrix(self.kd, n, "kd"))
 
+    @cached_property
+    def joint_terms(self) -> tuple[tuple[float, float, float], ...]:
+        """(kp_i, kd_i, x_ref_i) for each joint, as Python floats."""
+        return tuple(zip(np.diagonal(self.kp).tolist(), np.diagonal(self.kd).tolist(),
+                         self.x_ref.tolist()))
+
 
 def pd_gravity_feedback(model: RobotModel, config: PdConfig, q, xhat2) -> np.ndarray:
     """PD regulation about x_ref with gravity compensation, damping on the estimate."""
     q = model._check_joint_vector(q, "q")
     xhat2 = model._check_joint_vector(xhat2, "xhat2")
-    return (model.gravity(q) + config.kp @ (config.x_ref - q) - config.kd @ xhat2)
+    if config.x_ref.shape != (model.n,):
+        raise ValueError(f"PD setpoint must have {model.n} entries")
+    return np.array(PdGravity(config).float_torque(
+        model.gravity(q).tolist(), q.tolist(), xhat2.tolist(), 0.0))
 
 
 # Thin wrappers giving the laws a uniform call surface for the simulator.
@@ -68,6 +83,10 @@ def pd_gravity_feedback(model: RobotModel, config: PdConfig, q, xhat2) -> np.nda
 @dataclass(frozen=True)
 class OpenLoopBounded:
     name: str = field(default="open_loop_1", init=False)
+
+    @staticmethod
+    def float_torque(g, q, xhat2, t):
+        return g[0] + cos(0.5 * t), g[1] - cos(t)
 
     def torque(self, model, q, xhat2, t):
         return open_loop_1(model, q, t)
@@ -77,6 +96,10 @@ class OpenLoopBounded:
 class OpenLoopUnbounded:
     name: str = field(default="open_loop_2", init=False)
 
+    @staticmethod
+    def float_torque(g, q, xhat2, t):
+        return g[0] + sin(t), g[1] + (1.0 + sin(2.0 * t))
+
     def torque(self, model, q, xhat2, t):
         return open_loop_2(model, q, t)
 
@@ -85,6 +108,11 @@ class OpenLoopUnbounded:
 class PdGravity:
     config: PdConfig
     name: str = field(default="pd", init=False)
+
+    def float_torque(self, g, q, xhat2, t):
+        # g + Kp (x_ref - q) - Kd xhat2 with diagonal gains
+        return tuple(gi + kp * (ref - qi) - kd * wi for gi, qi, wi, (kp, kd, ref)
+                     in zip(g, q, xhat2, self.config.joint_terms))
 
     def torque(self, model, q, xhat2, t):
         return pd_gravity_feedback(model, self.config, q, xhat2)
@@ -98,5 +126,12 @@ class ConstantTorque:
     def __post_init__(self):
         object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float))
 
+    @cached_property
+    def _floats(self) -> tuple[float, ...]:
+        return tuple(np.ravel(self.tau).tolist())
+
+    def float_torque(self, g, q, xhat2, t):
+        return self._floats
+
     def torque(self, model, q, xhat2, t):
-        return self.tau
+        return np.array(self.float_torque(None, q, xhat2, t))

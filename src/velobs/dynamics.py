@@ -1,4 +1,4 @@
-"""Rigid-manipulator dynamics with a skew-symmetry-preserving Coriolis term.
+r"""Rigid-manipulator dynamics with a skew-symmetry-preserving Coriolis term.
 
 Models expose the matrices of
 
@@ -11,6 +11,11 @@ throughout the package:
 
   * dM/dt - 2 C(q, \dot q) is skew symmetric,
   * C(q, u) w = C(q, w) u for all u, w.
+
+Besides these array methods, every model has a float kernel, `kernel(q)`,
+which is the one definition of the equations of motion: `forward_dynamics`,
+the observer derivatives and the simulator all evaluate M(q)^-1 (tau -
+C(q, w) w - F w - g(q)) through it, on Python floats.
 
 Planar two-link convention: the arm moves in a vertical plane, q1 is measured
 counterclockwise from the horizontal axis, q2 is the second joint angle
@@ -92,6 +97,24 @@ class RobotModel(ABC):
     def design_grid(self) -> np.ndarray:
         """Configurations (rows) used for extremal gain and eigenvalue searches."""
 
+    @abstractmethod
+    def kernel(self, q) -> tuple[tuple, Callable, Callable]:
+        """Float kernel at the configuration q, a sequence of n floats.
+
+        Evaluates M(q) with its conditioning check (SingularInertiaError),
+        g(q) and the Coriolis factor once, and returns (g, accel, energy):
+
+          * g: the gravity torque g(q) as a tuple of floats;
+          * accel(tau, w, b=None): M(q)^-1 (tau - C(q, w) w - F w - g(q) + b)
+            as a tuple of floats, b an optional extra torque;
+          * energy(w): the quadratic form 0.5 w^T M(q) w.
+        """
+
+    @cached_property
+    def design_tables(self) -> "GridTables":
+        """grid_tables(self), built once per model."""
+        return grid_tables(self)
+
     def dissipation_floor(self) -> float:
         """Smallest eigenvalue of the symmetric part of F."""
         f = self.dissipation
@@ -142,6 +165,20 @@ def _unit_coriolis_gain() -> float:
             d = a + invphi * (b - a)
             fd = _shape_norm(d)
     return max(fc, fd)
+
+
+def _check_conditioning(lam_min: float, lam_max: float) -> None:
+    if lam_min <= 0.0 or lam_max > INERTIA_COND_LIMIT * lam_min:
+        raise SingularInertiaError(
+            f"inertia matrix is numerically singular (eigs {lam_min:g}, {lam_max:g})")
+
+
+def _spd2_determinant(a: float, b: float, c: float) -> float:
+    """Determinant of [[a, b], [b, c]] after its closed-form conditioning check."""
+    tr = a + c
+    disc = math.sqrt(max((a - c) ** 2 + 4.0 * b * b, 0.0))
+    _check_conditioning(0.5 * (tr - disc), 0.5 * (tr + disc))
+    return a * c - b * b
 
 
 @dataclass(frozen=True)
@@ -214,17 +251,26 @@ class TwoLinkArm(RobotModel):
         return np.diag([self.params.f1, self.params.f2])
 
     @cached_property
-    def _grav_coeffs(self) -> tuple[float, float]:
+    def _constants(self) -> tuple[float, ...]:
+        # alpha, beta, coupling and the two gravity coefficients
         p = self.params
-        return ((p.m1 * p.d1 + p.m2 * p.l1) * p.gravity_accel,
+        return (self.alpha, self.beta, self.coupling,
+                (p.m1 * p.d1 + p.m2 * p.l1) * p.gravity_accel,
                 p.m2 * p.d2 * p.gravity_accel)
+
+    def _terms(self, q1: float, q2: float):
+        """Entries (a, b, c) of M = [[a, b], [b, c]], g = (g1, g2) and the
+        Coriolis factor h = coupling sin q2 at q = (q1, q2)."""
+        alpha, beta, coupling, a1, a2 = self._constants
+        c2 = math.cos(q2)
+        c12 = math.cos(q1 + q2)
+        return ((alpha + 2.0 * coupling * c2, beta + coupling * c2, beta),
+                (a1 * math.cos(q1) + a2 * c12, a2 * c12), coupling * math.sin(q2))
 
     def inertia(self, q) -> np.ndarray:
         q = self._check_joint_vector(q, "q")
-        c2 = math.cos(q[1])
-        off = self.beta + self.coupling * c2
-        return np.array([[self.alpha + 2.0 * self.coupling * c2, off],
-                         [off, self.beta]])
+        (a, b, c), _, _ = self._terms(q[0], q[1])
+        return np.array([[a, b], [b, c]])
 
     def inertia_rate(self, q, v) -> np.ndarray:
         q = self._check_joint_vector(q, "q")
@@ -235,19 +281,39 @@ class TwoLinkArm(RobotModel):
     def coriolis(self, q, v) -> np.ndarray:
         q = self._check_joint_vector(q, "q")
         v = self._check_joint_vector(v, "v")
-        h = self.coupling * math.sin(q[1])
+        h = self._terms(q[0], q[1])[2]
         return np.array([[-h * v[1], -h * (v[0] + v[1])],
                          [h * v[0], 0.0]])
 
     def gravity(self, q) -> np.ndarray:
         q = self._check_joint_vector(q, "q")
-        a1, a2 = self._grav_coeffs
-        c12 = math.cos(q[0] + q[1])
-        return np.array([a1 * math.cos(q[0]) + a2 * c12, a2 * c12])
+        return np.array(self._terms(q[0], q[1])[1])
+
+    def kernel(self, q):
+        (a, b, c), g, h = self._terms(*q)
+        det = _spd2_determinant(a, b, c)
+        g1, g2 = g
+        f1, f2 = self.params.f1, self.params.f2
+
+        def accel(tau, w, extra=None):
+            w1, w2 = w
+            # C(q, w) w with C as in coriolis(); F = diag(f1, f2)
+            r1 = tau[0] - (-h * w2 * w1 + -h * (w1 + w2) * w2) - f1 * w1 - g1
+            r2 = tau[1] - h * w1 * w1 - f2 * w2 - g2
+            if extra is not None:
+                r1 += extra[0]
+                r2 += extra[1]
+            return (c * r1 - b * r2) / det, (a * r2 - b * r1) / det
+
+        def energy(w):
+            w1, w2 = w
+            return 0.5 * ((w1 * a + w2 * b) * w1 + (w1 * b + w2 * c) * w2)
+
+        return g, accel, energy
 
     def potential(self, q) -> float:
         q = self._check_joint_vector(q, "q")
-        a1, a2 = self._grav_coeffs
+        a1, a2 = self._constants[3:]
         return a1 * math.sin(q[0]) + a2 * math.sin(q[0] + q[1])
 
     def c0_bound(self, q) -> float:
@@ -312,19 +378,24 @@ class SingleLinkModel(RobotModel):
     def design_grid(self) -> np.ndarray:
         return np.zeros((1, 1))
 
+    def kernel(self, q):
+        m, d = self.inertia_value, self.damping
+        _check_conditioning(m, m)
+
+        def accel(tau, w, extra=None):
+            r = tau[0] - d * w[0]
+            if extra is not None:
+                r += extra[0]
+            return (r / m,)
+
+        return (0.0,), accel, lambda w: 0.5 * (w[0] * m * w[0])
+
 
 def inertia_solver(m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Return a solver for M x = rhs after a conditioning check."""
     if m.shape == (2, 2):
         a, b, c = m[0, 0], m[0, 1], m[1, 1]
-        tr = a + c
-        disc = math.sqrt(max((a - c) ** 2 + 4.0 * b * b, 0.0))
-        lam_min = 0.5 * (tr - disc)
-        lam_max = 0.5 * (tr + disc)
-        if lam_min <= 0.0 or lam_max > INERTIA_COND_LIMIT * lam_min:
-            raise SingularInertiaError(
-                f"inertia matrix is numerically singular (eigs {lam_min:g}, {lam_max:g})")
-        det = a * c - b * b
+        det = _spd2_determinant(a, b, c)
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             return np.array([(c * rhs[0] - b * rhs[1]) / det,
@@ -333,9 +404,7 @@ def inertia_solver(m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return solve
 
     w = np.linalg.eigvalsh(m)
-    if w[0] <= 0.0 or w[-1] > INERTIA_COND_LIMIT * w[0]:
-        raise SingularInertiaError(
-            f"inertia matrix is numerically singular (eigs {w[0]:g}, {w[-1]:g})")
+    _check_conditioning(w[0], w[-1])
     return lambda rhs: np.linalg.solve(m, rhs)
 
 
@@ -344,9 +413,8 @@ def forward_dynamics(model: RobotModel, state: PlantState, tau: np.ndarray) -> P
     tau = model._check_joint_vector(tau, "tau")
     x1 = model._check_joint_vector(state.x1, "x1")
     x2 = model._check_joint_vector(state.x2, "x2")
-    solve = inertia_solver(model.inertia(x1))
-    rhs = tau - model.coriolis(x1, x2) @ x2 - model.dissipation @ x2 - model.gravity(x1)
-    return PlantState(x2.copy(), solve(rhs))
+    _, accel, _ = model.kernel(x1.tolist())
+    return PlantState(x2.copy(), np.array(accel(tau.tolist(), x2.tolist())))
 
 
 class GridTables(NamedTuple):
@@ -375,7 +443,7 @@ def grid_tables(model: RobotModel) -> GridTables:
 
 def spectral_bounds(model: RobotModel) -> tuple[float, float]:
     """Constants (lambda1, lambda2) with lambda1 ||e||^2 <= e^T M(q) e / 2 <= lambda2 ||e||^2."""
-    tables = grid_tables(model)
+    tables = model.design_tables
     lambda1 = 0.5 * float(tables.lam_min.min())
     lambda2 = 0.5 * float(tables.lam_max.max())
     return lambda1, lambda2

@@ -11,14 +11,17 @@ below whenever v_bar < 2 eta and then chatters under deterministic stepping.
 In 'hysteresis' mode the down threshold is lowered to (r-1) v_bar - eta so a
 fresh up-jump is never undone without the estimate first returning to the
 entry level.
+
+Every function below that takes an estimate xhat2 also accepts its norm as
+a float, which is what the simulator passes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GridTables, RobotModel, grid_tables
+from .dynamics import GridTables, RobotModel
 from .observers import K_MIN
 
 SEMANTICS = ("paper_faithful", "hysteresis")
@@ -52,11 +55,18 @@ class HybridConfig:
         return (r - 1) * self.v_bar + self.eta
 
 
+def _estimate_norm(xhat2) -> float:
+    """||xhat2||, or xhat2 itself when it is already the norm (a float)."""
+    if isinstance(xhat2, float):
+        return xhat2
+    return float(np.linalg.norm(xhat2))
+
+
 def jump_up_set(config: HybridConfig, r: int, xhat2) -> bool:
     """True iff the estimate lies in the up-jump set of mode r."""
     if r < config.r_min:
         raise ValueError("r below the lowest admissible mode")
-    return float(np.linalg.norm(xhat2)) >= config.up_threshold(r)
+    return _estimate_norm(xhat2) >= config.up_threshold(r)
 
 def jump_down_set(config: HybridConfig, r: int, xhat2) -> bool:
     """True iff the estimate lies in the down-jump set of mode r.
@@ -67,7 +77,7 @@ def jump_down_set(config: HybridConfig, r: int, xhat2) -> bool:
         raise ValueError("r below the lowest admissible mode")
     if r <= config.r_min:
         return False
-    return float(np.linalg.norm(xhat2)) <= config.down_threshold(r)
+    return _estimate_norm(xhat2) <= config.down_threshold(r)
 
 
 def flow_set(config: HybridConfig, r: int, xhat2) -> bool:
@@ -79,7 +89,7 @@ def flow_set(config: HybridConfig, r: int, xhat2) -> bool:
     """
     if r < config.r_min:
         raise ValueError("r below the lowest admissible mode")
-    nrm = float(np.linalg.norm(xhat2))
+    nrm = _estimate_norm(xhat2)
     if nrm > config.up_threshold(r):
         return False
     if r > config.r_min and nrm < config.down_threshold(r):
@@ -113,7 +123,7 @@ def compute_kr(model: RobotModel, config: HybridConfig, r: int, *,
     """Scheduled gain of mode r, sized for speeds up to r * v_bar."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    return _kr_from_tables(grid_tables(model), model.dissipation_floor(),
+    return _kr_from_tables(model.design_tables, model.dissipation_floor(),
                            config, r, k_min)
 
 
@@ -129,7 +139,7 @@ class GainSchedule:
         self.model = model
         self.config = config
         self._k_min = k_min
-        self._tables = grid_tables(model)
+        self._tables = model.design_tables
         self._lam_f = model.dissipation_floor()
         self._gains = [self._entry(r) for r in range(precompute + 1)]
 
@@ -180,13 +190,13 @@ def initialize_logic(config: HybridConfig, schedule: GainSchedule, xhat2_0,
     """
     if r_guess < config.r_min:
         raise ValueError("r_guess must not be below r_min")
-    nrm = float(np.linalg.norm(xhat2_0))
+    nrm = _estimate_norm(xhat2_0)
     r = r_guess
     last = None
     count = 0
     for _ in range(max_iters):
-        up = jump_up_set(config, r, xhat2_0)
-        down = jump_down_set(config, r, xhat2_0)
+        up = jump_up_set(config, r, nrm)
+        down = jump_down_set(config, r, nrm)
         if up and last != "down":
             r += 1
             last = "up"
@@ -206,5 +216,5 @@ def velocity_sandwich(eta: float, xhat2) -> tuple[float, float]:
     """Certified bracket for the true speed: (max(0, ||xhat2|| - eta), ||xhat2|| + eta)."""
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    nrm = float(np.linalg.norm(xhat2))
+    nrm = _estimate_norm(xhat2)
     return max(0.0, nrm - eta), nrm + eta

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RobotModel, grid_tables, inertia_solver
+from .dynamics import RobotModel
 
 # Positive floor applied to designed gains (the grid formula can go negative
 # when dissipation already dominates the Coriolis term).
@@ -51,20 +51,22 @@ class GainDesign:
         return self.eta * math.sqrt(self.lambda1 / self.lambda2)
 
 
-def reduced_observer_derivative(model: RobotModel, obs: ObserverState,
-                                y: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Time derivative of the observer state z.
+def reduced_rate(accel, tau, xhat2, k0: float) -> list[float]:
+    """dz/dt on Python floats, given the model kernel's `accel` at y.
 
     Equivalent form of M(y) dz/dt = -C(y, xhat2) xhat2 - F xhat2 - g(y)
     - k0 M(y) xhat2 + tau, with the linear output injection k(y) = k0 y.
     """
+    return [a - k0 * w for a, w in zip(accel(tau, xhat2), xhat2)]
+
+
+def reduced_observer_derivative(model: RobotModel, obs: ObserverState,
+                                y: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Time derivative of the observer state z (array wrapper of reduced_rate)."""
     y = model._check_joint_vector(y, "y")
     tau = model._check_joint_vector(tau, "tau")
-    xhat2 = obs.estimate(y)
-    solve = inertia_solver(model.inertia(y))
-    rhs = (tau - model.coriolis(y, xhat2) @ xhat2
-           - model.dissipation @ xhat2 - model.gravity(y))
-    return solve(rhs) - obs.k0 * xhat2
+    _, accel, _ = model.kernel(y.tolist())
+    return np.array(reduced_rate(accel, tau.tolist(), obs.estimate(y).tolist(), obs.k0))
 
 
 def compute_k0(model: RobotModel, eta: float, v_max: float, *,
@@ -78,7 +80,7 @@ def compute_k0(model: RobotModel, eta: float, v_max: float, *,
         raise ValueError("eta must be positive")
     if v_max < 0.0:
         raise ValueError("v_max must be nonnegative")
-    tables = grid_tables(model)
+    tables = model.design_tables
     lam_f = model.dissipation_floor()
     ratios = (tables.c0 * (v_max + eta) - lam_f) / tables.lam_min
     k0 = max(float(ratios.max()), k_min)
@@ -98,7 +100,7 @@ def compute_k0_conservative(model: RobotModel, eta: float, v_max: float, *,
         raise ValueError("eta must be positive")
     if v_max < 0.0:
         raise ValueError("v_max must be nonnegative")
-    tables = grid_tables(model)
+    tables = model.design_tables
     lambda1 = 0.5 * float(tables.lam_min.min())
     lambda2 = 0.5 * float(tables.lam_max.max())
     lam_f = model.dissipation_floor()
@@ -130,10 +132,9 @@ class FullOrderObserverState:
         self.x2_hat = np.asarray(self.x2_hat, dtype=float)
 
 
-def full_order_observer_derivative(model: RobotModel, obs: FullOrderObserverState,
-                                   y: np.ndarray, tau: np.ndarray
-                                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives (dx1_hat, dx2_hat) of the full-order baseline observer.
+def full_rate(accel, tau, y, x1_hat, x2_hat, kd: float, kp: float
+              ) -> tuple[list[float], tuple[float, ...]]:
+    """(dx1_hat, dx2_hat) on Python floats, given the model kernel's `accel` at y.
 
     Copies the plant model and injects the position innovation e = y - x1_hat
     into both equations:
@@ -141,11 +142,19 @@ def full_order_observer_derivative(model: RobotModel, obs: FullOrderObserverStat
         dx1_hat = x2_hat + kd e
         M(y) dx2_hat = -C(y, x2_hat) x2_hat - F x2_hat - g(y) + tau + kp e
     """
+    e = [a - b for a, b in zip(y, x1_hat)]
+    return ([w + kd * ei for w, ei in zip(x2_hat, e)],
+            accel(tau, x2_hat, [kp * ei for ei in e]))
+
+
+def full_order_observer_derivative(model: RobotModel, obs: FullOrderObserverState,
+                                   y: np.ndarray, tau: np.ndarray
+                                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives (dx1_hat, dx2_hat) of the full-order baseline observer
+    (array wrapper of full_rate)."""
     y = model._check_joint_vector(y, "y")
     tau = model._check_joint_vector(tau, "tau")
-    e = y - obs.x1_hat
-    xh2 = obs.x2_hat
-    solve = inertia_solver(model.inertia(y))
-    rhs = (tau - model.coriolis(y, xh2) @ xh2
-           - model.dissipation @ xh2 - model.gravity(y) + obs.kp * e)
-    return xh2 + obs.kd * e, solve(rhs)
+    _, accel, _ = model.kernel(y.tolist())
+    d1, d2 = full_rate(accel, tau.tolist(), y.tolist(), obs.x1_hat.tolist(),
+                       obs.x2_hat.tolist(), obs.kd, obs.kp)
+    return np.array(d1), np.array(d2)

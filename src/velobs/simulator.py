@@ -1,22 +1,26 @@
 """Fixed-step integration of the coupled plant / observer / switching system.
 
 The plant and the enabled observers are integrated jointly with classical
-RK4.  The switching logic is evaluated at step boundaries only; when a jump
-changes the scheduled gain, the observer's internal state z is re-based so
-that the velocity estimate xhat2 = z + k y stays continuous across the jump.
+RK4 on Python floats.  Every RHS evaluation goes through the model's float
+kernel (one inertia factorization and conditioning check) and the
+observers' float derivatives, the same equations that the array functions
+in `dynamics` and `observers` wrap.  The switching logic is evaluated at
+step boundaries only; when a jump changes the scheduled gain, the
+observer's internal state z is re-based so that the velocity estimate
+xhat2 = z + k y stays continuous across the jump.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import PlantState, RobotModel, inertia_solver
-from .hybrid_logic import (GainSchedule, HybridConfig, LogicState,
-                           initialize_logic, step_logic, velocity_sandwich)
-from .observers import GainDesign, compute_k0
+from .dynamics import RobotModel
+from .hybrid_logic import (GainSchedule, HybridConfig, initialize_logic,
+                           step_logic, velocity_sandwich)
+from .observers import GainDesign, compute_k0, full_rate, reduced_rate
 
 OBSERVER_MODES = ("reduced", "full", "both")
 GAIN_MODES = ("constant", "scheduled")
@@ -85,8 +89,8 @@ class Scenario:
             raise ScenarioError(f"gain_mode must be one of {GAIN_MODES}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ScenarioError("dt must be positive and finite")
-        if self.t_final < self.dt:
-            raise ScenarioError("t_final must be at least one step")
+        if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
+            raise ScenarioError("t_final must be finite and at least one step")
         if self.eta <= 0.0:
             raise ScenarioError("eta must be positive")
         if self.gain_mode == "constant":
@@ -107,6 +111,21 @@ class Scenario:
                 raise ScenarioError("r_guess must not be below r_min")
         if self.k0_override is not None and self.k0_override <= 0.0:
             raise ScenarioError("k0_override must be positive")
+        # the integration loop calls the float law unchecked
+        try:
+            tau = self.controller.torque(self.model, self.q0, self.xhat2_0, 0.0)
+        except ValueError as exc:
+            raise ScenarioError(f"controller does not fit the model: {exc}") from exc
+        if np.shape(tau) != (n,):
+            raise ScenarioError(f"controller torque must have shape ({n},)")
+
+    def design_speed(self) -> float | None:
+        """Speed bound of the constant design: v_max, else the top of the starting band."""
+        if self.v_max is not None:
+            return self.v_max
+        if self.hybrid is not None:
+            return self.hybrid.v_bar * max(self.r_guess, 1)
+        return None
 
     def sample_count(self) -> int:
         # floor(t_final / dt) + 1 samples; the tiny slack avoids losing the
@@ -205,26 +224,23 @@ def simulate(scenario: Scenario) -> Trajectory:
     n = model.n
     use_red = scenario.observer_mode in ("reduced", "both")
     use_full = scenario.observer_mode in ("full", "both")
-    controller = scenario.controller
+    kernel = model.kernel
+    law = scenario.controller.float_torque
+    hybrid = scenario.hybrid
     dt = scenario.dt
     eta = scenario.eta
-    f_mat = model.dissipation
 
     # Spectral constants and the constant-mode gain; in scheduled mode the
     # design speed bound of the starting band keeps the record meaningful.
-    if scenario.v_max is not None:
-        design_v = scenario.v_max
-    else:
-        design_v = scenario.hybrid.v_bar * max(scenario.r_guess, 1)
-    design = compute_k0(model, eta, design_v)
+    design = compute_k0(model, eta, scenario.design_speed())
 
     schedule = None
     logic = None
     events: list[JumpEvent] = []
     if scenario.gain_mode == "scheduled":
-        schedule = GainSchedule(model, scenario.hybrid)
+        schedule = GainSchedule(model, hybrid)
         init_events: list = []
-        logic = initialize_logic(scenario.hybrid, schedule, scenario.xhat2_0,
+        logic = initialize_logic(hybrid, schedule, scenario.xhat2_0,
                                  scenario.r_guess, events=init_events)
         for old_r, new_r, nrm in init_events:
             events.append(JumpEvent(0.0, old_r, new_r, nrm, 0))
@@ -237,121 +253,85 @@ def simulate(scenario: Scenario) -> Trajectory:
     kd = k if scenario.k0_override is not None else design.k0
     kp = kd * kd
 
-    # Packed state layout: x1, x2, then z and the full-order states as enabled.
-    idx_x1 = slice(0, n)
-    idx_x2 = slice(n, 2 * n)
-    off = 2 * n
+    # Packed state, a list of floats: x1, x2, then z and the full-order
+    # states (x1_hat, x2_hat) as enabled.
+    n2 = 2 * n
+    zs = slice(n2, 3 * n)
+    h1 = 3 * n if use_red else n2
+    h2 = h1 + n
+    s = scenario.q0.tolist() + scenario.v0.tolist()
     if use_red:
-        idx_z = slice(off, off + n)
-        off += n
+        s += (scenario.xhat2_0 - k * scenario.q0).tolist()
     if use_full:
-        idx_h1 = slice(off, off + n)
-        idx_h2 = slice(off + n, off + 2 * n)
-        off += 2 * n
-    width = off
+        s += scenario.q0.tolist() + scenario.xhat2_0.tolist()
 
-    s = np.empty(width)
-    s[idx_x1] = scenario.q0
-    s[idx_x2] = scenario.v0
-    if use_red:
-        s[idx_z] = scenario.xhat2_0 - k * scenario.q0
-    if use_full:
-        s[idx_h1] = scenario.q0
-        s[idx_h2] = scenario.xhat2_0
-
-    def rhs(t: float, sv: np.ndarray, gain: float):
-        x1 = sv[idx_x1]
-        x2 = sv[idx_x2]
-        est_red = sv[idx_z] + gain * x1 if use_red else None
-        fb = est_red if use_red else sv[idx_h2]
-        tau = controller.torque(model, x1, fb, t)
-        m_q = model.inertia(x1)
-        solve = inertia_solver(m_q)
-        grav = model.gravity(x1)
-        d = np.empty(width)
-        d[idx_x1] = x2
-        d[idx_x2] = solve(tau - model.coriolis(x1, x2) @ x2 - f_mat @ x2 - grav)
+    def rhs(t, s, k):
+        """Packed derivative, torque, fed-back estimate and energy form."""
+        q = s[:n]
+        g, accel, energy = kernel(q)
+        est = [z + k * y for z, y in zip(s[zs], q)] if use_red else s[h2:h2 + n]
+        tau = law(g, q, est, t)
+        v = s[n:n2]
+        d = v + list(accel(tau, v))
         if use_red:
-            d[idx_z] = solve(tau - model.coriolis(x1, est_red) @ est_red
-                             - f_mat @ est_red - grav) - gain * est_red
+            d += reduced_rate(accel, tau, est, k)
         if use_full:
-            e = x1 - sv[idx_h1]
-            xh2 = sv[idx_h2]
-            d[idx_h1] = xh2 + kd * e
-            d[idx_h2] = solve(tau - model.coriolis(x1, xh2) @ xh2
-                              - f_mat @ xh2 - grav + kp * e)
-        return d, tau, m_q
+            d1, d2 = full_rate(accel, tau, q, s[h1:h2], s[h2:h2 + n], kd, kp)
+            d += d1
+            d += d2
+        return d, tau, est, energy
 
     n_samples = scenario.sample_count()
-    t_arr = np.arange(n_samples) * dt
-    x1_arr = np.empty((n_samples, n))
-    x2_arr = np.empty((n_samples, n))
-    red_arr = np.empty((n_samples, n)) if use_red else None
-    full_arr = np.empty((n_samples, n)) if use_full else None
-    z_arr = np.empty((n_samples, n)) if use_red else None
-    eps_arr = np.empty(n_samples)
-    v_arr = np.empty(n_samples)
-    r_arr = np.empty(n_samples, dtype=int)
-    k_arr = np.empty(n_samples)
-    tau_arr = np.empty((n_samples, n))
-    lo_arr = np.empty(n_samples)
-    hi_arr = np.empty(n_samples)
-    active = "reduced" if use_red else "full"
+    states = np.empty((n_samples, len(s)))
+    # per-sample columns: eps_norm, V, r, k_r, lower, upper, tau
+    extra = np.empty((n_samples, 6 + n))
 
     half = 0.5 * dt
     sixth = dt / 6.0
     for i in range(n_samples):
-        t = t_arr[i]
-        d1, tau_i, m_q = rhs(t, s, k)
-
-        x1_i = s[idx_x1]
-        x2_i = s[idx_x2]
-        x1_arr[i] = x1_i
-        x2_arr[i] = x2_i
-        if use_red:
-            z_i = s[idx_z]
-            z_arr[i] = z_i
-            red_arr[i] = z_i + k * x1_i
-        if use_full:
-            full_arr[i] = s[idx_h2]
-        est = red_arr[i] if use_red else full_arr[i]
-        eps = x2_i - est
-        eps_arr[i] = math.sqrt(float(eps @ eps))
-        v_arr[i] = 0.5 * float(eps @ m_q @ eps)
-        r_arr[i] = r_rec
-        k_arr[i] = k
-        tau_arr[i] = tau_i
-        lo_arr[i], hi_arr[i] = velocity_sandwich(eta, est)
+        t = i * dt
+        d1, tau_i, est, energy = rhs(t, s, k)
+        eps = [a - b for a, b in zip(s[n:n2], est)]
+        states[i] = s
+        extra[i] = (math.hypot(*eps), energy(eps), r_rec, k,
+                    *velocity_sandwich(eta, math.hypot(*est)), *tau_i)
 
         if i == n_samples - 1:
             break
 
-        d2, _, _ = rhs(t + half, s + half * d1, k)
-        d3, _, _ = rhs(t + half, s + half * d2, k)
-        d4, _, _ = rhs(t + dt, s + dt * d3, k)
-        s = s + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        d2 = rhs(t + half, [a + half * b for a, b in zip(s, d1)], k)[0]
+        d3 = rhs(t + half, [a + half * b for a, b in zip(s, d2)], k)[0]
+        d4 = rhs(t + dt, [a + dt * b for a, b in zip(s, d3)], k)[0]
+        s = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(s, d1, d2, d3, d4)]
 
-        if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > BLOWUP_LIMIT:
+        if not all(abs(x) <= BLOWUP_LIMIT for x in s):
             raise SimulationBlowUp(
                 f"state component left |x| <= {BLOWUP_LIMIT:g} at t = {t + dt:.6f}")
 
         if logic is not None:
-            y_new = s[idx_x1]
-            est_new = s[idx_z] + k * y_new
-            stepped = step_logic(scenario.hybrid, schedule, logic, est_new, t + dt)
+            y_new = s[:n]
+            est_new = [z + k * y for z, y in zip(s[zs], y_new)]
+            nrm = math.hypot(*est_new)
+            stepped = step_logic(hybrid, schedule, logic, nrm, t + dt)
             if stepped.r != logic.r:
-                events.append(JumpEvent(t + dt, logic.r, stepped.r,
-                                        float(np.linalg.norm(est_new)), i + 1))
+                events.append(JumpEvent(t + dt, logic.r, stepped.r, nrm, i + 1))
                 # re-base z so the estimate is continuous across the gain change
-                s[idx_z] = est_new - stepped.k_r * y_new
                 k = stepped.k_r
+                s[zs] = [e - k * y for e, y in zip(est_new, y_new)]
                 r_rec = stepped.r
             logic = stepped
 
+    x1 = states[:, :n]
+    k_arr = extra[:, 3]
+    z = states[:, zs] if use_red else None
     return Trajectory(
-        t=t_arr, x1=x1_arr, x2=x2_arr, eps_norm=eps_arr, v_lyap=v_arr,
-        r=r_arr, k_gain=k_arr, tau=tau_arr, lower=lo_arr, upper=hi_arr,
-        active=active, xhat2_reduced=red_arr, xhat2_full=full_arr, z=z_arr,
+        t=np.arange(n_samples) * dt, x1=x1, x2=states[:, n:n2],
+        eps_norm=extra[:, 0], v_lyap=extra[:, 1], r=extra[:, 2].astype(int),
+        k_gain=k_arr, tau=extra[:, 6:], lower=extra[:, 4], upper=extra[:, 5],
+        active="reduced" if use_red else "full",
+        xhat2_reduced=z + k_arr[:, None] * x1 if use_red else None,
+        xhat2_full=states[:, h2:h2 + n] if use_full else None, z=z,
         jump_events=events, scenario=scenario, design=design)
 
 

@@ -101,6 +101,32 @@ def test_run_report_gate_fails_on_truncated_horizon(tmp_path):
     assert (tmp_path / "example1.csv").is_file()
 
 
+def test_non_finite_horizon_is_a_config_error(tmp_path, capsys):
+    for value in ("inf", "nan"):
+        code = main(["run", "example1", "--out", str(tmp_path), "--t-final", value])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_final") and err.count("\n") == 1
+
+
+def test_check_of_a_full_observer_export_reports_the_full_observer(tmp_path, capsys):
+    overrides = ["--observer", "full", "--t-final", "3"]
+    run_code = main(["run", "example1", "--out", str(tmp_path), "--report", *overrides])
+    report = (tmp_path / "example1_report.txt").read_text().splitlines()
+    capsys.readouterr()
+    check_code = main(["check", str(tmp_path / "example1.csv"),
+                       "--scenario", "example1", *overrides])
+    out = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("full_settling_time:") for line in out)
+    assert not any(line.startswith("reduced_") for line in out)
+    assert check_code == run_code
+
+    def gates(lines):
+        return [line for line in lines if line.startswith(("check_", "overall"))]
+
+    assert gates(out) == gates(report)
+
+
 def test_run_unknown_scenario(tmp_path, capsys):
     code = main(["run", "nosuch", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG

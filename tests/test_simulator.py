@@ -7,9 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from velobs.controllers import ConstantTorque, OpenLoopBounded, PdGravity
-from velobs.dynamics import SingleLinkModel, TwoLinkArm
+from velobs import dynamics
+from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
+                                PdConfig, PdGravity)
+from velobs.dynamics import PlantState, SingleLinkModel, TwoLinkArm, forward_dynamics
 from velobs.hybrid_logic import GainSchedule, HybridConfig
+from velobs.observers import (FullOrderObserverState, ObserverState,
+                              full_order_observer_derivative,
+                              reduced_observer_derivative)
 from velobs.simulator import (
     Scenario,
     ScenarioError,
@@ -40,6 +45,8 @@ def test_validation_rejects_bad_scenarios(arm):
         dict(dt=0.0),
         dict(dt=np.inf),
         dict(t_final=5e-4),
+        dict(t_final=np.inf),
+        dict(t_final=np.nan),
         dict(eta=0.0),
         dict(v_max=None),
         dict(v_max=-1.0),
@@ -50,11 +57,28 @@ def test_validation_rejects_bad_scenarios(arm):
              r_guess=1),
         dict(gain_mode="scheduled", v_max=None, hybrid=hybrid, r_guess=0),
         dict(k0_override=0.0),
+        dict(controller=ConstantTorque(np.zeros(3))),
+        dict(controller=PdGravity(PdConfig(kp=[1.0], kd=[1.0], x_ref=[0.0]))),
     ]
     for overrides in bad:
         with pytest.raises(ScenarioError):
             make_scenario(arm, **overrides).validate()
     make_scenario(arm).validate()
+
+
+def test_open_loop_law_needs_two_joints(single):
+    sc = Scenario(name="one_joint", model=single, q0=np.zeros(1), v0=np.zeros(1),
+                  xhat2_0=np.zeros(1), controller=OpenLoopBounded(), v_max=1.0)
+    with pytest.raises(ScenarioError, match="two-joint"):
+        sc.validate()
+
+
+def test_design_speed_rule(arm):
+    hybrid = HybridConfig(v_bar=1.5, eta=1.0)
+    assert make_scenario(arm, v_max=2.5).design_speed() == 2.5
+    assert make_scenario(arm, v_max=None, hybrid=hybrid, r_guess=3).design_speed() == 4.5
+    assert make_scenario(arm, v_max=None, hybrid=hybrid, r_guess=0).design_speed() == 1.5
+    assert make_scenario(arm, v_max=None).design_speed() is None
 
 
 def test_sample_count_rules(arm):
@@ -250,3 +274,78 @@ def test_builtin_scenario_parameters():
 def test_floor_mode_start_has_no_init_jumps(example2_traj):
     assert example2_traj.r[0] == 1
     assert all(ev.time > 0.0 for ev in example2_traj.jump_events)
+
+
+def test_one_table_build_per_scheduled_simulate(monkeypatch):
+    builds = []
+    build = dynamics.grid_tables
+    monkeypatch.setattr(dynamics, "grid_tables",
+                        lambda model: builds.append(model) or build(model))
+    sc = make_scenario(TwoLinkArm(), gain_mode="scheduled", v_max=None,
+                       hybrid=HybridConfig(v_bar=1.5, eta=1.0, r_min=1),
+                       r_guess=1, t_final=0.01)
+    simulate(sc)
+    assert len(builds) == 1
+    simulate(sc)              # the same model keeps its tables
+    assert len(builds) == 1
+
+
+KERNEL_CONTROLLERS = (
+    OpenLoopBounded(),
+    OpenLoopUnbounded(),
+    PdGravity(PdConfig(kp=[40.0, 20.0], kd=[60.0, 30.0], x_ref=[0.7, -1.0])),
+    ConstantTorque([3.0, -1.5]),
+)
+
+
+def hand_rk4_step(model, controller, gain, dt, q, v, xhat2):
+    """One RK4 step of plant, reduced and full observers, assembled from
+    forward_dynamics and the two array observer derivatives."""
+
+    def deriv(t, x):
+        q, v, z, h1, h2 = x
+        obs = ObserverState(z=z, k0=gain)
+        tau = controller.torque(model, q, obs.estimate(q), t)
+        plant = forward_dynamics(model, PlantState(q, v), tau)
+        dz = reduced_observer_derivative(model, obs, q, tau)
+        full = FullOrderObserverState(x1_hat=h1, x2_hat=h2, kd=gain, kp=gain * gain)
+        dh1, dh2 = full_order_observer_derivative(model, full, q, tau)
+        return [plant.x1, plant.x2, dz, dh1, dh2]
+
+    x = [q, v, xhat2 - gain * q, q, xhat2]
+    d1 = deriv(0.0, x)
+    d2 = deriv(0.5 * dt, [a + 0.5 * dt * b for a, b in zip(x, d1)])
+    d3 = deriv(0.5 * dt, [a + 0.5 * dt * b for a, b in zip(x, d2)])
+    d4 = deriv(dt, [a + dt * b for a, b in zip(x, d3)])
+    return [a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, d1, d2, d3, d4)]
+
+
+def step_mismatch(traj, step) -> float:
+    """Largest relative gap between the second sample and a hand-made step."""
+    q, v, z, _, h2 = step
+    got = (traj.x1[1], traj.x2[1], traj.z[1], traj.xhat2_full[1])
+    return max(float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0)))
+               for a, b in zip(got, (q, v, z, h2)))
+
+
+@pytest.mark.parametrize("controller", KERNEL_CONTROLLERS, ids=lambda c: c.name)
+def test_simulate_step_is_the_array_equations(arm, controller):
+    rng = np.random.default_rng(2027)
+    dt = 5e-3
+    for _ in range(5):
+        q = rng.uniform(-np.pi, np.pi, size=2)
+        v = rng.normal(size=2) * 2.0
+        xhat2 = v + rng.normal(size=2) * 0.3
+        gain = rng.uniform(3.0, 30.0)
+        sc = Scenario(name="kernel", model=arm, q0=q, v0=v, xhat2_0=xhat2,
+                      controller=controller, observer_mode="both",
+                      gain_mode="constant", v_max=1.5, k0_override=gain,
+                      dt=dt, t_final=dt)
+        traj = simulate(sc)
+        assert traj.t.shape == (2,)
+        step = hand_rk4_step(arm, controller, gain, dt, q, v, xhat2)
+        assert step_mismatch(traj, step) <= 1e-12
+        # sabotage control: a perturbed gain in the hand-made step is caught
+        bad = hand_rk4_step(arm, controller, gain * (1.0 + 1e-6), dt, q, v, xhat2)
+        assert step_mismatch(traj, bad) > 1e-12
