@@ -53,22 +53,13 @@ def check_lyapunov_decrease(traj: Trajectory, design: GainDesign, *,
         bound = np.full(traj.t.shape, design.v_max)
     admissible = (traj.eps_norm < radius) & (speed <= bound)
     v = traj.v_lyap
-    violations = []
-    checked = 0
-    max_inc = -math.inf
-    for i in range(len(v) - 1):
-        if not (admissible[i] and admissible[i + 1]):
-            continue
-        checked += 1
-        inc = v[i + 1] - v[i]
-        if inc > max_inc:
-            max_inc = inc
-        if inc > tol_scale * (1.0 + v[i]):
-            violations.append((i, float(traj.t[i]), float(v[i]), float(v[i + 1])))
-    if checked == 0:
-        max_inc = 0.0
-    return LyapunovCheck(violations=violations, checked_pairs=checked,
-                         max_increase=max_inc)
+    pairs = np.flatnonzero(admissible[:-1] & admissible[1:])
+    inc = np.diff(v)[pairs]                      # v[i + 1] - v[i]
+    bad = pairs[inc > tol_scale * (1.0 + v[pairs])]
+    violations = [(int(i), float(traj.t[i]), float(v[i]), float(v[i + 1]))
+                  for i in bad]
+    return LyapunovCheck(violations=violations, checked_pairs=int(pairs.size),
+                         max_increase=inc.max() if pairs.size else 0.0)
 
 
 def settling_time(traj: Trajectory, which: str = "active", *,
@@ -171,12 +162,17 @@ class StabilityReport:
     observed_rate: float | None
 
 
-def build_report(traj: Trajectory, design: GainDesign, which: str) -> StabilityReport:
-    """Assemble the stability summary for one observer of a trajectory."""
+def build_report(traj: Trajectory, design: GainDesign, which: str,
+                 lyapunov: LyapunovCheck | None = None) -> StabilityReport:
+    """Assemble the stability summary for one observer of a trajectory.
+
+    `lyapunov` is the active observer's check_lyapunov_decrease when the
+    caller has it already; it is computed when missing.
+    """
     eps0 = float(traj.eps_norm_for(which)[0])
     is_active = (which == traj.active)
     if is_active:
-        chk = check_lyapunov_decrease(traj, design)
+        chk = check_lyapunov_decrease(traj, design) if lyapunov is None else lyapunov
         max_inc: float | None = chk.max_increase
         n_viol: int | None = len(chk.violations)
     else:
@@ -205,8 +201,12 @@ def compare_observers(traj: Trajectory, design: GainDesign
     return red, full
 
 
-def scenario_checks(traj: Trajectory, design: GainDesign) -> dict[str, bool]:
-    """Pass/fail gates; builtin scenario names add their specific claims."""
+def scenario_checks(traj: Trajectory, design: GainDesign,
+                    lyapunov: LyapunovCheck | None = None) -> dict[str, bool]:
+    """Pass/fail gates; builtin scenario names add their specific claims.
+
+    `lyapunov` as in build_report.
+    """
     checks: dict[str, bool] = {}
     sc = traj.scenario
     name = sc.name if sc is not None else ""
@@ -217,7 +217,7 @@ def scenario_checks(traj: Trajectory, design: GainDesign) -> dict[str, bool]:
     speed = np.linalg.norm(traj.x2, axis=1)
     st_active = settling_time(traj)
     if name == "example1":
-        chk = check_lyapunov_decrease(traj, design)
+        chk = check_lyapunov_decrease(traj, design) if lyapunov is None else lyapunov
         checks["lyapunov_decrease"] = chk.ok
         checks["velocity_within_bound"] = bool(np.max(speed) <= design.v_max)
         # observer-comparison claims need per-observer histories; a CSV
@@ -247,8 +247,19 @@ def scenario_checks(traj: Trajectory, design: GainDesign) -> dict[str, bool]:
     return checks
 
 
-def report_lines(traj: Trajectory, design: GainDesign) -> list[str]:
-    """Render the full diagnostic report as key: value lines."""
+def report_lines(traj: Trajectory, design: GainDesign,
+                 checks: dict[str, bool] | None = None,
+                 lyapunov: LyapunovCheck | None = None) -> list[str]:
+    """Render the full diagnostic report as key: value lines.
+
+    `checks` is scenario_checks(traj, design) and `lyapunov` the active
+    observer's check_lyapunov_decrease, when the caller has them already
+    (see diagnose); each is computed when missing.
+    """
+    if lyapunov is None:
+        lyapunov = check_lyapunov_decrease(traj, design)
+    if checks is None:
+        checks = scenario_checks(traj, design, lyapunov)
     sc = traj.scenario
     lines = []
     if sc is not None:
@@ -273,7 +284,7 @@ def report_lines(traj: Trajectory, design: GainDesign) -> list[str]:
     lines.append(f"max_speed: {float(np.max(np.linalg.norm(traj.x2, axis=1))):.6g}")
     for which in ("reduced", "full"):
         try:
-            rep = build_report(traj, design, which)
+            rep = build_report(traj, design, which, lyapunov)
         except ValueError:
             continue
         p = f"{which}_"
@@ -289,8 +300,14 @@ def report_lines(traj: Trajectory, design: GainDesign) -> list[str]:
     lines.append(f"chatter_score: {chatter_score(traj)}")
     lines.append(f"final_r: {int(traj.r[-1])}")
     lines.append(f"ultimate_r_constant: {str(ultimate_r_constant(traj)).lower()}")
-    checks = scenario_checks(traj, design)
     for key, ok in checks.items():
         lines.append(f"check_{key}: {'pass' if ok else 'fail'}")
     lines.append(f"overall: {'pass' if all(checks.values()) else 'fail'}")
     return lines
+
+
+def diagnose(traj: Trajectory, design: GainDesign) -> tuple[list[str], bool]:
+    """The report lines and whether every check passed, from one Lyapunov scan."""
+    lyapunov = check_lyapunov_decrease(traj, design)
+    checks = scenario_checks(traj, design, lyapunov)
+    return report_lines(traj, design, checks, lyapunov), all(checks.values())

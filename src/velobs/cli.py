@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import report_lines, scenario_checks
+from .analysis import diagnose
 from .controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                           PdConfig, PdGravity)
 from .dynamics import SingularInertiaError, TwoLinkArm, TwoLinkParams
@@ -159,11 +159,11 @@ def _run_one(sc: Scenario, out_dir: Path, want_report: bool) -> int:
     traj.to_csv(csv_path)
     print(f"wrote {csv_path}")
     if want_report:
-        lines = report_lines(traj, traj.design)
+        lines, passed = diagnose(traj, traj.design)
         rep_path = out_dir / f"{sc.name}_report.txt"
         rep_path.write_text("\n".join(lines) + "\n")
         print(f"wrote {rep_path}")
-        if not all(scenario_checks(traj, traj.design).values()):
+        if not passed:
             return EXIT_CHECKS
     return EXIT_OK
 
@@ -187,32 +187,37 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _sweep_task(token: str, overrides: dict, out_dir: str) -> tuple[str, int]:
-    ns = argparse.Namespace(**overrides)
-    sc = apply_overrides(resolve_scenario(token), ns)
+def _sweep_task(token: str, overrides: dict, out_dir: str) -> int:
+    sc = apply_overrides(resolve_scenario(token), argparse.Namespace(**overrides))
     sub = Path(out_dir) / sc.name
     sub.mkdir(parents=True, exist_ok=True)
-    return token, _run_one(sc, sub, True)
+    return _run_one(sc, sub, True)
+
+
+def sweep_workers(jobs: int, n_tasks: int) -> int:
+    """Worker processes for a sweep: no more than tasks or CPUs."""
+    return min(jobs, n_tasks, os.cpu_count() or 1)
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ScenarioError("--jobs must be at least 1")
     tokens = args.scenarios or sorted(builtin_scenarios())
-    out_dir = _out_dir(args)
+    out_dir = str(_out_dir(args))
     overrides = {"dt": args.dt, "t_final": args.t_final, "observer": args.observer,
                  "gain": args.gain, "jump_semantics": args.jump_semantics}
-    worst = EXIT_OK
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_sweep_task, tok, overrides, str(out_dir))
+    # every scenario runs to its own exit code, its error (if any) on stderr
+    workers = sweep_workers(args.jobs, len(tokens))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_exit_code, _sweep_task, tok, overrides, out_dir)
                        for tok in tokens]
-            for fut in futures:
-                _, code = fut.result()
-                worst = max(worst, code)
+            codes = [fut.result() for fut in futures]
     else:
-        for tok in tokens:
-            _, code = _sweep_task(tok, overrides, str(out_dir))
-            worst = max(worst, code)
-    return worst
+        codes = [_exit_code(_sweep_task, tok, overrides, out_dir) for tok in tokens]
+    for tok, code in zip(tokens, codes):
+        print(f"{tok}: exit {code}")
+    return max(codes)
 
 
 def cmd_check(args) -> int:
@@ -224,12 +229,12 @@ def cmd_check(args) -> int:
         # the file's estimate column is the active observer's
         traj.active, traj.xhat2_full, traj.xhat2_reduced = "full", traj.xhat2_reduced, None
     design = compute_k0(sc.model, sc.eta, sc.design_speed())
-    lines = report_lines(traj, design)
+    lines, passed = diagnose(traj, design)
     text = "\n".join(lines)
     print(text)
     if args.report_file:
         Path(args.report_file).write_text(text + "\n")
-    if not all(scenario_checks(traj, design).values()):
+    if not passed:
         return EXIT_CHECKS
     return EXIT_OK
 
@@ -286,8 +291,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
+    return _exit_code(args.func, args)
+
+
+def _exit_code(func, *args) -> int:
+    """func(*args), or the exit code of the error it raised, printed to stderr."""
     try:
-        return args.func(args)
+        return func(*args)
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

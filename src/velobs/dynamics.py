@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
@@ -34,6 +34,10 @@ import numpy as np
 
 # Conditioning limit above which the inertia matrix is treated as singular.
 INERTIA_COND_LIMIT = 1e12
+
+# Distinct models whose design tables are kept (about 50 KB each at the
+# default 2048 grid points).
+DESIGN_TABLES_CACHE = 16
 
 
 class SingularInertiaError(RuntimeError):
@@ -110,10 +114,10 @@ class RobotModel(ABC):
           * energy(w): the quadratic form 0.5 w^T M(q) w.
         """
 
-    @cached_property
+    @property
     def design_tables(self) -> "GridTables":
-        """grid_tables(self), built once per model."""
-        return grid_tables(self)
+        """grid_tables(self), built once per distinct model (see _design_tables)."""
+        return _design_tables(self)
 
     def dissipation_floor(self) -> float:
         """Smallest eigenvalue of the symmetric part of F."""
@@ -194,6 +198,8 @@ class TwoLinkParams:
     gravity_accel: float = 9.81
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ValueError("arm parameters must be finite")
         if min(self.m1, self.m2, self.l1, self.l2) <= 0.0:
             raise ValueError("masses and lengths must be positive")
         if self.f1 < 0.0 or self.f2 < 0.0:
@@ -217,7 +223,7 @@ class TwoLinkParams:
         return self.m2 * self.l2 ** 2 / 12.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TwoLinkArm(RobotModel):
     """Planar two-link arm in a vertical plane with viscous joint friction."""
 
@@ -327,7 +333,7 @@ class TwoLinkArm(RobotModel):
         return np.column_stack([np.zeros_like(q2), q2])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SingleLinkModel(RobotModel):
     """Constant-inertia single-joint model; its dynamics are exactly linear."""
 
@@ -337,10 +343,10 @@ class SingleLinkModel(RobotModel):
     n = 1
 
     def __post_init__(self):
-        if self.inertia_value <= 0.0:
-            raise ValueError("inertia must be positive")
-        if self.damping < 0.0:
-            raise ValueError("damping must be nonnegative")
+        if not (self.inertia_value > 0.0 and math.isfinite(self.inertia_value)):
+            raise ValueError("inertia must be positive and finite")
+        if not (self.damping >= 0.0 and math.isfinite(self.damping)):
+            raise ValueError("damping must be nonnegative and finite")
 
     def inertia(self, q) -> np.ndarray:
         self._check_joint_vector(q, "q")
@@ -428,17 +434,22 @@ class GridTables(NamedTuple):
 def grid_tables(model: RobotModel) -> GridTables:
     """Evaluate eigenvalue and c0 tables over the model's design grid."""
     grid = model.design_grid()
-    m = grid.shape[0]
-    lam_min = np.empty(m)
-    lam_max = np.empty(m)
-    c0 = np.empty(m)
-    for i in range(m):
-        q = grid[i]
-        w = np.linalg.eigvalsh(model.inertia(q))
-        lam_min[i] = w[0]
-        lam_max[i] = w[-1]
-        c0[i] = model.c0_bound(q)
-    return GridTables(lam_min, lam_max, c0)
+    # M(q) and c0(q) row by row on Python floats (math.cos, not np.cos, so the
+    # entries are the kernel's), the eigenvalues in one batched call
+    w = np.linalg.eigvalsh(np.array([model.inertia(q) for q in grid]))
+    c0 = np.array([model.c0_bound(q) for q in grid])
+    return GridTables(w[:, 0].copy(), w[:, -1].copy(), c0)
+
+
+@lru_cache(maxsize=DESIGN_TABLES_CACHE)
+def _design_tables(model: RobotModel) -> GridTables:
+    # Models are frozen dataclasses compared by value, so equal models (same
+    # class, parameters and grid size) share one build; read-only, since
+    # every caller gets the same arrays.
+    tables = grid_tables(model)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def spectral_bounds(model: RobotModel) -> tuple[float, float]:

@@ -17,6 +17,7 @@ a float, which is what the simulator passes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,10 @@ class HybridConfig:
     r_min: int = 0
 
     def __post_init__(self):
-        if self.v_bar <= 0.0:
-            raise ValueError("v_bar must be positive")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not (self.v_bar > 0.0 and math.isfinite(self.v_bar)):
+            raise ValueError("v_bar must be positive and finite")
+        if not (self.eta > 0.0 and math.isfinite(self.eta)):
+            raise ValueError("eta must be positive and finite")
         if self.semantics not in SEMANTICS:
             raise ValueError(f"semantics must be one of {SEMANTICS}")
         if self.r_min < 0:

@@ -28,9 +28,19 @@ GAIN_MODES = ("constant", "scheduled")
 # Abort threshold for any integrated state component.
 BLOWUP_LIMIT = 1e6
 
+# Most samples one run may record: at most 18 float64 columns for a
+# two-link arm with both observers, so under 300 MB of sample arrays.
+MAX_SAMPLES = 2_000_000
+
 CSV_COLUMNS = ("t", "q1", "q2", "dq1", "dq2", "dq1_hat", "dq2_hat",
                "eps_norm", "V", "r", "k_r", "tau1", "tau2",
                "lower_bound", "upper_bound")
+# One CSV row: the mode index r as an integer, every other value with 17
+# significant digits, enough for every float to read back bit for bit.
+_CSV_ROW = ",".join("%d" if c == "r" else "%.17g" for c in CSV_COLUMNS) + "\n"
+# Rows formatted per write by Trajectory.to_csv.  Larger blocks write no
+# faster and raise peak RSS more: about 1.5 MB at 1024 rows, 7 MB at 4096.
+CSV_BLOCK_ROWS = 1024
 
 
 class ScenarioError(ValueError):
@@ -91,13 +101,17 @@ class Scenario:
             raise ScenarioError("dt must be positive and finite")
         if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
             raise ScenarioError("t_final must be finite and at least one step")
-        if self.eta <= 0.0:
-            raise ScenarioError("eta must be positive")
+        # the float ratio first: it may be too large for sample_count's int
+        if self.t_final / self.dt > MAX_SAMPLES or self.sample_count() > MAX_SAMPLES:
+            raise ScenarioError(
+                f"t_final / dt asks for more than the {MAX_SAMPLES} samples a run may hold")
+        if not (self.eta > 0.0 and math.isfinite(self.eta)):
+            raise ScenarioError("eta must be positive and finite")
         if self.gain_mode == "constant":
             if self.v_max is None:
                 raise ScenarioError("constant gain mode requires v_max")
-            if self.v_max < 0.0:
-                raise ScenarioError("v_max must be nonnegative")
+            if not (self.v_max >= 0.0 and math.isfinite(self.v_max)):
+                raise ScenarioError("v_max must be nonnegative and finite")
         else:
             if self.hybrid is None:
                 raise ScenarioError("scheduled gain mode requires a hybrid config")
@@ -109,8 +123,9 @@ class Scenario:
                 raise ScenarioError("hybrid config eta must match scenario eta")
             if self.r_guess < self.hybrid.r_min:
                 raise ScenarioError("r_guess must not be below r_min")
-        if self.k0_override is not None and self.k0_override <= 0.0:
-            raise ScenarioError("k0_override must be positive")
+        if self.k0_override is not None and not (
+                self.k0_override > 0.0 and math.isfinite(self.k0_override)):
+            raise ScenarioError("k0_override must be positive and finite")
         # the integration loop calls the float law unchecked
         try:
             tau = self.controller.torque(self.model, self.q0, self.xhat2_0, 0.0)
@@ -171,22 +186,22 @@ class Trajectory:
         return np.linalg.norm(self.x2 - est, axis=1)
 
     def to_csv(self, path) -> None:
-        """Write the fixed 15-column schema with 17 significant digits."""
+        """Write the fixed 15-column schema with 17 significant digits.
+
+        Rows are formatted CSV_BLOCK_ROWS at a time and each block is written
+        before the next is made, so the text held in memory is one block's.
+        """
         if self.x1.shape[1] != 2:
             raise ScenarioError("the CSV schema is defined for two-joint models")
         est = self.xhat2
+        columns = (self.t, self.x1[:, 0], self.x1[:, 1], self.x2[:, 0], self.x2[:, 1],
+                   est[:, 0], est[:, 1], self.eps_norm, self.v_lyap, self.r,
+                   self.k_gain, self.tau[:, 0], self.tau[:, 1], self.lower, self.upper)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for i in range(self.t.shape[0]):
-                vals = (self.t[i], self.x1[i, 0], self.x1[i, 1],
-                        self.x2[i, 0], self.x2[i, 1], est[i, 0], est[i, 1],
-                        self.eps_norm[i], self.v_lyap[i])
-                row = [f"{v:.17g}" for v in vals]
-                row.append(str(int(self.r[i])))
-                vals2 = (self.k_gain[i], self.tau[i, 0], self.tau[i, 1],
-                         self.lower[i], self.upper[i])
-                row.extend(f"{v:.17g}" for v in vals2)
-                fh.write(",".join(row) + "\n")
+            for start in range(0, self.t.shape[0], CSV_BLOCK_ROWS):
+                block = [col[start:start + CSV_BLOCK_ROWS].tolist() for col in columns]
+                fh.write("".join([_CSV_ROW % row for row in zip(*block)]))
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":

@@ -75,6 +75,31 @@ def test_checker_flags_the_undersized_gain_run(negative_control_traj):
     assert t == pytest.approx(i * negative_control_traj.scenario.dt)
 
 
+def pairwise_scan(traj, design, tol_scale=1e-8):
+    """The decrease scan one pair of consecutive samples at a time."""
+    speed = np.linalg.norm(traj.x2, axis=1)
+    bound = (traj.r * traj.scenario.hybrid.v_bar
+             if traj.scenario.gain_mode == "scheduled"
+             else np.full(traj.t.shape, design.v_max))
+    ok = (traj.eps_norm < design.region_radius) & (speed <= bound)
+    v = traj.v_lyap
+    pairs = [i for i in range(len(v) - 1) if ok[i] and ok[i + 1]]
+    violations = [(i, float(traj.t[i]), float(v[i]), float(v[i + 1])) for i in pairs
+                  if v[i + 1] - v[i] > tol_scale * (1.0 + v[i])]
+    max_inc = max((v[i + 1] - v[i] for i in pairs), default=0.0)
+    return violations, len(pairs), max_inc
+
+
+def test_checker_is_the_pairwise_scan(negative_control_traj, example1_traj,
+                                      example2_traj):
+    for traj in (negative_control_traj, example1_traj, example2_traj):
+        chk = check_lyapunov_decrease(traj, traj.design)
+        assert (chk.violations, chk.checked_pairs, chk.max_increase) == \
+            pairwise_scan(traj, traj.design)
+    # not vacuous: the undersized-gain run has violations to compare
+    assert pairwise_scan(negative_control_traj, negative_control_traj.design)[0]
+
+
 def test_checker_skips_inadmissible_samples(design15):
     # growing V, but the error is outside the guaranteed region throughout
     v = np.linspace(1.0, 2.0, 10)

@@ -1,9 +1,12 @@
 """End-to-end command-line tests, all in process through main()."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from velobs import cli
 from velobs.cli import (
     EXIT_CHECKS,
     EXIT_CONFIG,
@@ -109,6 +112,32 @@ def test_non_finite_horizon_is_a_config_error(tmp_path, capsys):
         assert err.startswith("error: t_final") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["eta", "v_max"])
+def test_nan_design_constant_is_a_config_error(tmp_path, capsys, key):
+    path = tmp_path / "nan.ini"
+    path.write_text(re.sub(rf"^{key} = .*$", f"{key} = nan", QUICK_INI, flags=re.M))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") and err.count("\n") == 1
+
+
+def test_nan_band_width_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "nan_band.ini"
+    path.write_text(SCHEDULED_INI.replace("v_bar = 1.5", "v_bar = nan"))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "v_bar" in capsys.readouterr().err
+
+
+def test_run_too_long_to_hold_is_a_config_error(tmp_path, capsys):
+    # rejected before any sample array is allocated
+    code = main(["run", "example1", "--out", str(tmp_path),
+                 "--dt", "1e-9", "--t-final", "1e3"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "samples" in err and err.count("\n") == 1
+    assert not (tmp_path / "example1.csv").exists()
+
+
 def test_check_of_a_full_observer_export_reports_the_full_observer(tmp_path, capsys):
     overrides = ["--observer", "full", "--t-final", "3"]
     run_code = main(["run", "example1", "--out", str(tmp_path), "--report", *overrides])
@@ -173,6 +202,10 @@ def test_invalid_scenario_files(tmp_path, capsys):
     bad_vec = tmp_path / "vec.ini"
     bad_vec.write_text(QUICK_INI.replace("q0 = 0 0", "q0 = 0 0 0"))
     assert main(["run", str(bad_vec), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    nan_mass = tmp_path / "nan_mass.ini"
+    nan_mass.write_text("[model]\nm1 = nan\n" + QUICK_INI)
+    assert main(["run", str(nan_mass), "--out", str(tmp_path)]) == EXIT_CONFIG
     capsys.readouterr()
 
 
@@ -225,6 +258,30 @@ def test_sweep_all_builtins(tmp_path):
         assert (tmp_path / name / f"{name}.csv").is_file()
         report = tmp_path / name / f"{name}_report.txt"
         assert "overall: pass" in report.read_text()
+
+
+def test_sweep_reports_every_scenario(tmp_path, capsys):
+    # example1 has no hybrid config to switch; the other two still run
+    code = main(["sweep", "--out", str(tmp_path), "--jump-semantics", "hysteresis",
+                 "--t-final", "0.05"])
+    out, err = capsys.readouterr()
+    assert "jump-semantics" in err
+    exits = [line for line in out.splitlines() if ": exit " in line]
+    assert exits == ["example1: exit 1", "example2: exit 3", "example3: exit 3"]
+    assert code == EXIT_CHECKS
+    for name in ("example2", "example3"):
+        assert (tmp_path / name / f"{name}_report.txt").is_file()
+
+
+def test_sweep_jobs_are_checked_and_clamped(tmp_path, capsys, monkeypatch):
+    assert main(["sweep", "--out", str(tmp_path), "--jobs", "0"]) == EXIT_CONFIG
+    assert "--jobs" in capsys.readouterr().err
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli.sweep_workers(1000, 3) == 3
+    assert cli.sweep_workers(1000, 50) == 4
+    assert cli.sweep_workers(2, 50) == 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli.sweep_workers(8, 3) == 1
 
 
 def test_check_subcommand_roundtrip(tmp_path, quick_ini, capsys):

@@ -196,6 +196,13 @@ def test_parameter_validation():
         SingleLinkModel(inertia_value=0.0)
     with pytest.raises(ValueError):
         SingleLinkModel(damping=-1.0)
+    for bad in (dict(m1=np.nan), dict(l2=np.inf), dict(f1=np.nan),
+                dict(gravity_accel=np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            TwoLinkParams(**bad)
+    for bad in (dict(inertia_value=np.nan), dict(damping=np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            SingleLinkModel(**bad)
 
 
 def test_spectral_bounds_frozen_values(arm):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from velobs import dynamics
+from velobs import dynamics, simulator
 from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                                 PdConfig, PdGravity)
 from velobs.dynamics import PlantState, SingleLinkModel, TwoLinkArm, forward_dynamics
@@ -48,8 +48,15 @@ def test_validation_rejects_bad_scenarios(arm):
         dict(t_final=np.inf),
         dict(t_final=np.nan),
         dict(eta=0.0),
+        dict(eta=np.nan),
+        dict(eta=np.inf),
         dict(v_max=None),
         dict(v_max=-1.0),
+        dict(v_max=np.nan),
+        dict(v_max=np.inf),
+        # more samples than a run may hold, and a ratio past any int
+        dict(dt=1e-9, t_final=1e3),
+        dict(dt=1e-300, t_final=1e300),
         dict(gain_mode="scheduled", v_max=None),
         dict(gain_mode="scheduled", v_max=None, hybrid=hybrid,
              observer_mode="full", r_guess=1),
@@ -57,13 +64,21 @@ def test_validation_rejects_bad_scenarios(arm):
              r_guess=1),
         dict(gain_mode="scheduled", v_max=None, hybrid=hybrid, r_guess=0),
         dict(k0_override=0.0),
+        dict(k0_override=np.nan),
         dict(controller=ConstantTorque(np.zeros(3))),
         dict(controller=PdGravity(PdConfig(kp=[1.0], kd=[1.0], x_ref=[0.0]))),
     ]
     for overrides in bad:
         with pytest.raises(ScenarioError):
             make_scenario(arm, **overrides).validate()
+    for v_bar, eta in ((np.nan, 1.0), (1.5, np.nan), (np.inf, 1.0)):
+        with pytest.raises(ValueError):
+            HybridConfig(v_bar=v_bar, eta=eta)
     make_scenario(arm).validate()
+    steps = simulator.MAX_SAMPLES - 1
+    make_scenario(arm, dt=1.0, t_final=float(steps)).validate()
+    with pytest.raises(ScenarioError, match="samples"):
+        make_scenario(arm, dt=1.0, t_final=float(steps + 1)).validate()
 
 
 def test_open_loop_law_needs_two_joints(single):
@@ -215,6 +230,33 @@ def test_csv_round_trip_is_exact(arm, tmp_path):
     assert back.jump_events == []
 
 
+def reference_csv(traj: Trajectory, fmt: str) -> str:
+    """The schema written one value at a time, each float as f"{v:{fmt}}"."""
+    est = traj.xhat2
+    lines = [",".join(simulator.CSV_COLUMNS)]
+    for i in range(traj.t.shape[0]):
+        row = [f"{v:{fmt}}" for v in (traj.t[i], *traj.x1[i], *traj.x2[i], *est[i],
+                                      traj.eps_norm[i], traj.v_lyap[i])]
+        row.append(str(int(traj.r[i])))
+        row += [f"{v:{fmt}}" for v in (traj.k_gain[i], *traj.tau[i],
+                                       traj.lower[i], traj.upper[i])]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_blocks_are_the_per_value_bytes(example2_traj, tmp_path):
+    # a scheduled run with jumps, cut across block boundaries
+    rows = len(example2_traj.t)
+    assert rows > simulator.CSV_BLOCK_ROWS and rows % simulator.CSV_BLOCK_ROWS
+    assert len(example2_traj.jump_events) > 0
+    path = tmp_path / "e2.csv"
+    example2_traj.to_csv(path)
+    written = path.read_bytes()
+    assert written == reference_csv(example2_traj, ".17g").encode()
+    # sabotage control: one digit fewer is caught
+    assert written != reference_csv(example2_traj, ".16g").encode()
+
+
 def test_csv_reload_reconstructs_jump_events(example2_traj, tmp_path):
     path = tmp_path / "e2.csv"
     example2_traj.to_csv(path)
@@ -281,6 +323,7 @@ def test_one_table_build_per_scheduled_simulate(monkeypatch):
     build = dynamics.grid_tables
     monkeypatch.setattr(dynamics, "grid_tables",
                         lambda model: builds.append(model) or build(model))
+    dynamics._design_tables.cache_clear()
     sc = make_scenario(TwoLinkArm(), gain_mode="scheduled", v_max=None,
                        hybrid=HybridConfig(v_bar=1.5, eta=1.0, r_min=1),
                        r_guess=1, t_final=0.01)
@@ -288,6 +331,11 @@ def test_one_table_build_per_scheduled_simulate(monkeypatch):
     assert len(builds) == 1
     simulate(sc)              # the same model keeps its tables
     assert len(builds) == 1
+    # an arm with equal parameters shares them; another grid size does not
+    simulate(dataclasses.replace(sc, model=TwoLinkArm(dynamics.TwoLinkParams())))
+    assert len(builds) == 1
+    simulate(dataclasses.replace(sc, model=TwoLinkArm(grid_points=1024)))
+    assert len(builds) == 2
 
 
 KERNEL_CONTROLLERS = (
