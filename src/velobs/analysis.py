@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import RobotModel
+from .hybrid_logic import flow_interval, jump_down_set, jump_up_set
 from .observers import GainDesign
 from .simulator import Trajectory
 
@@ -16,11 +17,17 @@ SETTLING_THRESHOLD = 0.01
 # Two jumps at most this many integrator steps apart count as chatter.
 CHATTER_WINDOW = 10
 
+# A sample pair breaks the Lyapunov decrease when V grows by more than
+# LYAPUNOV_TOL * (1 + V).
+LYAPUNOV_TOL = 1e-8
+
 
 def lyapunov_value(model: RobotModel, eps, y) -> float:
-    """Quadratic error energy 0.5 * eps^T M(y) eps."""
+    """Quadratic error energy 0.5 * eps^T M(y) eps (the kernel's energy form,
+    which also writes the V column)."""
     eps = model._check_joint_vector(eps, "eps")
-    return 0.5 * float(eps @ model.inertia(y) @ eps)
+    y = model._check_joint_vector(y, "y")
+    return model.kernel(y.tolist())[2](eps.tolist())
 
 
 @dataclass
@@ -36,14 +43,13 @@ class LyapunovCheck:
         return not self.violations
 
 
-def check_lyapunov_decrease(traj: Trajectory, design: GainDesign, *,
-                            tol_scale: float = 1e-8) -> LyapunovCheck:
+def check_lyapunov_decrease(traj: Trajectory, design: GainDesign) -> LyapunovCheck:
     """Scan consecutive samples where the decay hypotheses hold at both ends.
 
     Hypotheses per sample: the error norm is inside the guaranteed region and
     the true speed is within the design bound (v_max with a constant gain,
     r * v_bar with a scheduled one).  For each admissible pair, V must not
-    grow by more than tol_scale * (1 + V).
+    grow by more than LYAPUNOV_TOL * (1 + V).
     """
     radius = design.region_radius
     speed = np.linalg.norm(traj.x2, axis=1)
@@ -55,7 +61,7 @@ def check_lyapunov_decrease(traj: Trajectory, design: GainDesign, *,
     v = traj.v_lyap
     pairs = np.flatnonzero(admissible[:-1] & admissible[1:])
     inc = np.diff(v)[pairs]                      # v[i + 1] - v[i]
-    bad = pairs[inc > tol_scale * (1.0 + v[pairs])]
+    bad = pairs[inc > LYAPUNOV_TOL * (1.0 + v[pairs])]
     violations = [(int(i), float(traj.t[i]), float(v[i]), float(v[i + 1]))
                   for i in bad]
     return LyapunovCheck(violations=violations, checked_pairs=int(pairs.size),
@@ -115,28 +121,30 @@ def sandwich_violations(traj: Trajectory, eta: float) -> int:
 
 
 def illegal_jumps(traj: Trajectory) -> list:
-    """Jump events whose recorded estimate norm is outside the matching jump set."""
+    """Jump events whose recorded estimate norm is outside the matching jump set.
+
+    A jump of more than one mode, or out of a mode below r_min, is illegal.
+    """
     sc = traj.scenario
     if sc is None or sc.hybrid is None:
         return []
-    cfg = sc.hybrid
+    jump_sets = {1: jump_up_set, -1: jump_down_set}
     bad = []
     for ev in traj.jump_events:
-        if ev.new_r == ev.old_r + 1:
-            ok = ev.est_norm >= cfg.up_threshold(ev.old_r)
-        elif ev.new_r == ev.old_r - 1:
-            ok = ev.old_r > cfg.r_min and ev.est_norm <= cfg.down_threshold(ev.old_r)
-        else:
+        in_set = jump_sets.get(ev.new_r - ev.old_r)
+        try:
+            ok = in_set is not None and in_set(sc.hybrid, ev.old_r, ev.est_norm)
+        except ValueError:      # a mode below r_min has no jump sets
             ok = False
         if not ok:
             bad.append(ev)
     return bad
 
 
-def chatter_score(traj: Trajectory, *, window: int = CHATTER_WINDOW) -> int:
-    """Number of jumps landing within `window` steps of the previous jump."""
+def chatter_score(traj: Trajectory) -> int:
+    """Number of jumps landing within CHATTER_WINDOW steps of the previous jump."""
     steps = [ev.step for ev in traj.jump_events]
-    return sum(1 for a, b in zip(steps, steps[1:]) if b - a <= window)
+    return sum(1 for a, b in zip(steps, steps[1:]) if b - a <= CHATTER_WINDOW)
 
 
 def ultimate_r_constant(traj: Trajectory, *, fraction: float = 0.2) -> bool:
@@ -270,7 +278,6 @@ def report_lines(traj: Trajectory, design: GainDesign,
             lines.append(f"jump_semantics: {sc.hybrid.semantics}")
             lines.append(f"v_bar: {sc.hybrid.v_bar:g}")
             lines.append(f"r_min: {sc.hybrid.r_min}")
-            from .hybrid_logic import flow_interval
             empty = flow_interval(sc.hybrid, max(sc.hybrid.r_min + 1, 1)) is None
             lines.append(f"empty_flow_annulus: {str(empty).lower()}")
         lines.append(f"dt: {sc.dt:g}")

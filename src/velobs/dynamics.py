@@ -461,6 +461,6 @@ def spectral_bounds(model: RobotModel) -> tuple[float, float]:
 
 
 def total_energy(model: RobotModel, state: PlantState) -> float:
-    """Kinetic plus potential energy of the plant."""
-    m = model.inertia(state.x1)
-    return 0.5 * float(state.x2 @ m @ state.x2) + model.potential(state.x1)
+    """Kinetic plus potential energy of the plant (the kernel's energy form)."""
+    _, _, energy = model.kernel(model._check_joint_vector(state.x1, "x1").tolist())
+    return energy(state.x2.tolist()) + model.potential(state.x1)

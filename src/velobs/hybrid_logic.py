@@ -22,10 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GridTables, RobotModel
-from .observers import K_MIN
+from .dynamics import RobotModel
+from .observers import compute_k0
 
 SEMANTICS = ("paper_faithful", "hysteresis")
+
+# Most jumps initialize_logic applies before it gives up on settling.
+MAX_INIT_JUMPS = 1000
 
 
 @dataclass(frozen=True)
@@ -63,19 +66,23 @@ def _estimate_norm(xhat2) -> float:
     return float(np.linalg.norm(xhat2))
 
 
-def jump_up_set(config: HybridConfig, r: int, xhat2) -> bool:
-    """True iff the estimate lies in the up-jump set of mode r."""
+def _check_mode(config: HybridConfig, r: int) -> None:
     if r < config.r_min:
         raise ValueError("r below the lowest admissible mode")
+
+
+def jump_up_set(config: HybridConfig, r: int, xhat2) -> bool:
+    """True iff the estimate lies in the up-jump set of mode r."""
+    _check_mode(config, r)
     return _estimate_norm(xhat2) >= config.up_threshold(r)
+
 
 def jump_down_set(config: HybridConfig, r: int, xhat2) -> bool:
     """True iff the estimate lies in the down-jump set of mode r.
 
     Always false at the floor mode, there is no mode below to jump to.
     """
-    if r < config.r_min:
-        raise ValueError("r below the lowest admissible mode")
+    _check_mode(config, r)
     if r <= config.r_min:
         return False
     return _estimate_norm(xhat2) <= config.down_threshold(r)
@@ -84,18 +91,15 @@ def jump_down_set(config: HybridConfig, r: int, xhat2) -> bool:
 def flow_set(config: HybridConfig, r: int, xhat2) -> bool:
     """True iff the estimate lies in the flow set of mode r.
 
-    The flow set is the closure of the complement of the jump sets, an
-    annulus in estimate norm.  Boundary points belong to both the flow set
-    and the adjacent jump set.
+    The flow set is the closure of the complement of the jump sets, the
+    closed annulus flow_interval(config, r) in estimate norm.  Boundary
+    points belong to both the flow set and the adjacent jump set.
     """
-    if r < config.r_min:
-        raise ValueError("r below the lowest admissible mode")
-    nrm = _estimate_norm(xhat2)
-    if nrm > config.up_threshold(r):
+    interval = flow_interval(config, r)
+    if interval is None:
         return False
-    if r > config.r_min and nrm < config.down_threshold(r):
-        return False
-    return True
+    lo, hi = interval
+    return lo <= _estimate_norm(xhat2) <= hi
 
 
 def flow_interval(config: HybridConfig, r: int) -> tuple[float, float] | None:
@@ -104,8 +108,7 @@ def flow_interval(config: HybridConfig, r: int) -> tuple[float, float] | None:
     An empty interval means the jump sets cover the whole space in mode r,
     which happens with v_bar < 2 eta in paper_faithful semantics.
     """
-    if r < config.r_min:
-        raise ValueError("r below the lowest admissible mode")
+    _check_mode(config, r)
     hi = config.up_threshold(r)
     lo = max(config.down_threshold(r), 0.0) if r > config.r_min else 0.0
     if hi < lo:
@@ -113,60 +116,38 @@ def flow_interval(config: HybridConfig, r: int) -> tuple[float, float] | None:
     return lo, hi
 
 
-def _kr_from_tables(tables: GridTables, lam_f: float, config: HybridConfig,
-                    r: int, k_min: float) -> float:
-    ratios = (tables.c0 * (config.eta + r * config.v_bar) - lam_f) / tables.lam_min
-    return max(float(ratios.max()), k_min)
-
-
-def compute_kr(model: RobotModel, config: HybridConfig, r: int, *,
-               k_min: float = K_MIN) -> float:
-    """Scheduled gain of mode r, sized for speeds up to r * v_bar."""
+def compute_kr(model: RobotModel, config: HybridConfig, r: int) -> float:
+    """Scheduled gain of mode r: the constant design for speeds up to r * v_bar."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    return _kr_from_tables(model.design_tables, model.dissipation_floor(),
-                           config, r, k_min)
+    return compute_k0(model, config.eta, r * config.v_bar).k0
 
 
 class GainSchedule:
-    """Gain table k_r backed by the design-grid maximization.
+    """Gain k_r of each mode, computed by compute_kr when first asked for."""
 
-    Entries for r = 0..64 are precomputed; higher modes are filled in on
-    demand.
-    """
-
-    def __init__(self, model: RobotModel, config: HybridConfig, *,
-                 precompute: int = 64, k_min: float = K_MIN):
+    def __init__(self, model: RobotModel, config: HybridConfig):
         self.model = model
         self.config = config
-        self._k_min = k_min
-        self._tables = model.design_tables
-        self._lam_f = model.dissipation_floor()
-        self._gains = [self._entry(r) for r in range(precompute + 1)]
-
-    def _entry(self, r: int) -> float:
-        return _kr_from_tables(self._tables, self._lam_f, self.config, r, self._k_min)
+        self._gains: dict[int, float] = {}
 
     def gain(self, r: int) -> float:
-        if r < 0:
-            raise ValueError("r must be nonnegative")
-        while r >= len(self._gains):
-            self._gains.append(self._entry(len(self._gains)))
-        return self._gains[r]
+        k = self._gains.get(r)
+        if k is None:
+            k = self._gains[r] = compute_kr(self.model, self.config, r)
+        return k
 
 
 @dataclass(frozen=True)
 class LogicState:
-    """Current mode r, its gain, and jump bookkeeping."""
+    """Current mode r and its gain."""
 
     r: int
     k_r: float
-    jump_count: int = 0
-    last_jump_time: float = 0.0
 
 
 def step_logic(config: HybridConfig, schedule: GainSchedule, state: LogicState,
-               xhat2, t: float) -> LogicState:
+               xhat2) -> LogicState:
     """Apply at most one jump; an up-jump wins when both sets are hit."""
     if jump_up_set(config, state.r, xhat2):
         new_r = state.r + 1
@@ -174,42 +155,35 @@ def step_logic(config: HybridConfig, schedule: GainSchedule, state: LogicState,
         new_r = state.r - 1
     else:
         return state
-    return LogicState(r=new_r, k_r=schedule.gain(new_r),
-                      jump_count=state.jump_count + 1, last_jump_time=t)
+    return LogicState(r=new_r, k_r=schedule.gain(new_r))
 
 
 def initialize_logic(config: HybridConfig, schedule: GainSchedule, xhat2_0,
-                     r_guess: int, *, max_iters: int = 1000,
-                     events: list | None = None) -> LogicState:
+                     r_guess: int, *, events: list | None = None) -> LogicState:
     """Settle the logic index at time zero by iterating jumps.
 
     Jumps are applied repeatedly until the initial estimate is outside the
     active jump sets, or only inside the one that points back to the mode
     just exited (crossing back would cycle forever).  Each applied jump is
     appended to `events` as (old_r, new_r, estimate_norm) when a list is
-    given.
+    given.  Raises ValueError when MAX_INIT_JUMPS jumps have not settled it.
     """
     if r_guess < config.r_min:
         raise ValueError("r_guess must not be below r_min")
     nrm = _estimate_norm(xhat2_0)
     r = r_guess
-    last = None
-    count = 0
-    for _ in range(max_iters):
-        up = jump_up_set(config, r, nrm)
-        down = jump_down_set(config, r, nrm)
-        if up and last != "down":
-            r += 1
-            last = "up"
-        elif down and last != "up":
-            r -= 1
-            last = "down"
+    last = 0                    # direction of the previous jump
+    for _ in range(MAX_INIT_JUMPS):
+        if last != -1 and jump_up_set(config, r, nrm):
+            step = 1
+        elif last != 1 and jump_down_set(config, r, nrm):
+            step = -1
         else:
-            return LogicState(r=r, k_r=schedule.gain(r),
-                              jump_count=count, last_jump_time=0.0)
-        count += 1
+            return LogicState(r=r, k_r=schedule.gain(r))
         if events is not None:
-            events.append((r - 1 if last == "up" else r + 1, r, nrm))
+            events.append((r, r + step, nrm))
+        r += step
+        last = step
     raise ValueError("logic index did not settle; inconsistent hybrid configuration")
 
 

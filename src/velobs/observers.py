@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RobotModel
+from .dynamics import RobotModel, spectral_bounds
 
 # Positive floor applied to designed gains (the grid formula can go negative
 # when dissipation already dominates the Coriolis term).
@@ -69,43 +69,38 @@ def reduced_observer_derivative(model: RobotModel, obs: ObserverState,
     return np.array(reduced_rate(accel, tau.tolist(), obs.estimate(y).tolist(), obs.k0))
 
 
-def compute_k0(model: RobotModel, eta: float, v_max: float, *,
-               k_min: float = K_MIN) -> GainDesign:
-    """Size the constant observer gain by maximizing over the design grid.
-
-    k0 = max over grid of (c0(q) (v_max + eta) - lambda_min(F)) / lambda_min(M(q)),
-    floored at k_min.
-    """
+def _check_design_inputs(eta: float, v_max: float) -> None:
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     if v_max < 0.0:
         raise ValueError("v_max must be nonnegative")
+
+
+def compute_k0(model: RobotModel, eta: float, v_max: float) -> GainDesign:
+    """Size the constant observer gain by maximizing over the design grid.
+
+    k0 = max over grid of (c0(q) (v_max + eta) - lambda_min(F)) / lambda_min(M(q)),
+    floored at K_MIN.  This is the one grid-gain formula: the scheduled gain
+    of mode r is this gain at v_max = r * v_bar (hybrid_logic.compute_kr).
+    """
+    _check_design_inputs(eta, v_max)
     tables = model.design_tables
-    lam_f = model.dissipation_floor()
-    ratios = (tables.c0 * (v_max + eta) - lam_f) / tables.lam_min
-    k0 = max(float(ratios.max()), k_min)
-    lambda1 = 0.5 * float(tables.lam_min.min())
-    lambda2 = 0.5 * float(tables.lam_max.max())
-    return GainDesign(eta=eta, v_max=v_max, k0=k0, lambda1=lambda1, lambda2=lambda2)
+    ratios = (tables.c0 * (v_max + eta) - model.dissipation_floor()) / tables.lam_min
+    k0 = max(float(ratios.max()), K_MIN)
+    return GainDesign(eta, v_max, k0, *spectral_bounds(model))
 
 
-def compute_k0_conservative(model: RobotModel, eta: float, v_max: float, *,
-                            k_min: float = K_MIN) -> GainDesign:
+def compute_k0_conservative(model: RobotModel, eta: float, v_max: float) -> GainDesign:
     """Grid-free variant using the uniform bounds c0_max and 2 lambda1.
 
     Always at least as large as the grid gain, since it replaces the
     numerator by its maximum and the denominator by its minimum.
     """
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-    if v_max < 0.0:
-        raise ValueError("v_max must be nonnegative")
-    tables = model.design_tables
-    lambda1 = 0.5 * float(tables.lam_min.min())
-    lambda2 = 0.5 * float(tables.lam_max.max())
+    _check_design_inputs(eta, v_max)
+    lambda1, lambda2 = spectral_bounds(model)
     lam_f = model.dissipation_floor()
-    k0 = max((model.c0_max * (v_max + eta) - lam_f) / (2.0 * lambda1), k_min)
-    return GainDesign(eta=eta, v_max=v_max, k0=k0, lambda1=lambda1, lambda2=lambda2)
+    k0 = max((model.c0_max * (v_max + eta) - lam_f) / (2.0 * lambda1), K_MIN)
+    return GainDesign(eta, v_max, k0, lambda1, lambda2)
 
 
 def convergence_rate(design: GainDesign, eps_max: float) -> float:

@@ -123,6 +123,8 @@ class Scenario:
                 raise ScenarioError("hybrid config eta must match scenario eta")
             if self.r_guess < self.hybrid.r_min:
                 raise ScenarioError("r_guess must not be below r_min")
+            if self.k0_override is not None:
+                raise ScenarioError("k0_override applies to the constant gain mode only")
         if self.k0_override is not None and not (
                 self.k0_override > 0.0 and math.isfinite(self.k0_override)):
             raise ScenarioError("k0_override must be positive and finite")
@@ -205,17 +207,30 @@ class Trajectory:
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
-        """Parse a file written by to_csv back into a trajectory."""
+        """Parse a file written by to_csv back into a trajectory.
+
+        Raises ValueError for a wrong header or column count, no data row, a
+        non-finite value, or an r that is not a whole number in [0, 2**53].
+        """
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-        if tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header: {header}")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            if tuple(header) != CSV_COLUMNS:
+                raise ValueError(f"unexpected CSV header: {header}")
+            start = fh.tell()
+            if not fh.readline().strip():
+                raise ValueError("CSV has no data row after its header")
+            fh.seek(start)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
         if data.shape[1] != len(CSV_COLUMNS):
             raise ValueError("unexpected CSV column count")
+        if not np.isfinite(data).all():
+            raise ValueError("CSV holds a non-finite value")
+        r = data[:, 9]
+        if not np.all((r >= 0) & (r <= 2.0 ** 53) & (r == np.floor(r))):
+            raise ValueError("CSV column r holds a value that is not a mode index")
+        r = r.astype(int)
         t = data[:, 0]
         est = data[:, 5:7]
-        r = data[:, 9].astype(int)
         # the logic jumps at most once per step, so changes between rows
         # recover the flow-phase events; time-zero initialization jumps
         # happen before the first sample and are not in the file
@@ -261,11 +276,10 @@ def simulate(scenario: Scenario) -> Trajectory:
             events.append(JumpEvent(0.0, old_r, new_r, nrm, 0))
         k = logic.k_r
         r_rec = logic.r
+        kd = design.k0
     else:
-        k = scenario.k0_override if scenario.k0_override is not None else design.k0
+        k = kd = scenario.k0_override if scenario.k0_override is not None else design.k0
         r_rec = 0
-
-    kd = k if scenario.k0_override is not None else design.k0
     kp = kd * kd
 
     # Packed state, a list of floats: x1, x2, then z and the full-order
@@ -328,7 +342,7 @@ def simulate(scenario: Scenario) -> Trajectory:
             y_new = s[:n]
             est_new = [z + k * y for z, y in zip(s[zs], y_new)]
             nrm = math.hypot(*est_new)
-            stepped = step_logic(hybrid, schedule, logic, nrm, t + dt)
+            stepped = step_logic(hybrid, schedule, logic, nrm)
             if stepped.r != logic.r:
                 events.append(JumpEvent(t + dt, logic.r, stepped.r, nrm, i + 1))
                 # re-base z so the estimate is continuous across the gain change

@@ -1,6 +1,7 @@
 """Diagnostics tests: Lyapunov scan, settling, jump audits, reports."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from velobs.analysis import (
     settling_time,
     ultimate_r_constant,
 )
-from velobs.simulator import JumpEvent, Trajectory, builtin_scenarios
+from velobs.simulator import JumpEvent, Trajectory, builtin_scenarios, simulate
 
 
 def synthetic(eps, dt=0.1, speed=0.0, v_lyap=None, r=0, scenario=None,
@@ -55,6 +56,15 @@ def test_lyapunov_value_is_the_inertia_quadratic(arm, oracle):
         assert math.isclose(lyapunov_value(arm, eps, y), expected,
                             rel_tol=1e-12)
     assert lyapunov_value(arm, np.zeros(2), y) == 0.0
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_v_column_is_lyapunov_value(name):
+    sc = dataclasses.replace(builtin_scenarios()[name], t_final=1.0)
+    traj = simulate(sc)
+    expected = [lyapunov_value(sc.model, eps, y)
+                for eps, y in zip(traj.x2 - traj.xhat2, traj.x1)]
+    assert np.array_equal(traj.v_lyap, expected)
 
 
 def test_checker_passes_on_the_constant_gain_run(example1_traj):
@@ -158,9 +168,10 @@ def test_illegal_jump_audit(example2_traj):
     up_bad = JumpEvent(0.6, 1, 2, sc.hybrid.up_threshold(1) - 0.1, 600)
     skip = JumpEvent(0.7, 1, 3, 99.0, 700)
     down_bad = JumpEvent(0.8, 1, 0, 0.0, 800)   # below the floor
+    from_below = JumpEvent(0.9, 0, 1, 99.0, 900)  # out of a mode below r_min
     traj = synthetic(np.zeros(4), scenario=sc,
-                     events=[up_ok, up_bad, skip, down_bad])
-    assert illegal_jumps(traj) == [up_bad, skip, down_bad]
+                     events=[up_ok, up_bad, skip, down_bad, from_below])
+    assert illegal_jumps(traj) == [up_bad, skip, down_bad, from_below]
     assert illegal_jumps(synthetic(np.zeros(2))) == []
 
 

@@ -304,6 +304,18 @@ def test_check_subcommand_roundtrip(tmp_path, quick_ini, capsys):
     capsys.readouterr()
 
 
+def test_check_of_a_non_finite_csv_is_a_config_error(tmp_path, quick_ini, capsys):
+    assert main(["run", str(quick_ini), "--out", str(tmp_path)]) == EXIT_OK
+    csv = tmp_path / "quick.csv"
+    header, *rows = csv.read_text().splitlines()
+    rows[5] = ",".join(["nan"] * len(header.split(",")))
+    csv.write_text("\n".join([header] + rows) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(csv), "--scenario", str(quick_ini)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_argparse_errors_and_help(capsys):
     assert main([]) == EXIT_CONFIG
     assert main(["--help"]) == EXIT_OK

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from velobs import hybrid_logic
 from velobs.hybrid_logic import (
     GainSchedule,
     HybridConfig,
@@ -132,8 +133,8 @@ def test_compute_kr_rejects_negative_mode(arm):
 
 def test_gain_schedule_consistency(arm):
     cfg = HybridConfig(v_bar=1.5, eta=1.0, r_min=1)
-    schedule = GainSchedule(arm, cfg, precompute=8)
-    for r in [0, 1, 4, 8, 9, 70]:      # 70 exceeds the precomputed range
+    schedule = GainSchedule(arm, cfg)
+    for r in [0, 1, 4, 8, 9, 70]:
         assert schedule.gain(r) == compute_kr(arm, cfg, r)
     gains = [schedule.gain(r) for r in range(10)]
     assert all(b > a for a, b in zip(gains, gains[1:]))
@@ -141,21 +142,43 @@ def test_gain_schedule_consistency(arm):
         schedule.gain(-2)
 
 
+def test_gain_schedule_designs_only_the_modes_asked_for(arm, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compute_k0(*args)
+
+    monkeypatch.setattr(hybrid_logic, "compute_k0", counted)
+    cfg = HybridConfig(v_bar=1e-5, eta=1.0, semantics="hysteresis")
+    r_guess = 1_099_990
+    schedule = GainSchedule(arm, cfg)
+    # midway through the flow annulus of mode r_guess + 3
+    nrm = 0.5 * (cfg.up_threshold(r_guess + 2) + cfg.up_threshold(r_guess + 3))
+    events = []
+    state = initialize_logic(cfg, schedule, nrm, r_guess, events=events)
+    assert state.r == r_guess + 3 and len(events) == 3
+    assert schedule.gain(state.r) == state.k_r
+    assert len(calls) == 1
+    assert schedule.gain(r_guess) == compute_k0(arm, 1.0, r_guess * 1e-5).k0
+    assert len(calls) == 2
+
+
 def test_step_logic_flows_inside_band(arm):
     cfg = make_config()
-    schedule = GainSchedule(arm, cfg, precompute=8)
+    schedule = GainSchedule(arm, cfg)
     state = LogicState(r=2, k_r=schedule.gain(2))
-    assert step_logic(cfg, schedule, state, [4.5, 0.0], 1.0) is state
+    assert step_logic(cfg, schedule, state, [4.5, 0.0]) is state
 
 
 def test_step_logic_single_up_and_down_jumps(arm):
     cfg = make_config()
-    schedule = GainSchedule(arm, cfg, precompute=8)
+    schedule = GainSchedule(arm, cfg)
     state = LogicState(r=2, k_r=schedule.gain(2))
-    up = step_logic(cfg, schedule, state, [5.1, 0.0], 1.5)
-    assert (up.r, up.jump_count, up.last_jump_time) == (3, 1, 1.5)
+    up = step_logic(cfg, schedule, state, [5.1, 0.0])
+    assert up.r == 3
     assert up.k_r == schedule.gain(3)
-    down = step_logic(cfg, schedule, state, [3.9, 0.0], 2.0)
+    down = step_logic(cfg, schedule, state, [3.9, 0.0])
     assert down.r == 1
     assert down.k_r == schedule.gain(1)
 
@@ -163,32 +186,30 @@ def test_step_logic_single_up_and_down_jumps(arm):
 def test_step_logic_up_wins_when_sets_overlap(arm):
     # narrow band: norm 0.7 is in both jump sets of mode 1
     cfg = HybridConfig(v_bar=1.5, eta=1.0)
-    schedule = GainSchedule(arm, cfg, precompute=8)
+    schedule = GainSchedule(arm, cfg)
     assert jump_up_set(cfg, 1, [0.7, 0.0])
     assert jump_down_set(cfg, 1, [0.7, 0.0])
     state = LogicState(r=1, k_r=schedule.gain(1))
-    assert step_logic(cfg, schedule, state, [0.7, 0.0], 0.5).r == 2
+    assert step_logic(cfg, schedule, state, [0.7, 0.0]).r == 2
 
 
 def test_initialize_settles_zero_estimate_to_floor(arm):
     cfg = make_config()
-    schedule = GainSchedule(arm, cfg, precompute=8)
+    schedule = GainSchedule(arm, cfg)
     events = []
     state = initialize_logic(cfg, schedule, np.zeros(2), 1, events=events)
     assert state.r == cfg.r_min == 0
-    assert state.jump_count == 1
     assert events == [(1, 0, 0.0)]
 
 
 def test_initialize_climbs_to_matching_band(arm):
     # up thresholds -1, 2, 5, 8, 11: norm 10 belongs in mode 4
     cfg = make_config()
-    schedule = GainSchedule(arm, cfg, precompute=8)
+    schedule = GainSchedule(arm, cfg)
     events = []
     state = initialize_logic(cfg, schedule, np.array([10.0, 0.0]), 0,
                              events=events)
     assert state.r == 4
-    assert state.jump_count == 4
     assert [(a, b) for a, b, _ in events] == [(0, 1), (1, 2), (2, 3), (3, 4)]
     assert all(nrm == 10.0 for _, _, nrm in events)
     assert state.k_r == schedule.gain(4)
@@ -196,7 +217,7 @@ def test_initialize_climbs_to_matching_band(arm):
 
 def test_initialize_respects_floor_and_guess_validation(arm):
     cfg = make_config(r_min=1)
-    schedule = GainSchedule(arm, cfg, precompute=8)
+    schedule = GainSchedule(arm, cfg)
     with pytest.raises(ValueError):
         initialize_logic(cfg, schedule, np.zeros(2), 0)
     state = initialize_logic(cfg, schedule, np.zeros(2), 3)
@@ -206,7 +227,7 @@ def test_initialize_respects_floor_and_guess_validation(arm):
 def test_initialize_raises_when_it_cannot_settle(arm):
     # microscopic bands: a norm-10 estimate needs >1000 up-jumps
     cfg = HybridConfig(v_bar=1e-3, eta=1.0)
-    schedule = GainSchedule(arm, cfg, precompute=2)
+    schedule = GainSchedule(arm, cfg)
     with pytest.raises(ValueError, match="settle"):
         initialize_logic(cfg, schedule, np.array([10.0, 0.0]), 0)
 

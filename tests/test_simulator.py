@@ -63,6 +63,9 @@ def test_validation_rejects_bad_scenarios(arm):
         dict(gain_mode="scheduled", v_max=None, eta=2.0, hybrid=hybrid,
              r_guess=1),
         dict(gain_mode="scheduled", v_max=None, hybrid=hybrid, r_guess=0),
+        # a scheduled run would ignore the override
+        dict(gain_mode="scheduled", v_max=None, hybrid=hybrid, r_guess=1,
+             k0_override=5.0),
         dict(k0_override=0.0),
         dict(k0_override=np.nan),
         dict(controller=ConstantTorque(np.zeros(3))),
@@ -282,6 +285,22 @@ def test_csv_header_is_checked(arm, tmp_path):
     bad.write_text("\n".join(text) + "\n")
     with pytest.raises(ValueError, match="header"):
         Trajectory.from_csv(bad)
+    header, first, *rest = path.read_text().splitlines()
+    fields = first.split(",")
+
+    def first_with(column, value):
+        col = simulator.CSV_COLUMNS.index(column)
+        return ",".join(fields[:col] + [value] + fields[col + 1:])
+
+    cases = [("no data row", [header]),
+             ("non-finite", [header, first_with("q1", "inf")] + rest),
+             ("non-finite", [header, ",".join(["nan"] * len(fields))] + rest),
+             ("mode index", [header, first_with("r", "1.5")] + rest),
+             ("mode index", [header, first_with("r", "1e300")] + rest)]
+    for message, lines in cases:
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            Trajectory.from_csv(bad)
 
 
 def test_builtin_scenario_parameters():
