@@ -1,19 +1,19 @@
 """Simulation toolkit for reduced-order manipulator velocity observers."""
 
-from .dynamics import (PlantState, RobotModel, SingleLinkModel,
-                       SingularInertiaError, TwoLinkArm, TwoLinkParams,
-                       forward_dynamics, spectral_bounds, total_energy)
+from .dynamics import (JOINT_OPS, JointOps, PlantState, RobotModel,
+                       SingleLinkModel, SingularInertiaError, TwoLinkArm,
+                       TwoLinkParams, forward_dynamics, spectral_bounds,
+                       total_energy)
 from .observers import (K_MIN, FullOrderObserverState, GainDesign,
                         ObserverState, compute_k0, compute_k0_conservative,
                         convergence_rate, full_order_observer_derivative,
                         reduced_observer_derivative)
 from .hybrid_logic import (GainSchedule, HybridConfig, LogicState, compute_kr,
-                           flow_interval, flow_set, initialize_logic,
+                           enter_mode, flow_interval, flow_set, initialize_logic,
                            jump_down_set, jump_up_set, step_logic,
                            velocity_sandwich)
 from .controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
-                          PdConfig, PdGravity, open_loop_1, open_loop_2,
-                          pd_gravity_feedback)
+                          PdConfig, PdGravity)
 from .simulator import (JumpEvent, Scenario, ScenarioError, SimulationBlowUp,
                         Trajectory, builtin_scenarios, simulate)
 from .analysis import (LyapunovCheck, StabilityReport, build_report,

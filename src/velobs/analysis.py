@@ -27,7 +27,7 @@ def lyapunov_value(model: RobotModel, eps, y) -> float:
     which also writes the V column)."""
     eps = model._check_joint_vector(eps, "eps")
     y = model._check_joint_vector(y, "y")
-    return model.kernel(y.tolist())[2](eps.tolist())
+    return model.energy(model.kernel(y.tolist()), eps.tolist())
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 All feedback laws take the observer velocity estimate, never the true joint
 velocity; positions are assumed measured.  Each law is defined once, on
-Python floats, by its wrapper's `float_torque(g, q, xhat2, t)`, where g is
-the gravity torque at q; the simulator calls that, and `torque` and the
-module-level functions wrap it for arrays.
+Python floats, by its wrapper's `float_torque(g, q, xhat2, t)`, where the
+first n entries of g are the gravity torque at q (the simulator passes the
+model kernel's terms, which start with it); `torque` wraps it for arrays.
 """
 from __future__ import annotations
 
@@ -21,16 +21,6 @@ def _two_joint_gravity(model: RobotModel, q) -> list[float]:
     if model.n != 2:
         raise ValueError("open-loop profiles are defined for two-joint models")
     return model.gravity(q).tolist()
-
-
-def open_loop_1(model: RobotModel, q, t: float) -> np.ndarray:
-    """Gravity compensation plus the bounded profile (cos(t/2), -cos t)."""
-    return np.array(OpenLoopBounded.float_torque(_two_joint_gravity(model, q), q, None, t))
-
-
-def open_loop_2(model: RobotModel, q, t: float) -> np.ndarray:
-    """Gravity compensation plus (sin t, 1 + sin 2t); drives speeds unbounded."""
-    return np.array(OpenLoopUnbounded.float_torque(_two_joint_gravity(model, q), q, None, t))
 
 
 def _as_gain_matrix(k, n: int, name: str) -> np.ndarray:
@@ -68,20 +58,10 @@ class PdConfig:
                          self.x_ref.tolist()))
 
 
-def pd_gravity_feedback(model: RobotModel, config: PdConfig, q, xhat2) -> np.ndarray:
-    """PD regulation about x_ref with gravity compensation, damping on the estimate."""
-    q = model._check_joint_vector(q, "q")
-    xhat2 = model._check_joint_vector(xhat2, "xhat2")
-    if config.x_ref.shape != (model.n,):
-        raise ValueError(f"PD setpoint must have {model.n} entries")
-    return np.array(PdGravity(config).float_torque(
-        model.gravity(q).tolist(), q.tolist(), xhat2.tolist(), 0.0))
-
-
-# Thin wrappers giving the laws a uniform call surface for the simulator.
-
 @dataclass(frozen=True)
 class OpenLoopBounded:
+    """Gravity compensation plus the bounded profile (cos(t/2), -cos t)."""
+
     name: str = field(default="open_loop_1", init=False)
 
     @staticmethod
@@ -89,11 +69,13 @@ class OpenLoopBounded:
         return g[0] + cos(0.5 * t), g[1] - cos(t)
 
     def torque(self, model, q, xhat2, t):
-        return open_loop_1(model, q, t)
+        return np.array(self.float_torque(_two_joint_gravity(model, q), q, xhat2, t))
 
 
 @dataclass(frozen=True)
 class OpenLoopUnbounded:
+    """Gravity compensation plus (sin t, 1 + sin 2t); drives speeds unbounded."""
+
     name: str = field(default="open_loop_2", init=False)
 
     @staticmethod
@@ -101,21 +83,33 @@ class OpenLoopUnbounded:
         return g[0] + sin(t), g[1] + (1.0 + sin(2.0 * t))
 
     def torque(self, model, q, xhat2, t):
-        return open_loop_2(model, q, t)
+        return np.array(self.float_torque(_two_joint_gravity(model, q), q, xhat2, t))
 
 
 @dataclass(frozen=True, eq=False)
 class PdGravity:
+    """PD regulation about x_ref with gravity compensation, damping on the estimate."""
+
     config: PdConfig
     name: str = field(default="pd", init=False)
 
     def float_torque(self, g, q, xhat2, t):
-        # g + Kp (x_ref - q) - Kd xhat2 with diagonal gains
-        return tuple(gi + kp * (ref - qi) - kd * wi for gi, qi, wi, (kp, kd, ref)
-                     in zip(g, q, xhat2, self.config.joint_terms))
+        # g + Kp (x_ref - q) - Kd xhat2 with diagonal gains, for one or two joints
+        joints = self.config.joint_terms
+        if len(joints) == 1:
+            (kp, kd, ref), = joints
+            return (g[0] + kp * (ref - q[0]) - kd * xhat2[0],)
+        (kp1, kd1, ref1), (kp2, kd2, ref2) = joints
+        return (g[0] + kp1 * (ref1 - q[0]) - kd1 * xhat2[0],
+                g[1] + kp2 * (ref2 - q[1]) - kd2 * xhat2[1])
 
     def torque(self, model, q, xhat2, t):
-        return pd_gravity_feedback(model, self.config, q, xhat2)
+        q = model._check_joint_vector(q, "q")
+        xhat2 = model._check_joint_vector(xhat2, "xhat2")
+        if self.config.x_ref.shape != (model.n,):
+            raise ValueError(f"PD setpoint must have {model.n} entries")
+        return np.array(self.float_torque(model.gravity(q).tolist(), q.tolist(),
+                                          xhat2.tolist(), t))
 
 
 @dataclass(frozen=True, eq=False)

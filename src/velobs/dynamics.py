@@ -12,10 +12,12 @@ throughout the package:
   * dM/dt - 2 C(q, \dot q) is skew symmetric,
   * C(q, u) w = C(q, w) u for all u, w.
 
-Besides these array methods, every model has a float kernel, `kernel(q)`,
-which is the one definition of the equations of motion: `forward_dynamics`,
-the observer derivatives and the simulator all evaluate M(q)^-1 (tau -
-C(q, w) w - F w - g(q)) through it, on Python floats.
+Besides these array methods, every model has a float kernel: `kernel(q)`
+returns the configuration terms at q as one flat tuple of floats, and the
+model's `accel(terms, tau, w, extra)` and `energy(terms, w)` evaluate
+M(q)^-1 (tau - C(q, w) w - F w - g(q) + extra) and 0.5 w^T M(q) w from them.
+These are the one definition of the equations of motion: `forward_dynamics`,
+the observer derivatives and the simulator all go through them.
 
 Planar two-link convention: the arm moves in a vertical plane, q1 is measured
 counterclockwise from the horizontal axis, q2 is the second joint angle
@@ -102,17 +104,23 @@ class RobotModel(ABC):
         """Configurations (rows) used for extremal gain and eigenvalue searches."""
 
     @abstractmethod
-    def kernel(self, q) -> tuple[tuple, Callable, Callable]:
-        """Float kernel at the configuration q, a sequence of n floats.
+    def kernel(self, q) -> tuple[float, ...]:
+        """Configuration terms at q, a sequence of n floats, as one flat tuple.
 
         Evaluates M(q) with its conditioning check (SingularInertiaError),
-        g(q) and the Coriolis factor once, and returns (g, accel, energy):
-
-          * g: the gravity torque g(q) as a tuple of floats;
-          * accel(tau, w, b=None): M(q)^-1 (tau - C(q, w) w - F w - g(q) + b)
-            as a tuple of floats, b an optional extra torque;
-          * energy(w): the quadratic form 0.5 w^T M(q) w.
+        g(q) and the Coriolis factor once.  The first n terms are the gravity
+        torque g(q), so the tuple serves the controllers' float_torque as g.
         """
+
+    @staticmethod
+    @abstractmethod
+    def accel(terms, tau, w, extra=None) -> tuple[float, ...]:
+        """M(q)^-1 (tau - C(q, w) w - F w - g(q) + extra) from kernel(q)'s terms."""
+
+    @staticmethod
+    @abstractmethod
+    def energy(terms, w) -> float:
+        """The quadratic form 0.5 w^T M(q) w from kernel(q)'s terms."""
 
     @property
     def design_tables(self) -> "GridTables":
@@ -205,23 +213,6 @@ class TwoLinkParams:
         if self.f1 < 0.0 or self.f2 < 0.0:
             raise ValueError("viscous coefficients must be nonnegative")
 
-    # thin uniform rod: center of mass at mid-length, inertia m l^2 / 12
-    @property
-    def d1(self) -> float:
-        return 0.5 * self.l1
-
-    @property
-    def d2(self) -> float:
-        return 0.5 * self.l2
-
-    @property
-    def i1(self) -> float:
-        return self.m1 * self.l1 ** 2 / 12.0
-
-    @property
-    def i2(self) -> float:
-        return self.m2 * self.l2 ** 2 / 12.0
-
 
 @dataclass(frozen=True)
 class TwoLinkArm(RobotModel):
@@ -233,20 +224,9 @@ class TwoLinkArm(RobotModel):
     n = 2
 
     @cached_property
-    def alpha(self) -> float:
-        p = self.params
-        return p.m1 * p.d1 ** 2 + p.i1 + p.m2 * (p.l1 ** 2 + p.d2 ** 2) + p.i2
-
-    @cached_property
-    def beta(self) -> float:
-        p = self.params
-        return p.m2 * p.d2 ** 2 + p.i2
-
-    @cached_property
     def coupling(self) -> float:
         # coefficient of the cos/sin(q2) terms in M and C
-        p = self.params
-        return p.m2 * p.l1 * p.d2
+        return self._constants[2]
 
     @cached_property
     def c0_max(self) -> float:
@@ -258,24 +238,28 @@ class TwoLinkArm(RobotModel):
 
     @cached_property
     def _constants(self) -> tuple[float, ...]:
-        # alpha, beta, coupling and the two gravity coefficients
+        # alpha, beta, coupling and the two gravity coefficients of thin
+        # uniform rods: center of mass at mid-length d, inertia m l^2 / 12
         p = self.params
-        return (self.alpha, self.beta, self.coupling,
-                (p.m1 * p.d1 + p.m2 * p.l1) * p.gravity_accel,
-                p.m2 * p.d2 * p.gravity_accel)
+        d1, d2 = 0.5 * p.l1, 0.5 * p.l2
+        i1, i2 = p.m1 * p.l1 ** 2 / 12.0, p.m2 * p.l2 ** 2 / 12.0
+        return (p.m1 * d1 ** 2 + i1 + p.m2 * (p.l1 ** 2 + d2 ** 2) + i2,
+                p.m2 * d2 ** 2 + i2, p.m2 * p.l1 * d2,
+                (p.m1 * d1 + p.m2 * p.l1) * p.gravity_accel, p.m2 * d2 * p.gravity_accel)
 
-    def _terms(self, q1: float, q2: float):
-        """Entries (a, b, c) of M = [[a, b], [b, c]], g = (g1, g2) and the
+    def _terms(self, q1: float, q2: float) -> tuple[float, ...]:
+        """g = (g1, g2), the entries (a, b, c) of M = [[a, b], [b, c]] and the
         Coriolis factor h = coupling sin q2 at q = (q1, q2)."""
         alpha, beta, coupling, a1, a2 = self._constants
         c2 = math.cos(q2)
         c12 = math.cos(q1 + q2)
-        return ((alpha + 2.0 * coupling * c2, beta + coupling * c2, beta),
-                (a1 * math.cos(q1) + a2 * c12, a2 * c12), coupling * math.sin(q2))
+        return (a1 * math.cos(q1) + a2 * c12, a2 * c12,
+                alpha + 2.0 * coupling * c2, beta + coupling * c2, beta,
+                coupling * math.sin(q2))
 
     def inertia(self, q) -> np.ndarray:
         q = self._check_joint_vector(q, "q")
-        (a, b, c), _, _ = self._terms(q[0], q[1])
+        _, _, a, b, c, _ = self._terms(q[0], q[1])
         return np.array([[a, b], [b, c]])
 
     def inertia_rate(self, q, v) -> np.ndarray:
@@ -287,35 +271,37 @@ class TwoLinkArm(RobotModel):
     def coriolis(self, q, v) -> np.ndarray:
         q = self._check_joint_vector(q, "q")
         v = self._check_joint_vector(v, "v")
-        h = self._terms(q[0], q[1])[2]
+        h = self._terms(q[0], q[1])[5]
         return np.array([[-h * v[1], -h * (v[0] + v[1])],
                          [h * v[0], 0.0]])
 
     def gravity(self, q) -> np.ndarray:
         q = self._check_joint_vector(q, "q")
-        return np.array(self._terms(q[0], q[1])[1])
+        return np.array(self._terms(q[0], q[1])[:2])
 
     def kernel(self, q):
-        (a, b, c), g, h = self._terms(*q)
-        det = _spd2_determinant(a, b, c)
-        g1, g2 = g
-        f1, f2 = self.params.f1, self.params.f2
+        """(g1, g2, a, b, c, det M, h, f1, f2), F = diag(f1, f2)."""
+        g1, g2, a, b, c, h = self._terms(*q)
+        return (g1, g2, a, b, c, _spd2_determinant(a, b, c), h,
+                self.params.f1, self.params.f2)
 
-        def accel(tau, w, extra=None):
-            w1, w2 = w
-            # C(q, w) w with C as in coriolis(); F = diag(f1, f2)
-            r1 = tau[0] - (-h * w2 * w1 + -h * (w1 + w2) * w2) - f1 * w1 - g1
-            r2 = tau[1] - h * w1 * w1 - f2 * w2 - g2
-            if extra is not None:
-                r1 += extra[0]
-                r2 += extra[1]
-            return (c * r1 - b * r2) / det, (a * r2 - b * r1) / det
+    @staticmethod
+    def accel(terms, tau, w, extra=None):
+        g1, g2, a, b, c, det, h, f1, f2 = terms
+        w1, w2 = w
+        # C(q, w) w with C as in coriolis()
+        r1 = tau[0] - (-h * w2 * w1 + -h * (w1 + w2) * w2) - f1 * w1 - g1
+        r2 = tau[1] - h * w1 * w1 - f2 * w2 - g2
+        if extra is not None:
+            r1 += extra[0]
+            r2 += extra[1]
+        return (c * r1 - b * r2) / det, (a * r2 - b * r1) / det
 
-        def energy(w):
-            w1, w2 = w
-            return 0.5 * ((w1 * a + w2 * b) * w1 + (w1 * b + w2 * c) * w2)
-
-        return g, accel, energy
+    @staticmethod
+    def energy(terms, w):
+        a, b, c = terms[2:5]
+        w1, w2 = w
+        return 0.5 * ((w1 * a + w2 * b) * w1 + (w1 * b + w2 * c) * w2)
 
     def potential(self, q) -> float:
         q = self._check_joint_vector(q, "q")
@@ -341,6 +327,7 @@ class SingleLinkModel(RobotModel):
     damping: float = 0.0
 
     n = 1
+    c0_max = 0.0        # no Coriolis term
 
     def __post_init__(self):
         if not (self.inertia_value > 0.0 and math.isfinite(self.inertia_value)):
@@ -374,10 +361,6 @@ class SingleLinkModel(RobotModel):
         return 0.0
 
     @property
-    def c0_max(self) -> float:
-        return 0.0
-
-    @property
     def dissipation(self) -> np.ndarray:
         return np.array([[self.damping]])
 
@@ -385,30 +368,43 @@ class SingleLinkModel(RobotModel):
         return np.zeros((1, 1))
 
     def kernel(self, q):
-        m, d = self.inertia_value, self.damping
+        """(g = 0, m, d): constant inertia m and damping d."""
+        m = self.inertia_value
         _check_conditioning(m, m)
+        return 0.0, m, self.damping
 
-        def accel(tau, w, extra=None):
-            r = tau[0] - d * w[0]
-            if extra is not None:
-                r += extra[0]
-            return (r / m,)
+    @staticmethod
+    def accel(terms, tau, w, extra=None):
+        _, m, d = terms
+        r = tau[0] - d * w[0]
+        if extra is not None:
+            r += extra[0]
+        return (r / m,)
 
-        return (0.0,), accel, lambda w: 0.5 * (w[0] * m * w[0])
+    @staticmethod
+    def energy(terms, w):
+        return 0.5 * (w[0] * terms[1] * w[0])
+
+
+class JointOps(NamedTuple):
+    """Joint-vector helpers: axpy(a, x, y) = a x + y, sub(x, y) = x - y, scale(a, x) = a x."""
+
+    axpy: Callable
+    sub: Callable
+    scale: Callable
+
+
+# The helpers unrolled for each joint count a model has (JOINT_OPS[model.n]).
+JOINT_OPS = {
+    1: JointOps(lambda a, x, y: (a * x[0] + y[0],), lambda x, y: (x[0] - y[0],),
+                lambda a, x: (a * x[0],)),
+    2: JointOps(lambda a, x, y: (a * x[0] + y[0], a * x[1] + y[1]),
+                lambda x, y: (x[0] - y[0], x[1] - y[1]), lambda a, x: (a * x[0], a * x[1])),
+}
 
 
 def inertia_solver(m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Return a solver for M x = rhs after a conditioning check."""
-    if m.shape == (2, 2):
-        a, b, c = m[0, 0], m[0, 1], m[1, 1]
-        det = _spd2_determinant(a, b, c)
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            return np.array([(c * rhs[0] - b * rhs[1]) / det,
-                             (a * rhs[1] - b * rhs[0]) / det])
-
-        return solve
-
+    """Return a dense solver for M x = rhs after a conditioning check."""
     w = np.linalg.eigvalsh(m)
     _check_conditioning(w[0], w[-1])
     return lambda rhs: np.linalg.solve(m, rhs)
@@ -419,8 +415,8 @@ def forward_dynamics(model: RobotModel, state: PlantState, tau: np.ndarray) -> P
     tau = model._check_joint_vector(tau, "tau")
     x1 = model._check_joint_vector(state.x1, "x1")
     x2 = model._check_joint_vector(state.x2, "x2")
-    _, accel, _ = model.kernel(x1.tolist())
-    return PlantState(x2.copy(), np.array(accel(tau.tolist(), x2.tolist())))
+    terms = model.kernel(x1.tolist())
+    return PlantState(x2.copy(), np.array(model.accel(terms, tau.tolist(), x2.tolist())))
 
 
 class GridTables(NamedTuple):
@@ -462,5 +458,5 @@ def spectral_bounds(model: RobotModel) -> tuple[float, float]:
 
 def total_energy(model: RobotModel, state: PlantState) -> float:
     """Kinetic plus potential energy of the plant (the kernel's energy form)."""
-    _, _, energy = model.kernel(model._check_joint_vector(state.x1, "x1").tolist())
-    return energy(state.x2.tolist()) + model.potential(state.x1)
+    terms = model.kernel(model._check_joint_vector(state.x1, "x1").tolist())
+    return model.energy(terms, state.x2.tolist()) + model.potential(state.x1)

@@ -12,15 +12,13 @@ In 'hysteresis' mode the down threshold is lowered to (r-1) v_bar - eta so a
 fresh up-jump is never undone without the estimate first returning to the
 entry level.
 
-Every function below that takes an estimate xhat2 also accepts its norm as
-a float, which is what the simulator passes.
+The functions below take the estimate norm ||xhat2|| as a float.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .dynamics import RobotModel
 from .observers import compute_k0
@@ -59,37 +57,30 @@ class HybridConfig:
         return (r - 1) * self.v_bar + self.eta
 
 
-def _estimate_norm(xhat2) -> float:
-    """||xhat2||, or xhat2 itself when it is already the norm (a float)."""
-    if isinstance(xhat2, float):
-        return xhat2
-    return float(np.linalg.norm(xhat2))
-
-
 def _check_mode(config: HybridConfig, r: int) -> None:
     if r < config.r_min:
         raise ValueError("r below the lowest admissible mode")
 
 
-def jump_up_set(config: HybridConfig, r: int, xhat2) -> bool:
-    """True iff the estimate lies in the up-jump set of mode r."""
+def jump_up_set(config: HybridConfig, r: int, nrm: float) -> bool:
+    """True iff the estimate norm lies in the up-jump set of mode r."""
     _check_mode(config, r)
-    return _estimate_norm(xhat2) >= config.up_threshold(r)
+    return nrm >= config.up_threshold(r)
 
 
-def jump_down_set(config: HybridConfig, r: int, xhat2) -> bool:
-    """True iff the estimate lies in the down-jump set of mode r.
+def jump_down_set(config: HybridConfig, r: int, nrm: float) -> bool:
+    """True iff the estimate norm lies in the down-jump set of mode r.
 
     Always false at the floor mode, there is no mode below to jump to.
     """
     _check_mode(config, r)
     if r <= config.r_min:
         return False
-    return _estimate_norm(xhat2) <= config.down_threshold(r)
+    return nrm <= config.down_threshold(r)
 
 
-def flow_set(config: HybridConfig, r: int, xhat2) -> bool:
-    """True iff the estimate lies in the flow set of mode r.
+def flow_set(config: HybridConfig, r: int, nrm: float) -> bool:
+    """True iff the estimate norm lies in the flow set of mode r.
 
     The flow set is the closure of the complement of the jump sets, the
     closed annulus flow_interval(config, r) in estimate norm.  Boundary
@@ -99,7 +90,7 @@ def flow_set(config: HybridConfig, r: int, xhat2) -> bool:
     if interval is None:
         return False
     lo, hi = interval
-    return lo <= _estimate_norm(xhat2) <= hi
+    return lo <= nrm <= hi
 
 
 def flow_interval(config: HybridConfig, r: int) -> tuple[float, float] | None:
@@ -138,31 +129,40 @@ class GainSchedule:
         return k
 
 
-@dataclass(frozen=True)
-class LogicState:
-    """Current mode r and its gain."""
+class LogicState(NamedTuple):
+    """Current mode r, its gain and the thresholds of its jump sets."""
 
     r: int
     k_r: float
+    up: float       # jump_up_set is nrm >= up
+    down: float     # jump_down_set is nrm <= down; -inf at the floor mode
+
+
+def enter_mode(config: HybridConfig, schedule: GainSchedule, r: int) -> LogicState:
+    """The logic state of mode r, with its gain and jump thresholds."""
+    _check_mode(config, r)
+    down = config.down_threshold(r) if r > config.r_min else -math.inf
+    return LogicState(r, schedule.gain(r), config.up_threshold(r), down)
 
 
 def step_logic(config: HybridConfig, schedule: GainSchedule, state: LogicState,
-               xhat2) -> LogicState:
-    """Apply at most one jump; an up-jump wins when both sets are hit."""
-    if jump_up_set(config, state.r, xhat2):
-        new_r = state.r + 1
-    elif jump_down_set(config, state.r, xhat2):
-        new_r = state.r - 1
-    else:
-        return state
-    return LogicState(r=new_r, k_r=schedule.gain(new_r))
+               nrm: float) -> LogicState:
+    """Apply at most one jump; an up-jump wins when both sets are hit.
+
+    Two compares against the thresholds that enter_mode took from config.
+    """
+    if nrm >= state.up:
+        return enter_mode(config, schedule, state.r + 1)
+    if nrm <= state.down:
+        return enter_mode(config, schedule, state.r - 1)
+    return state
 
 
-def initialize_logic(config: HybridConfig, schedule: GainSchedule, xhat2_0,
+def initialize_logic(config: HybridConfig, schedule: GainSchedule, nrm: float,
                      r_guess: int, *, events: list | None = None) -> LogicState:
     """Settle the logic index at time zero by iterating jumps.
 
-    Jumps are applied repeatedly until the initial estimate is outside the
+    Jumps are applied repeatedly until the initial estimate norm is outside the
     active jump sets, or only inside the one that points back to the mode
     just exited (crossing back would cycle forever).  Each applied jump is
     appended to `events` as (old_r, new_r, estimate_norm) when a list is
@@ -170,7 +170,6 @@ def initialize_logic(config: HybridConfig, schedule: GainSchedule, xhat2_0,
     """
     if r_guess < config.r_min:
         raise ValueError("r_guess must not be below r_min")
-    nrm = _estimate_norm(xhat2_0)
     r = r_guess
     last = 0                    # direction of the previous jump
     for _ in range(MAX_INIT_JUMPS):
@@ -179,7 +178,7 @@ def initialize_logic(config: HybridConfig, schedule: GainSchedule, xhat2_0,
         elif last != 1 and jump_down_set(config, r, nrm):
             step = -1
         else:
-            return LogicState(r=r, k_r=schedule.gain(r))
+            return enter_mode(config, schedule, r)
         if events is not None:
             events.append((r, r + step, nrm))
         r += step
@@ -187,9 +186,9 @@ def initialize_logic(config: HybridConfig, schedule: GainSchedule, xhat2_0,
     raise ValueError("logic index did not settle; inconsistent hybrid configuration")
 
 
-def velocity_sandwich(eta: float, xhat2) -> tuple[float, float]:
-    """Certified bracket for the true speed: (max(0, ||xhat2|| - eta), ||xhat2|| + eta)."""
+def velocity_sandwich(eta: float, nrm: float) -> tuple[float, float]:
+    """Certified bracket for the true speed from the estimate norm nrm = ||xhat2||:
+    (max(0, nrm - eta), nrm + eta)."""
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    nrm = _estimate_norm(xhat2)
     return max(0.0, nrm - eta), nrm + eta

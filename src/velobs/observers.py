@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RobotModel, spectral_bounds
+from .dynamics import JOINT_OPS, JointOps, RobotModel, spectral_bounds
 
 # Positive floor applied to designed gains (the grid formula can go negative
 # when dissipation already dominates the Coriolis term).
@@ -51,13 +51,13 @@ class GainDesign:
         return self.eta * math.sqrt(self.lambda1 / self.lambda2)
 
 
-def reduced_rate(accel, tau, xhat2, k0: float) -> list[float]:
-    """dz/dt on Python floats, given the model kernel's `accel` at y.
+def reduced_rate(ops: JointOps, accel, terms, tau, xhat2, k0: float) -> tuple[float, ...]:
+    """dz/dt on Python floats, from the model's `accel` and kernel terms at y.
 
     Equivalent form of M(y) dz/dt = -C(y, xhat2) xhat2 - F xhat2 - g(y)
     - k0 M(y) xhat2 + tau, with the linear output injection k(y) = k0 y.
     """
-    return [a - k0 * w for a, w in zip(accel(tau, xhat2), xhat2)]
+    return ops.axpy(-k0, xhat2, accel(terms, tau, xhat2))
 
 
 def reduced_observer_derivative(model: RobotModel, obs: ObserverState,
@@ -65,8 +65,8 @@ def reduced_observer_derivative(model: RobotModel, obs: ObserverState,
     """Time derivative of the observer state z (array wrapper of reduced_rate)."""
     y = model._check_joint_vector(y, "y")
     tau = model._check_joint_vector(tau, "tau")
-    _, accel, _ = model.kernel(y.tolist())
-    return np.array(reduced_rate(accel, tau.tolist(), obs.estimate(y).tolist(), obs.k0))
+    return np.array(reduced_rate(JOINT_OPS[model.n], model.accel, model.kernel(y.tolist()),
+                                 tau.tolist(), obs.estimate(y).tolist(), obs.k0))
 
 
 def _check_design_inputs(eta: float, v_max: float) -> None:
@@ -127,9 +127,10 @@ class FullOrderObserverState:
         self.x2_hat = np.asarray(self.x2_hat, dtype=float)
 
 
-def full_rate(accel, tau, y, x1_hat, x2_hat, kd: float, kp: float
-              ) -> tuple[list[float], tuple[float, ...]]:
-    """(dx1_hat, dx2_hat) on Python floats, given the model kernel's `accel` at y.
+def full_rate(ops: JointOps, accel, terms, tau, y, x1_hat, x2_hat, kd: float, kp: float
+              ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(dx1_hat, dx2_hat) on Python floats, from the model's `accel` and
+    kernel terms at y.
 
     Copies the plant model and injects the position innovation e = y - x1_hat
     into both equations:
@@ -137,9 +138,8 @@ def full_rate(accel, tau, y, x1_hat, x2_hat, kd: float, kp: float
         dx1_hat = x2_hat + kd e
         M(y) dx2_hat = -C(y, x2_hat) x2_hat - F x2_hat - g(y) + tau + kp e
     """
-    e = [a - b for a, b in zip(y, x1_hat)]
-    return ([w + kd * ei for w, ei in zip(x2_hat, e)],
-            accel(tau, x2_hat, [kp * ei for ei in e]))
+    e = ops.sub(y, x1_hat)
+    return ops.axpy(kd, e, x2_hat), accel(terms, tau, x2_hat, ops.scale(kp, e))
 
 
 def full_order_observer_derivative(model: RobotModel, obs: FullOrderObserverState,
@@ -149,7 +149,7 @@ def full_order_observer_derivative(model: RobotModel, obs: FullOrderObserverStat
     (array wrapper of full_rate)."""
     y = model._check_joint_vector(y, "y")
     tau = model._check_joint_vector(tau, "tau")
-    _, accel, _ = model.kernel(y.tolist())
-    d1, d2 = full_rate(accel, tau.tolist(), y.tolist(), obs.x1_hat.tolist(),
+    d1, d2 = full_rate(JOINT_OPS[model.n], model.accel, model.kernel(y.tolist()),
+                       tau.tolist(), y.tolist(), obs.x1_hat.tolist(),
                        obs.x2_hat.tolist(), obs.kd, obs.kp)
     return np.array(d1), np.array(d2)

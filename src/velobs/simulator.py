@@ -2,11 +2,11 @@
 
 The plant and the enabled observers are integrated jointly with classical
 RK4 on Python floats.  Every RHS evaluation goes through the model's float
-kernel (one inertia factorization and conditioning check) and the
-observers' float derivatives, the same equations that the array functions
-in `dynamics` and `observers` wrap.  The switching logic is evaluated at
-step boundaries only; when a jump changes the scheduled gain, the
-observer's internal state z is re-based so that the velocity estimate
+kernel (one inertia factorization and conditioning check), its `accel` and
+the observers' float derivatives, the same equations that the array
+functions in `dynamics` and `observers` wrap.  The switching logic is
+evaluated at step boundaries only; when a jump changes the scheduled gain,
+the observer's internal state z is re-based so that the velocity estimate
 xhat2 = z + k y stays continuous across the jump.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import RobotModel
+from .dynamics import JOINT_OPS, RobotModel
 from .hybrid_logic import (GainSchedule, HybridConfig, initialize_logic,
                            step_logic, velocity_sandwich)
 from .observers import GainDesign, compute_k0, full_rate, reduced_rate
@@ -247,6 +247,12 @@ class Trajectory:
             jump_events=events)
 
 
+def within_blowup_limit(state) -> bool:
+    """True iff every |x| in state is <= BLOWUP_LIMIT; false for a NaN, which
+    max(map(abs, state)) would pass over anywhere but first."""
+    return all(map(BLOWUP_LIMIT.__ge__, map(abs, state)))
+
+
 def simulate(scenario: Scenario) -> Trajectory:
     """Integrate one scenario and record every sample."""
     scenario.validate()
@@ -254,11 +260,14 @@ def simulate(scenario: Scenario) -> Trajectory:
     n = model.n
     use_red = scenario.observer_mode in ("reduced", "both")
     use_full = scenario.observer_mode in ("full", "both")
-    kernel = model.kernel
+    kernel, accel, energy = model.kernel, model.accel, model.energy
+    ops = JOINT_OPS[n]
+    axpy, sub = ops.axpy, ops.sub
     law = scenario.controller.float_torque
     hybrid = scenario.hybrid
     dt = scenario.dt
     eta = scenario.eta
+    hypot = math.hypot
 
     # Spectral constants and the constant-mode gain; in scheduled mode the
     # design speed bound of the starting band keeps the record meaningful.
@@ -270,7 +279,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     if scenario.gain_mode == "scheduled":
         schedule = GainSchedule(model, hybrid)
         init_events: list = []
-        logic = initialize_logic(hybrid, schedule, scenario.xhat2_0,
+        logic = initialize_logic(hybrid, schedule, hypot(*scenario.xhat2_0.tolist()),
                                  scenario.r_guess, events=init_events)
         for old_r, new_r, nrm in init_events:
             events.append(JumpEvent(0.0, old_r, new_r, nrm, 0))
@@ -282,33 +291,33 @@ def simulate(scenario: Scenario) -> Trajectory:
         r_rec = 0
     kp = kd * kd
 
-    # Packed state, a list of floats: x1, x2, then z and the full-order
+    # Packed state, a tuple of floats: x1, x2, then z and the full-order
     # states (x1_hat, x2_hat) as enabled.
     n2 = 2 * n
-    zs = slice(n2, 3 * n)
-    h1 = 3 * n if use_red else n2
+    n3 = 3 * n
+    h1 = n3 if use_red else n2
     h2 = h1 + n
     s = scenario.q0.tolist() + scenario.v0.tolist()
     if use_red:
         s += (scenario.xhat2_0 - k * scenario.q0).tolist()
     if use_full:
         s += scenario.q0.tolist() + scenario.xhat2_0.tolist()
+    s = tuple(s)
 
     def rhs(t, s, k):
-        """Packed derivative, torque, fed-back estimate and energy form."""
+        """Packed derivative, torque, fed-back estimate and kernel terms."""
         q = s[:n]
-        g, accel, energy = kernel(q)
-        est = [z + k * y for z, y in zip(s[zs], q)] if use_red else s[h2:h2 + n]
-        tau = law(g, q, est, t)
+        terms = kernel(q)
+        est = axpy(k, q, s[n2:n3]) if use_red else s[h2:h2 + n]
+        tau = law(terms, q, est, t)
         v = s[n:n2]
-        d = v + list(accel(tau, v))
+        d = v + accel(terms, tau, v)
         if use_red:
-            d += reduced_rate(accel, tau, est, k)
+            d += reduced_rate(ops, accel, terms, tau, est, k)
         if use_full:
-            d1, d2 = full_rate(accel, tau, q, s[h1:h2], s[h2:h2 + n], kd, kp)
-            d += d1
-            d += d2
-        return d, tau, est, energy
+            d1, d2 = full_rate(ops, accel, terms, tau, q, s[h1:h2], s[h2:h2 + n], kd, kp)
+            d += d1 + d2
+        return d, tau, est, terms
 
     n_samples = scenario.sample_count()
     states = np.empty((n_samples, len(s)))
@@ -319,41 +328,41 @@ def simulate(scenario: Scenario) -> Trajectory:
     sixth = dt / 6.0
     for i in range(n_samples):
         t = i * dt
-        d1, tau_i, est, energy = rhs(t, s, k)
-        eps = [a - b for a, b in zip(s[n:n2], est)]
+        d1, tau_i, est, terms = rhs(t, s, k)
+        eps = sub(s[n:n2], est)
         states[i] = s
-        extra[i] = (math.hypot(*eps), energy(eps), r_rec, k,
-                    *velocity_sandwich(eta, math.hypot(*est)), *tau_i)
+        extra[i] = (hypot(*eps), energy(terms, eps), r_rec, k,
+                    *velocity_sandwich(eta, hypot(*est)), *tau_i)
 
         if i == n_samples - 1:
             break
 
-        d2 = rhs(t + half, [a + half * b for a, b in zip(s, d1)], k)[0]
-        d3 = rhs(t + half, [a + half * b for a, b in zip(s, d2)], k)[0]
-        d4 = rhs(t + dt, [a + dt * b for a, b in zip(s, d3)], k)[0]
-        s = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(s, d1, d2, d3, d4)]
+        d2 = rhs(t + half, tuple([a + half * b for a, b in zip(s, d1)]), k)[0]
+        d3 = rhs(t + half, tuple([a + half * b for a, b in zip(s, d2)]), k)[0]
+        d4 = rhs(t + dt, tuple([a + dt * b for a, b in zip(s, d3)]), k)[0]
+        s = tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                   for a, b1, b2, b3, b4 in zip(s, d1, d2, d3, d4)])
 
-        if not all(abs(x) <= BLOWUP_LIMIT for x in s):
+        if not within_blowup_limit(s):
             raise SimulationBlowUp(
                 f"state component left |x| <= {BLOWUP_LIMIT:g} at t = {t + dt:.6f}")
 
         if logic is not None:
             y_new = s[:n]
-            est_new = [z + k * y for z, y in zip(s[zs], y_new)]
-            nrm = math.hypot(*est_new)
+            est_new = axpy(k, y_new, s[n2:n3])
+            nrm = hypot(*est_new)
             stepped = step_logic(hybrid, schedule, logic, nrm)
-            if stepped.r != logic.r:
+            if stepped is not logic:
                 events.append(JumpEvent(t + dt, logic.r, stepped.r, nrm, i + 1))
                 # re-base z so the estimate is continuous across the gain change
                 k = stepped.k_r
-                s[zs] = [e - k * y for e, y in zip(est_new, y_new)]
+                s = s[:n2] + axpy(-k, y_new, est_new) + s[n3:]
                 r_rec = stepped.r
-            logic = stepped
+                logic = stepped
 
     x1 = states[:, :n]
     k_arr = extra[:, 3]
-    z = states[:, zs] if use_red else None
+    z = states[:, n2:n3] if use_red else None
     return Trajectory(
         t=np.arange(n_samples) * dt, x1=x1, x2=states[:, n:n2],
         eps_norm=extra[:, 0], v_lyap=extra[:, 1], r=extra[:, 2].astype(int),

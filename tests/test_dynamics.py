@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from velobs.dynamics import (
+    JOINT_OPS,
     PlantState,
     SingleLinkModel,
     SingularInertiaError,
@@ -259,3 +260,18 @@ def test_single_link_model_terms(single):
     assert single.potential(q) == 0.0
     assert single.c0_bound(q) == 0.0
     assert np.allclose(single.dissipation, [[0.4]])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_joint_ops_are_the_vector_formulas(n):
+    ops = JOINT_OPS[n]
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        a = float(rng.normal() * 10.0)
+        x, y = rng.normal(size=n) * 3.0, rng.normal(size=n) * 3.0
+        xs, ys = tuple(x.tolist()), tuple(y.tolist())
+        # numpy's elementwise float64 arithmetic rounds as Python floats do
+        assert ops.axpy(a, xs, ys) == tuple((a * x + y).tolist())
+        assert ops.sub(xs, ys) == tuple((x - y).tolist())
+        assert ops.scale(a, xs) == tuple((a * x).tolist())
+    assert sorted(JOINT_OPS) == [1, 2]

@@ -3,15 +3,14 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from velobs import hybrid_logic
 from velobs.hybrid_logic import (
     GainSchedule,
     HybridConfig,
-    LogicState,
     compute_kr,
+    enter_mode,
     flow_interval,
     flow_set,
     initialize_logic,
@@ -43,21 +42,21 @@ def test_threshold_formulas():
 
 def test_jump_set_membership():
     cfg = make_config()
-    assert jump_up_set(cfg, 2, [5.2, 0.0])
-    assert jump_up_set(cfg, 2, [5.0, 0.0])      # boundary included
-    assert not jump_up_set(cfg, 2, [4.5, 0.0])
-    assert jump_down_set(cfg, 2, [3.9, 0.0])
+    assert jump_up_set(cfg, 2, 5.2)
+    assert jump_up_set(cfg, 2, 5.0)      # boundary included
+    assert not jump_up_set(cfg, 2, 4.5)
+    assert jump_down_set(cfg, 2, 3.9)
     hyst = make_config(semantics="hysteresis")
-    assert not jump_down_set(hyst, 2, [3.9, 0.0])
+    assert not jump_down_set(hyst, 2, 3.9)
 
 
 def test_down_jump_disabled_at_floor():
     cfg = make_config(r_min=1)
-    assert not jump_down_set(cfg, 1, [0.0, 0.0])
+    assert not jump_down_set(cfg, 1, 0.0)
     with pytest.raises(ValueError):
-        jump_down_set(cfg, 0, [0.0, 0.0])
+        jump_down_set(cfg, 0, 0.0)
     with pytest.raises(ValueError):
-        jump_up_set(cfg, 0, [0.0, 0.0])
+        jump_up_set(cfg, 0, 0.0)
 
 
 def test_flow_set_is_closed_annulus():
@@ -65,10 +64,10 @@ def test_flow_set_is_closed_annulus():
     assert flow_interval(cfg, 2) == (4.0, 5.0)
     for nrm, inside in [(4.0, True), (4.5, True), (5.0, True),
                         (3.9, False), (5.2, False)]:
-        assert flow_set(cfg, 2, [nrm, 0.0]) is inside
+        assert flow_set(cfg, 2, nrm) is inside
     # boundary points are shared with the adjacent jump sets
-    assert jump_down_set(cfg, 2, [4.0, 0.0])
-    assert jump_up_set(cfg, 2, [5.0, 0.0])
+    assert jump_down_set(cfg, 2, 4.0)
+    assert jump_up_set(cfg, 2, 5.0)
 
 
 def test_floor_mode_flow_interval_can_be_empty():
@@ -167,18 +166,18 @@ def test_gain_schedule_designs_only_the_modes_asked_for(arm, monkeypatch):
 def test_step_logic_flows_inside_band(arm):
     cfg = make_config()
     schedule = GainSchedule(arm, cfg)
-    state = LogicState(r=2, k_r=schedule.gain(2))
-    assert step_logic(cfg, schedule, state, [4.5, 0.0]) is state
+    state = enter_mode(cfg, schedule, 2)
+    assert step_logic(cfg, schedule, state, 4.5) is state
 
 
 def test_step_logic_single_up_and_down_jumps(arm):
     cfg = make_config()
     schedule = GainSchedule(arm, cfg)
-    state = LogicState(r=2, k_r=schedule.gain(2))
-    up = step_logic(cfg, schedule, state, [5.1, 0.0])
+    state = enter_mode(cfg, schedule, 2)
+    up = step_logic(cfg, schedule, state, 5.1)
     assert up.r == 3
     assert up.k_r == schedule.gain(3)
-    down = step_logic(cfg, schedule, state, [3.9, 0.0])
+    down = step_logic(cfg, schedule, state, 3.9)
     assert down.r == 1
     assert down.k_r == schedule.gain(1)
 
@@ -187,17 +186,17 @@ def test_step_logic_up_wins_when_sets_overlap(arm):
     # narrow band: norm 0.7 is in both jump sets of mode 1
     cfg = HybridConfig(v_bar=1.5, eta=1.0)
     schedule = GainSchedule(arm, cfg)
-    assert jump_up_set(cfg, 1, [0.7, 0.0])
-    assert jump_down_set(cfg, 1, [0.7, 0.0])
-    state = LogicState(r=1, k_r=schedule.gain(1))
-    assert step_logic(cfg, schedule, state, [0.7, 0.0]).r == 2
+    assert jump_up_set(cfg, 1, 0.7)
+    assert jump_down_set(cfg, 1, 0.7)
+    state = enter_mode(cfg, schedule, 1)
+    assert step_logic(cfg, schedule, state, 0.7).r == 2
 
 
 def test_initialize_settles_zero_estimate_to_floor(arm):
     cfg = make_config()
     schedule = GainSchedule(arm, cfg)
     events = []
-    state = initialize_logic(cfg, schedule, np.zeros(2), 1, events=events)
+    state = initialize_logic(cfg, schedule, 0.0, 1, events=events)
     assert state.r == cfg.r_min == 0
     assert events == [(1, 0, 0.0)]
 
@@ -207,8 +206,7 @@ def test_initialize_climbs_to_matching_band(arm):
     cfg = make_config()
     schedule = GainSchedule(arm, cfg)
     events = []
-    state = initialize_logic(cfg, schedule, np.array([10.0, 0.0]), 0,
-                             events=events)
+    state = initialize_logic(cfg, schedule, 10.0, 0, events=events)
     assert state.r == 4
     assert [(a, b) for a, b, _ in events] == [(0, 1), (1, 2), (2, 3), (3, 4)]
     assert all(nrm == 10.0 for _, _, nrm in events)
@@ -219,8 +217,8 @@ def test_initialize_respects_floor_and_guess_validation(arm):
     cfg = make_config(r_min=1)
     schedule = GainSchedule(arm, cfg)
     with pytest.raises(ValueError):
-        initialize_logic(cfg, schedule, np.zeros(2), 0)
-    state = initialize_logic(cfg, schedule, np.zeros(2), 3)
+        initialize_logic(cfg, schedule, 0.0, 0)
+    state = initialize_logic(cfg, schedule, 0.0, 3)
     assert state.r == 1
 
 
@@ -229,12 +227,12 @@ def test_initialize_raises_when_it_cannot_settle(arm):
     cfg = HybridConfig(v_bar=1e-3, eta=1.0)
     schedule = GainSchedule(arm, cfg)
     with pytest.raises(ValueError, match="settle"):
-        initialize_logic(cfg, schedule, np.array([10.0, 0.0]), 0)
+        initialize_logic(cfg, schedule, 10.0, 0)
 
 
 def test_velocity_sandwich_bracket():
-    lo, hi = velocity_sandwich(1.0, [3.0, 4.0])
+    lo, hi = velocity_sandwich(1.0, 5.0)
     assert (lo, hi) == (4.0, 6.0)
-    assert velocity_sandwich(2.0, [0.5, 0.0]) == (0.0, 2.5)
+    assert velocity_sandwich(2.0, 0.5) == (0.0, 2.5)
     with pytest.raises(ValueError):
-        velocity_sandwich(0.0, [1.0, 0.0])
+        velocity_sandwich(0.0, 1.0)

@@ -1,4 +1,5 @@
-"""Property tests of the jump rule and the scheduled gain over random configurations.
+"""Property tests of the jump rule, the logic step and the scheduled gain over
+random configurations.
 
 Each property is written out here from the thresholds alone, so that it is
 independent of the library's jump-set functions; the sabotage controls show
@@ -8,6 +9,8 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,16 +18,11 @@ from hypothesis import strategies as st
 from velobs import analysis
 from velobs.analysis import illegal_jumps
 from velobs.dynamics import TwoLinkArm
-from velobs.hybrid_logic import (SEMANTICS, HybridConfig, compute_kr, flow_interval,
-                                 flow_set)
+from velobs.hybrid_logic import (SEMANTICS, GainSchedule, HybridConfig,
+                                 compute_kr, enter_mode, flow_interval, flow_set,
+                                 step_logic)
 from velobs.observers import compute_k0
 from velobs.simulator import JumpEvent
-
-# On a failure, hypothesis' pytest plugin imports libcst to write a patch,
-# which warns through mypy_extensions; under the suite's warnings-as-errors
-# that would abort the whole session instead of reporting the failure.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 ARM = TwoLinkArm()
 PROPERTY = settings(database=None, deadline=None, max_examples=200)
@@ -75,6 +73,27 @@ def legal(cfg, ev) -> bool:
     return False
 
 
+def next_mode(cfg, r, nrm) -> int:
+    """The mode after one logic step: up wins, no down-jump out of the floor."""
+    if nrm >= cfg.up_threshold(r):
+        return r + 1
+    if r > cfg.r_min and nrm <= cfg.down_threshold(r):
+        return r - 1
+    return r
+
+
+def check_step(step, cfg, r, nrm) -> None:
+    schedule = GainSchedule(ARM, cfg)
+    state = enter_mode(cfg, schedule, r)
+    new = step(cfg, schedule, state, nrm)
+    want = next_mode(cfg, r, nrm)
+    assert new.r == want
+    if want == r:
+        assert new is state
+    down = cfg.down_threshold(want) if want > cfg.r_min else -math.inf
+    assert new == (want, schedule.gain(want), cfg.up_threshold(want), down)
+
+
 def check_flow_set(flow, cfg, r, nrm) -> None:
     assert flow(cfg, r, nrm) == in_annulus(cfg, r, nrm)
 
@@ -88,6 +107,12 @@ def check_audit(cfg, events) -> None:
 @given(mode_and_norm())
 def test_flow_set_is_the_closed_annulus(case):
     check_flow_set(flow_set, *case)
+
+
+@settings(database=None, deadline=None, max_examples=100)
+@given(mode_and_norm())
+def test_step_logic_is_the_jump_rule(case):
+    check_step(step_logic, *case)
 
 
 @PROPERTY
@@ -120,3 +145,14 @@ def test_a_strict_threshold_is_caught(monkeypatch):
                         lambda cfg, r, nrm: nrm > cfg.up_threshold(r))
     with pytest.raises(AssertionError):
         check_audit(cfg, on_threshold)
+
+    def strict_step(cfg, schedule, state, nrm):
+        if nrm > state.up:
+            return enter_mode(cfg, schedule, state.r + 1)
+        if nrm <= state.down:
+            return enter_mode(cfg, schedule, state.r - 1)
+        return state
+
+    check_step(step_logic, cfg, 2, cfg.up_threshold(2))
+    with pytest.raises(AssertionError):
+        check_step(strict_step, cfg, 2, cfg.up_threshold(2))

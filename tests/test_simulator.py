@@ -197,6 +197,24 @@ def test_blow_up_detection(arm):
         simulate(sc)
 
 
+def test_blow_up_check_catches_a_trailing_nan(arm, monkeypatch):
+    # With k0 = 1e200 the full-order observer's kp = k0**2 overflows to inf,
+    # and inf times the zero innovation at t = 0 is NaN: the observer states,
+    # last in the packed state, turn NaN while the plant ahead of them stays
+    # finite.
+    sc = make_scenario(arm, observer_mode="full", k0_override=1e200, t_final=0.01)
+    assert not simulator.within_blowup_limit((0.0, 1.0, math.nan))
+    with pytest.raises(SimulationBlowUp, match="t = 0.001000"):
+        simulate(sc)
+    # sabotage control: max() passes over a NaN that is not first, so the
+    # run would end with a NaN estimate and no error
+    monkeypatch.setattr(simulator, "within_blowup_limit",
+                        lambda state: max(map(abs, state)) <= simulator.BLOWUP_LIMIT)
+    traj = simulate(sc)
+    assert np.isnan(traj.xhat2_full[1:]).all()
+    assert np.isfinite(traj.x1).all() and np.isfinite(traj.x2).all()
+
+
 def test_single_link_and_full_only_runs(single):
     sc = Scenario(name="full_only", model=single, q0=np.array([0.3]),
                   v0=np.array([1.2]), xhat2_0=np.array([-0.4]),
@@ -357,11 +375,15 @@ def test_one_table_build_per_scheduled_simulate(monkeypatch):
     assert len(builds) == 2
 
 
-KERNEL_CONTROLLERS = (
-    OpenLoopBounded(),
-    OpenLoopUnbounded(),
-    PdGravity(PdConfig(kp=[40.0, 20.0], kd=[60.0, 30.0], x_ref=[0.7, -1.0])),
-    ConstantTorque([3.0, -1.5]),
+KERNEL_CASES = (
+    pytest.param("arm", OpenLoopBounded(), id="open_loop_1"),
+    pytest.param("arm", OpenLoopUnbounded(), id="open_loop_2"),
+    pytest.param("arm", PdGravity(PdConfig(kp=[40.0, 20.0], kd=[60.0, 30.0],
+                                           x_ref=[0.7, -1.0])), id="pd"),
+    pytest.param("arm", ConstantTorque([3.0, -1.5]), id="constant"),
+    pytest.param("single", ConstantTorque([0.8]), id="single_constant"),
+    pytest.param("single", PdGravity(PdConfig(kp=[5.0], kd=[3.0], x_ref=[0.4])),
+                 id="single_pd"),
 )
 
 
@@ -388,31 +410,69 @@ def hand_rk4_step(model, controller, gain, dt, q, v, xhat2):
             for a, b1, b2, b3, b4 in zip(x, d1, d2, d3, d4)]
 
 
+def relative_gap(got, want) -> float:
+    """Largest gap between paired arrays, relative to max(|want|, 1)."""
+    return max(float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0)))
+               for a, b in zip(got, want))
+
+
 def step_mismatch(traj, step) -> float:
     """Largest relative gap between the second sample and a hand-made step."""
     q, v, z, _, h2 = step
-    got = (traj.x1[1], traj.x2[1], traj.z[1], traj.xhat2_full[1])
-    return max(float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0)))
-               for a, b in zip(got, (q, v, z, h2)))
+    return relative_gap((traj.x1[1], traj.x2[1], traj.z[1], traj.xhat2_full[1]),
+                        (q, v, z, h2))
 
 
-@pytest.mark.parametrize("controller", KERNEL_CONTROLLERS, ids=lambda c: c.name)
-def test_simulate_step_is_the_array_equations(arm, controller):
+@pytest.mark.parametrize("model_name, controller", KERNEL_CASES)
+def test_simulate_step_is_the_array_equations(request, model_name, controller):
+    model = request.getfixturevalue(model_name)
+    n = model.n
     rng = np.random.default_rng(2027)
     dt = 5e-3
     for _ in range(5):
-        q = rng.uniform(-np.pi, np.pi, size=2)
-        v = rng.normal(size=2) * 2.0
-        xhat2 = v + rng.normal(size=2) * 0.3
+        q = rng.uniform(-np.pi, np.pi, size=n)
+        v = rng.normal(size=n) * 2.0
+        xhat2 = v + rng.normal(size=n) * 0.3
         gain = rng.uniform(3.0, 30.0)
-        sc = Scenario(name="kernel", model=arm, q0=q, v0=v, xhat2_0=xhat2,
+        sc = Scenario(name="kernel", model=model, q0=q, v0=v, xhat2_0=xhat2,
                       controller=controller, observer_mode="both",
                       gain_mode="constant", v_max=1.5, k0_override=gain,
                       dt=dt, t_final=dt)
         traj = simulate(sc)
         assert traj.t.shape == (2,)
-        step = hand_rk4_step(arm, controller, gain, dt, q, v, xhat2)
+        step = hand_rk4_step(model, controller, gain, dt, q, v, xhat2)
         assert step_mismatch(traj, step) <= 1e-12
         # sabotage control: a perturbed gain in the hand-made step is caught
-        bad = hand_rk4_step(arm, controller, gain * (1.0 + 1e-6), dt, q, v, xhat2)
+        bad = hand_rk4_step(model, controller, gain * (1.0 + 1e-6), dt, q, v, xhat2)
         assert step_mismatch(traj, bad) > 1e-12
+
+
+def test_simulate_jump_step_rebases_z(arm):
+    # the estimate norm starts just under the up threshold 0.5 of the floor
+    # mode 1 and rises past it during the first step, so the logic jumps at
+    # the end of the step and z is re-based to the new gain
+    hybrid = HybridConfig(v_bar=1.5, eta=1.0, r_min=1)
+    controller = ConstantTorque([3.0, -1.5])
+    q, v, xhat2 = np.array([0.3, -0.8]), np.array([2.0, 0.5]), np.array([0.45, 0.1])
+    dt = 5e-3
+    sc = Scenario(name="jump", model=arm, q0=q, v0=v, xhat2_0=xhat2,
+                  controller=controller, observer_mode="reduced",
+                  gain_mode="scheduled", hybrid=hybrid, r_guess=1, dt=dt, t_final=dt)
+    traj = simulate(sc)
+    schedule = GainSchedule(arm, hybrid)
+    k_old, k_new = schedule.gain(1), schedule.gain(2)
+    assert list(traj.r) == [1, 2] and list(traj.k_gain) == [k_old, k_new]
+    assert [(ev.old_r, ev.new_r, ev.step) for ev in traj.jump_events] == [(1, 2, 1)]
+    # the step is taken with the old gain; the jump leaves xhat2 where the
+    # old gain put it, and z = xhat2 - k_new q
+    q1, v1, z1, _, _ = hand_rk4_step(arm, controller, k_old, dt, q, v, xhat2)
+    est = z1 + k_old * q1
+    got = (traj.x1[1], traj.x2[1], traj.xhat2_reduced[1], traj.z[1])
+    assert relative_gap(got, (q1, v1, est, est - k_new * q1)) <= 1e-12
+    assert traj.jump_events[0].est_norm == pytest.approx(np.linalg.norm(est), rel=1e-12)
+    # sabotage controls: z left at the old gain's value, or a perturbed gain
+    # in the hand-made step, is caught
+    assert relative_gap(got, (q1, v1, est, z1)) > 1e-12
+    k_bad = k_old * (1.0 + 1e-6)
+    q_bad, v_bad, z_bad, _, _ = hand_rk4_step(arm, controller, k_bad, dt, q, v, xhat2)
+    assert relative_gap(got[:3], (q_bad, v_bad, z_bad + k_bad * q_bad)) > 1e-12
