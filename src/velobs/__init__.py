@@ -16,10 +16,9 @@ from .controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                           PdConfig, PdGravity)
 from .simulator import (JumpEvent, Scenario, ScenarioError, SimulationBlowUp,
                         Trajectory, builtin_scenarios, simulate)
-from .analysis import (LyapunovCheck, StabilityReport, build_report,
-                       chatter_score, check_lyapunov_decrease,
-                       compare_observers, illegal_jumps, lyapunov_value,
-                       report_lines, sandwich_violations, scenario_checks,
-                       settling_time, ultimate_r_constant)
+from .analysis import (LyapunovCheck, chatter_score, check_lyapunov_decrease,
+                       illegal_jumps, lyapunov_value, report_lines,
+                       sandwich_violations, scenario_checks, settling_time,
+                       ultimate_r_constant)
 
 __version__ = "0.1.0"

@@ -153,67 +153,11 @@ def ultimate_r_constant(traj: Trajectory, *, fraction: float = 0.2) -> bool:
     return bool(np.all(tail == tail[-1]))
 
 
-@dataclass
-class StabilityReport:
-    """Per-observer summary of one trajectory."""
-
-    observer: str
-    settling_time: float | None
-    initial_error_in_region: bool
-    max_lyapunov_increase: float | None
-    lyapunov_violations: int | None
-    sandwich_violations: int
-    jump_count: int
-    chatter_score: int
-    final_r: int
-    ultimate_r_constant: bool
-    observed_rate: float | None
-
-
-def build_report(traj: Trajectory, design: GainDesign, which: str,
-                 lyapunov: LyapunovCheck | None = None) -> StabilityReport:
-    """Assemble the stability summary for one observer of a trajectory.
-
-    `lyapunov` is the active observer's check_lyapunov_decrease when the
-    caller has it already; it is computed when missing.
-    """
-    eps0 = float(traj.eps_norm_for(which)[0])
-    is_active = (which == traj.active)
-    if is_active:
-        chk = check_lyapunov_decrease(traj, design) if lyapunov is None else lyapunov
-        max_inc: float | None = chk.max_increase
-        n_viol: int | None = len(chk.violations)
-    else:
-        max_inc = None
-        n_viol = None
-    return StabilityReport(
-        observer=which,
-        settling_time=settling_time(traj, which),
-        initial_error_in_region=eps0 < design.region_radius,
-        max_lyapunov_increase=max_inc,
-        lyapunov_violations=n_viol,
-        sandwich_violations=sandwich_violations(traj, design.eta),
-        jump_count=len(traj.jump_events),
-        chatter_score=chatter_score(traj),
-        final_r=int(traj.r[-1]),
-        ultimate_r_constant=ultimate_r_constant(traj),
-        observed_rate=observed_decay_rate(traj, which),
-    )
-
-
-def compare_observers(traj: Trajectory, design: GainDesign
-                      ) -> tuple[StabilityReport | None, StabilityReport | None]:
-    """Reports for the reduced and full observers (None where absent)."""
-    red = build_report(traj, design, "reduced") if traj.xhat2_reduced is not None else None
-    full = build_report(traj, design, "full") if traj.xhat2_full is not None else None
-    return red, full
-
-
 def scenario_checks(traj: Trajectory, design: GainDesign,
                     lyapunov: LyapunovCheck | None = None) -> dict[str, bool]:
     """Pass/fail gates; builtin scenario names add their specific claims.
 
-    `lyapunov` as in build_report.
+    `lyapunov` as in report_lines.
     """
     checks: dict[str, bool] = {}
     sc = traj.scenario
@@ -289,19 +233,18 @@ def report_lines(traj: Trajectory, design: GainDesign,
     lines.append(f"lambda2: {design.lambda2:.6g}")
     lines.append(f"region_radius: {design.region_radius:.6g}")
     lines.append(f"max_speed: {float(np.max(np.linalg.norm(traj.x2, axis=1))):.6g}")
-    for which in ("reduced", "full"):
-        try:
-            rep = build_report(traj, design, which, lyapunov)
-        except ValueError:
+    for which, est in (("reduced", traj.xhat2_reduced), ("full", traj.xhat2_full)):
+        if est is None:
             continue
         p = f"{which}_"
-        st = "none" if rep.settling_time is None else f"{rep.settling_time:.6g}"
-        lines.append(f"{p}settling_time: {st}")
-        if rep.max_lyapunov_increase is not None:
-            lines.append(f"{p}max_lyapunov_increase: {rep.max_lyapunov_increase:.6g}")
-            lines.append(f"{p}lyapunov_violations: {rep.lyapunov_violations}")
-        if rep.observed_rate is not None:
-            lines.append(f"{p}observed_rate: {rep.observed_rate:.6g}")
+        st = settling_time(traj, which)
+        lines.append(f"{p}settling_time: {'none' if st is None else f'{st:.6g}'}")
+        if which == traj.active:
+            lines.append(f"{p}max_lyapunov_increase: {lyapunov.max_increase:.6g}")
+            lines.append(f"{p}lyapunov_violations: {len(lyapunov.violations)}")
+        rate = observed_decay_rate(traj, which)
+        if rate is not None:
+            lines.append(f"{p}observed_rate: {rate:.6g}")
     lines.append(f"sandwich_violations: {sandwich_violations(traj, design.eta)}")
     lines.append(f"jump_count: {len(traj.jump_events)}")
     lines.append(f"chatter_score: {chatter_score(traj)}")

@@ -125,9 +125,10 @@ class Scenario:
                 raise ScenarioError("r_guess must not be below r_min")
             if self.k0_override is not None:
                 raise ScenarioError("k0_override applies to the constant gain mode only")
+        # the full observer's kp is k0 * k0
         if self.k0_override is not None and not (
-                self.k0_override > 0.0 and math.isfinite(self.k0_override)):
-            raise ScenarioError("k0_override must be positive and finite")
+                self.k0_override > 0.0 and math.isfinite(self.k0_override * self.k0_override)):
+            raise ScenarioError("k0_override must be positive with a finite square")
         # the integration loop calls the float law unchecked
         try:
             tau = self.controller.torque(self.model, self.q0, self.xhat2_0, 0.0)
@@ -135,6 +136,8 @@ class Scenario:
             raise ScenarioError(f"controller does not fit the model: {exc}") from exc
         if np.shape(tau) != (n,):
             raise ScenarioError(f"controller torque must have shape ({n},)")
+        if not np.all(np.isfinite(tau)):
+            raise ScenarioError("controller torque at t = 0 must be finite")
 
     def design_speed(self) -> float | None:
         """Speed bound of the constant design: v_max, else the top of the starting band."""

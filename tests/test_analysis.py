@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from velobs.analysis import (
-    build_report,
     chatter_score,
     check_lyapunov_decrease,
-    compare_observers,
     first_entry_index,
     illegal_jumps,
     lyapunov_value,
+    observed_decay_rate,
     report_lines,
     sandwich_violations,
     scenario_checks,
@@ -197,15 +196,15 @@ def test_ultimate_r_constant_tail():
 
 
 def test_compare_observers_shapes(example1_traj, example2_traj):
-    red, full = compare_observers(example1_traj, example1_traj.design)
-    assert red is not None and full is not None
-    assert red.observer == "reduced" and full.observer == "full"
+    lines1 = report_lines(example1_traj, example1_traj.design)
+    keys1 = [ln.split(":")[0] for ln in lines1]
+    assert {"reduced_settling_time", "full_settling_time"} <= set(keys1)
     # only the active observer carries the Lyapunov scan
-    assert red.lyapunov_violations == 0
-    assert full.lyapunov_violations is None
-    red2, full2 = compare_observers(example2_traj, example2_traj.design)
-    assert full2 is None
-    assert red2.jump_count == len(example2_traj.jump_events)
+    assert "reduced_lyapunov_violations: 0" in lines1
+    assert not any(k.startswith("full_lyapunov_") for k in keys1)
+    lines2 = report_lines(example2_traj, example2_traj.design)
+    assert not any(ln.startswith("full_") for ln in lines2)
+    assert f"jump_count: {len(example2_traj.jump_events)}" in lines2
 
 
 def test_scenario_checks_all_pass_on_builtin_runs(example1_traj, example2_traj,
@@ -246,15 +245,19 @@ def test_scenario_checks_degrade_for_csv_reload(example1_traj, tmp_path):
 
 
 def test_build_report_fields(example2_traj):
-    rep = build_report(example2_traj, example2_traj.design, "reduced")
-    assert rep.settling_time is not None and rep.settling_time > 0.0
-    assert rep.initial_error_in_region is False   # starts at ||v0|| > radius
-    assert rep.final_r == int(example2_traj.r[-1])
-    assert rep.jump_count == len(example2_traj.jump_events)
-    assert rep.observed_rate is None or rep.observed_rate > 0.0
+    st = settling_time(example2_traj, "reduced")
+    assert st is not None and st > 0.0
+    rate = observed_decay_rate(example2_traj, "reduced")
+    assert rate is None or rate > 0.0
+    lines = report_lines(example2_traj, example2_traj.design)
+    assert f"reduced_settling_time: {st:.6g}" in lines
+    rate_lines = [ln for ln in lines if ln.startswith("reduced_observed_rate:")]
+    assert rate_lines == ([] if rate is None else [f"reduced_observed_rate: {rate:.6g}"])
+    assert f"final_r: {int(example2_traj.r[-1])}" in lines
+    assert f"jump_count: {len(example2_traj.jump_events)}" in lines
 
 
-def test_report_lines_content(example2_traj):
+def test_report_lines_content(example2_traj, example1_traj):
     lines = report_lines(example2_traj, example2_traj.design)
     text = "\n".join(lines)
     keys = {ln.split(":")[0] for ln in lines}
@@ -267,6 +270,12 @@ def test_report_lines_content(example2_traj):
     assert "check_r_increases: pass" in text
     # narrow-band default config has an empty annulus above the floor
     assert "empty_flow_annulus: true" in text
+    # the per-observer block: reduced first, Lyapunov lines for the active one
+    block = [ln.split(":")[0] for ln in report_lines(example1_traj, example1_traj.design)
+             if ln.startswith(("reduced_", "full_"))]
+    assert block == ["reduced_settling_time", "reduced_max_lyapunov_increase",
+                     "reduced_lyapunov_violations", "reduced_observed_rate",
+                     "full_settling_time", "full_observed_rate"]
 
 
 def test_report_lines_flag_failures(negative_control_traj):

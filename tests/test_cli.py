@@ -208,6 +208,13 @@ def test_invalid_scenario_files(tmp_path, capsys):
     assert main(["run", str(nan_mass), "--out", str(tmp_path)]) == EXIT_CONFIG
     capsys.readouterr()
 
+    # a torque that is not finite at t = 0 is a config error, not a blow-up
+    nan_tau = tmp_path / "nan_tau.ini"
+    nan_tau.write_text(QUICK_INI.replace("tau = 0 0", "tau = nan 0"))
+    assert main(["run", str(nan_tau), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "torque" in err
+
 
 def test_blow_up_maps_to_simulation_exit(tmp_path, capsys):
     path = tmp_path / "boom.ini"

@@ -68,8 +68,14 @@ def test_validation_rejects_bad_scenarios(arm):
              k0_override=5.0),
         dict(k0_override=0.0),
         dict(k0_override=np.nan),
+        # finite, but the full observer's kp = k0 * k0 overflows to inf
+        dict(k0_override=1e200),
         dict(controller=ConstantTorque(np.zeros(3))),
         dict(controller=PdGravity(PdConfig(kp=[1.0], kd=[1.0], x_ref=[0.0]))),
+        # a torque that is not finite at t = 0
+        dict(controller=ConstantTorque([np.nan, 0.0])),
+        dict(controller=PdGravity(PdConfig(kp=[1.0, 1.0], kd=[1.0, 1.0],
+                                           x_ref=[np.nan, 0.0]))),
     ]
     for overrides in bad:
         with pytest.raises(ScenarioError):
@@ -198,11 +204,11 @@ def test_blow_up_detection(arm):
 
 
 def test_blow_up_check_catches_a_trailing_nan(arm, monkeypatch):
-    # With k0 = 1e200 the full-order observer's kp = k0**2 overflows to inf,
-    # and inf times the zero innovation at t = 0 is NaN: the observer states,
-    # last in the packed state, turn NaN while the plant ahead of them stays
-    # finite.
-    sc = make_scenario(arm, observer_mode="full", k0_override=1e200, t_final=0.01)
+    # NaN full-observer rates turn the observer states, last in the packed
+    # state, NaN while the plant ahead of them stays finite.
+    nan_rate = (math.nan, math.nan)
+    monkeypatch.setattr(simulator, "full_rate", lambda *args: (nan_rate, nan_rate))
+    sc = make_scenario(arm, observer_mode="full", t_final=0.01)
     assert not simulator.within_blowup_limit((0.0, 1.0, math.nan))
     with pytest.raises(SimulationBlowUp, match="t = 0.001000"):
         simulate(sc)
