@@ -104,7 +104,7 @@ def load_scenario_file(path) -> Scenario:
             eta=eta, v_max=v_max, hybrid=hybrid, r_guess=r_guess,
             dt=float(ssec.get("dt", 1e-3)),
             t_final=float(ssec.get("t_final", 10.0)))
-    except (KeyError, ValueError, configparser.Error) as exc:
+    except (KeyError, ValueError, SingularInertiaError, configparser.Error) as exc:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"invalid scenario file {path}: {exc}") from exc
@@ -301,7 +301,7 @@ def _exit_code(func, *args) -> int:
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SimulationBlowUp, SingularInertiaError) as exc:
+    except SimulationBlowUp as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
 

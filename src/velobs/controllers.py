@@ -29,6 +29,8 @@ def _as_gain_matrix(k, n: int, name: str) -> np.ndarray:
         k = np.diag(k)
     if k.shape != (n, n):
         raise ValueError(f"{name} must be {n}x{n} or a length-{n} diagonal")
+    if not np.all(np.isfinite(k)):
+        raise ValueError(f"{name} must be finite")
     if not np.allclose(k, np.diag(np.diagonal(k))):
         raise ValueError(f"{name} must be diagonal")
     if np.any(np.diagonal(k) <= 0.0):

@@ -17,7 +17,9 @@ returns the configuration terms at q as one flat tuple of floats, and the
 model's `accel(terms, tau, w, extra)` and `energy(terms, w)` evaluate
 M(q)^-1 (tau - C(q, w) w - F w - g(q) + extra) and 0.5 w^T M(q) w from them.
 These are the one definition of the equations of motion: `forward_dynamics`,
-the observer derivatives and the simulator all go through them.
+the observer derivatives and the simulator all go through them.  The kernel
+checks nothing: a model bounds the conditioning of M(q) over every q when it
+is constructed (SingularInertiaError), so the integration loop never has to.
 
 Planar two-link convention: the arm moves in a vertical plane, q1 is measured
 counterclockwise from the horizontal axis, q2 is the second joint angle
@@ -107,9 +109,10 @@ class RobotModel(ABC):
     def kernel(self, q) -> tuple[float, ...]:
         """Configuration terms at q, a sequence of n floats, as one flat tuple.
 
-        Evaluates M(q) with its conditioning check (SingularInertiaError),
-        g(q) and the Coriolis factor once.  The first n terms are the gravity
-        torque g(q), so the tuple serves the controllers' float_torque as g.
+        Evaluates M(q), g(q) and the Coriolis factor once, with no check: the
+        constructor has bounded the conditioning of M over all q.  The first n
+        terms are the gravity torque g(q), so the tuple serves the
+        controllers' float_torque as g.
         """
 
     @staticmethod
@@ -239,27 +242,27 @@ class TwoLinkArm(RobotModel):
     @cached_property
     def _constants(self) -> tuple[float, ...]:
         # alpha, beta, coupling and the two gravity coefficients of thin
-        # uniform rods: center of mass at mid-length d, inertia m l^2 / 12
+        # uniform rods (center of mass at mid-length d, inertia m l^2 / 12),
+        # then the viscous coefficients
         p = self.params
         d1, d2 = 0.5 * p.l1, 0.5 * p.l2
         i1, i2 = p.m1 * p.l1 ** 2 / 12.0, p.m2 * p.l2 ** 2 / 12.0
         return (p.m1 * d1 ** 2 + i1 + p.m2 * (p.l1 ** 2 + d2 ** 2) + i2,
                 p.m2 * d2 ** 2 + i2, p.m2 * p.l1 * d2,
-                (p.m1 * d1 + p.m2 * p.l1) * p.gravity_accel, p.m2 * d2 * p.gravity_accel)
+                (p.m1 * d1 + p.m2 * p.l1) * p.gravity_accel, p.m2 * d2 * p.gravity_accel,
+                p.f1, p.f2)
 
-    def _terms(self, q1: float, q2: float) -> tuple[float, ...]:
-        """g = (g1, g2), the entries (a, b, c) of M = [[a, b], [b, c]] and the
-        Coriolis factor h = coupling sin q2 at q = (q1, q2)."""
-        alpha, beta, coupling, a1, a2 = self._constants
-        c2 = math.cos(q2)
-        c12 = math.cos(q1 + q2)
-        return (a1 * math.cos(q1) + a2 * c12, a2 * c12,
-                alpha + 2.0 * coupling * c2, beta + coupling * c2, beta,
-                coupling * math.sin(q2))
+    def __post_init__(self):
+        # M(q) depends on q only through cos q2, and affinely, so on [-1, 1]
+        # lambda_min is concave, lambda_max convex and their ratio
+        # quasi-convex: the worst conditioning of any q is at cos q2 = +1 or
+        # -1, and checking both bounds it everywhere.
+        for q2 in (0.0, math.pi):
+            _spd2_determinant(*self.kernel((0.0, q2))[2:5])
 
     def inertia(self, q) -> np.ndarray:
         q = self._check_joint_vector(q, "q")
-        _, _, a, b, c, _ = self._terms(q[0], q[1])
+        _, _, a, b, c = self.kernel(q)[:5]
         return np.array([[a, b], [b, c]])
 
     def inertia_rate(self, q, v) -> np.ndarray:
@@ -271,19 +274,26 @@ class TwoLinkArm(RobotModel):
     def coriolis(self, q, v) -> np.ndarray:
         q = self._check_joint_vector(q, "q")
         v = self._check_joint_vector(v, "v")
-        h = self._terms(q[0], q[1])[5]
+        h = self.kernel(q)[6]
         return np.array([[-h * v[1], -h * (v[0] + v[1])],
                          [h * v[0], 0.0]])
 
     def gravity(self, q) -> np.ndarray:
         q = self._check_joint_vector(q, "q")
-        return np.array(self._terms(q[0], q[1])[:2])
+        return np.array(self.kernel(q)[:2])
 
     def kernel(self, q):
-        """(g1, g2, a, b, c, det M, h, f1, f2), F = diag(f1, f2)."""
-        g1, g2, a, b, c, h = self._terms(*q)
-        return (g1, g2, a, b, c, _spd2_determinant(a, b, c), h,
-                self.params.f1, self.params.f2)
+        """(g1, g2, a, b, c, det M, h, f1, f2) at q = (q1, q2): g = (g1, g2),
+        M = [[a, b], [b, c]], the Coriolis factor h = coupling sin q2 and
+        F = diag(f1, f2)."""
+        alpha, beta, coupling, a1, a2, f1, f2 = self._constants
+        q1, q2 = q
+        c2 = math.cos(q2)
+        c12 = math.cos(q1 + q2)
+        a = alpha + 2.0 * coupling * c2
+        b = beta + coupling * c2
+        return (a1 * math.cos(q1) + a2 * c12, a2 * c12, a, b, beta, a * beta - b * b,
+                coupling * math.sin(q2), f1, f2)
 
     @staticmethod
     def accel(terms, tau, w, extra=None):
@@ -305,7 +315,7 @@ class TwoLinkArm(RobotModel):
 
     def potential(self, q) -> float:
         q = self._check_joint_vector(q, "q")
-        a1, a2 = self._constants[3:]
+        a1, a2 = self._constants[3:5]
         return a1 * math.sin(q[0]) + a2 * math.sin(q[0] + q[1])
 
     def c0_bound(self, q) -> float:
@@ -369,9 +379,7 @@ class SingleLinkModel(RobotModel):
 
     def kernel(self, q):
         """(g = 0, m, d): constant inertia m and damping d."""
-        m = self.inertia_value
-        _check_conditioning(m, m)
-        return 0.0, m, self.damping
+        return 0.0, self.inertia_value, self.damping
 
     @staticmethod
     def accel(terms, tau, w, extra=None):

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .dynamics import RobotModel
 from .observers import compute_k0
 
@@ -115,12 +117,13 @@ def compute_kr(model: RobotModel, config: HybridConfig, r: int) -> float:
 
 
 class GainSchedule:
-    """Gain k_r of each mode, computed by compute_kr when first asked for."""
+    """Gain k_r and LogicState of each mode, made when first asked for."""
 
     def __init__(self, model: RobotModel, config: HybridConfig):
         self.model = model
         self.config = config
         self._gains: dict[int, float] = {}
+        self.states: dict[int, LogicState] = {}
 
     def gain(self, r: int) -> float:
         k = self._gains.get(r)
@@ -139,10 +142,15 @@ class LogicState(NamedTuple):
 
 
 def enter_mode(config: HybridConfig, schedule: GainSchedule, r: int) -> LogicState:
-    """The logic state of mode r, with its gain and jump thresholds."""
-    _check_mode(config, r)
-    down = config.down_threshold(r) if r > config.r_min else -math.inf
-    return LogicState(r, schedule.gain(r), config.up_threshold(r), down)
+    """The logic state of mode r, with its gain and jump thresholds, built on
+    the first entry and kept by the schedule (whose config this must be)."""
+    state = schedule.states.get(r)
+    if state is None:
+        _check_mode(config, r)
+        down = config.down_threshold(r) if r > config.r_min else -math.inf
+        state = schedule.states[r] = LogicState(r, schedule.gain(r),
+                                                config.up_threshold(r), down)
+    return state
 
 
 def step_logic(config: HybridConfig, schedule: GainSchedule, state: LogicState,
@@ -186,9 +194,9 @@ def initialize_logic(config: HybridConfig, schedule: GainSchedule, nrm: float,
     raise ValueError("logic index did not settle; inconsistent hybrid configuration")
 
 
-def velocity_sandwich(eta: float, nrm: float) -> tuple[float, float]:
+def velocity_sandwich(eta: float, nrm):
     """Certified bracket for the true speed from the estimate norm nrm = ||xhat2||:
-    (max(0, nrm - eta), nrm + eta)."""
+    (max(0, nrm - eta), nrm + eta), elementwise for an array of norms."""
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    return max(0.0, nrm - eta), nrm + eta
+    return np.maximum(0.0, nrm - eta), nrm + eta

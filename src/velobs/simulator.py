@@ -2,18 +2,19 @@
 
 The plant and the enabled observers are integrated jointly with classical
 RK4 on Python floats.  Every RHS evaluation goes through the model's float
-kernel (one inertia factorization and conditioning check), its `accel` and
-the observers' float derivatives, the same equations that the array
-functions in `dynamics` and `observers` wrap.  The switching logic is
+kernel (the configuration terms, checked once when the model was built), its
+`accel` and the observers' float derivatives, the same equations that the
+array functions in `dynamics` and `observers` wrap.  The switching logic is
 evaluated at step boundaries only; when a jump changes the scheduled gain,
 the observer's internal state z is re-based so that the velocity estimate
 xhat2 = z + k y stays continuous across the jump.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,8 +39,9 @@ CSV_COLUMNS = ("t", "q1", "q2", "dq1", "dq2", "dq1_hat", "dq2_hat",
 # One CSV row: the mode index r as an integer, every other value with 17
 # significant digits, enough for every float to read back bit for bit.
 _CSV_ROW = ",".join("%d" if c == "r" else "%.17g" for c in CSV_COLUMNS) + "\n"
-# Rows formatted per write by Trajectory.to_csv.  Larger blocks write no
-# faster and raise peak RSS more: about 1.5 MB at 1024 rows, 7 MB at 4096.
+# Rows formatted per write by Trajectory.to_csv, and rows simulate collects
+# in lists before it copies them into its sample arrays.  Larger blocks write
+# no faster and raise peak RSS more: about 1.5 MB at 1024 rows, 7 MB at 4096.
 CSV_BLOCK_ROWS = 1024
 
 
@@ -250,6 +252,20 @@ class Trajectory:
             jump_events=events)
 
 
+@functools.cache
+def rk4_ops(width: int) -> tuple[Callable, Callable]:
+    """(stage, final) for a packed state of `width` floats, built on first use:
+    stage(s, h, d) = s + h d and final(s, sixth, d1, d2, d3, d4) =
+    s + sixth (d1 + 2 d2 + 2 d3 + d4), written out element by element in the
+    operation order of the zip comprehension, so bit for bit equal to it."""
+    idx = range(width)
+    stage = "lambda s, h, d: (" + "".join(f"s[{i}] + h * d[{i}], " for i in idx) + ")"
+    final = "lambda s, sixth, d1, d2, d3, d4: (" + "".join(
+        f"s[{i}] + sixth * (d1[{i}] + 2.0 * d2[{i}] + 2.0 * d3[{i}] + d4[{i}]), "
+        for i in idx) + ")"
+    return eval(stage), eval(final)
+
+
 def within_blowup_limit(state) -> bool:
     """True iff every |x| in state is <= BLOWUP_LIMIT; false for a NaN, which
     max(map(abs, state)) would pass over anywhere but first."""
@@ -326,42 +342,46 @@ def simulate(scenario: Scenario) -> Trajectory:
     states = np.empty((n_samples, len(s)))
     # per-sample columns: eps_norm, V, r, k_r, lower, upper, tau
     extra = np.empty((n_samples, 6 + n))
+    stage, final = rk4_ops(len(s))
 
     half = 0.5 * dt
     sixth = dt / 6.0
-    for i in range(n_samples):
-        t = i * dt
-        d1, tau_i, est, terms = rhs(t, s, k)
-        eps = sub(s[n:n2], est)
-        states[i] = s
-        extra[i] = (hypot(*eps), energy(terms, eps), r_rec, k,
-                    *velocity_sandwich(eta, hypot(*est)), *tau_i)
-
-        if i == n_samples - 1:
-            break
-
-        d2 = rhs(t + half, tuple([a + half * b for a, b in zip(s, d1)]), k)[0]
-        d3 = rhs(t + half, tuple([a + half * b for a, b in zip(s, d2)]), k)[0]
-        d4 = rhs(t + dt, tuple([a + dt * b for a, b in zip(s, d3)]), k)[0]
-        s = tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                   for a, b1, b2, b3, b4 in zip(s, d1, d2, d3, d4)])
-
-        if not within_blowup_limit(s):
-            raise SimulationBlowUp(
-                f"state component left |x| <= {BLOWUP_LIMIT:g} at t = {t + dt:.6f}")
-
-        if logic is not None:
-            y_new = s[:n]
-            est_new = axpy(k, y_new, s[n2:n3])
-            nrm = hypot(*est_new)
-            stepped = step_logic(hybrid, schedule, logic, nrm)
-            if stepped is not logic:
-                events.append(JumpEvent(t + dt, logic.r, stepped.r, nrm, i + 1))
-                # re-base z so the estimate is continuous across the gain change
-                k = stepped.k_r
-                s = s[:n2] + axpy(-k, y_new, est_new) + s[n3:]
-                r_rec = stepped.r
-                logic = stepped
+    # Rows are collected a block at a time and copied into the arrays per
+    # block.  Both bracket columns record the estimate norm; velocity_sandwich
+    # maps them to the bracket after the loop.
+    for start in range(0, n_samples, CSV_BLOCK_ROWS):
+        srows, erows = [], []
+        for i in range(start, min(start + CSV_BLOCK_ROWS, n_samples)):
+            t = i * dt
+            d1, tau_i, est, terms = rhs(t, s, k)
+            eps = sub(s[n:n2], est)
+            nrm = hypot(*est)
+            srows.append(s)
+            erows.append((hypot(*eps), energy(terms, eps), r_rec, k, nrm, nrm, *tau_i))
+            if i == n_samples - 1:
+                break
+            d2 = rhs(t + half, stage(s, half, d1), k)[0]
+            d3 = rhs(t + half, stage(s, half, d2), k)[0]
+            d4 = rhs(t + dt, stage(s, dt, d3), k)[0]
+            s = final(s, sixth, d1, d2, d3, d4)
+            if not within_blowup_limit(s):
+                raise SimulationBlowUp(
+                    f"state component left |x| <= {BLOWUP_LIMIT:g} at t = {t + dt:.6f}")
+            if logic is not None:
+                y_new = s[:n]
+                est_new = axpy(k, y_new, s[n2:n3])
+                nrm = hypot(*est_new)
+                stepped = step_logic(hybrid, schedule, logic, nrm)
+                if stepped is not logic:
+                    events.append(JumpEvent(t + dt, logic.r, stepped.r, nrm, i + 1))
+                    # re-base z so the estimate is continuous across the gain change
+                    k = stepped.k_r
+                    s = s[:n2] + axpy(-k, y_new, est_new) + s[n3:]
+                    r_rec = stepped.r
+                    logic = stepped
+        states[start:start + len(srows)] = srows
+        extra[start:start + len(erows)] = erows
+    extra[:, 4], extra[:, 5] = velocity_sandwich(eta, extra[:, 4])
 
     x1 = states[:, :n]
     k_arr = extra[:, 3]

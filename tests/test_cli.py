@@ -215,6 +215,29 @@ def test_invalid_scenario_files(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "torque" in err
 
+    # a NaN gain is named as not finite, not as an off-diagonal entry
+    for key in ("kp", "kd"):
+        nan_gain = tmp_path / f"nan_{key}.ini"
+        gains = {"kp": "1 1", "kd": "1 1"}
+        gains[key] = "nan 1"
+        nan_gain.write_text(QUICK_INI.replace(
+            "type = constant\ntau = 0 0",
+            f"type = pd\nkp = {gains['kp']}\nkd = {gains['kd']}\nsetpoint = 0 0"))
+        assert main(["run", str(nan_gain), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{key} must be finite" in err
+
+
+def test_ill_conditioned_arm_is_a_config_error(tmp_path, capsys):
+    # the arm's inertia is checked when it is built from the file, so a
+    # near-singular arm is an input error before any step is taken
+    path = tmp_path / "thin.ini"
+    path.write_text("[model]\nm1 = 1\nm2 = 1e-13\n" + QUICK_INI)
+    assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "numerically singular" in err
+    assert not (tmp_path / "thin.csv").exists()
+
 
 def test_blow_up_maps_to_simulation_exit(tmp_path, capsys):
     path = tmp_path / "boom.ini"

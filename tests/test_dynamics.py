@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from velobs.dynamics import (
+    INERTIA_COND_LIMIT,
     JOINT_OPS,
     PlantState,
     SingleLinkModel,
@@ -16,6 +19,7 @@ from velobs.dynamics import (
     forward_dynamics,
     grid_tables,
     inertia_solver,
+    _spd2_determinant,
     spectral_bounds,
     total_energy,
 )
@@ -179,6 +183,68 @@ def test_inertia_solver_rejects_degenerate_matrices():
         inertia_solver(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(SingularInertiaError):
         inertia_solver(np.diag([1.0, 1e-15, 1.0]))
+
+
+# Reference scan for the construction check: cos q2 covers [-1, 1] on
+# q2 in [0, pi], and the scan holds both ends exactly.
+Q2_SCAN = np.linspace(0.0, np.pi, 1025)
+
+
+def unchecked_kernel(params: TwoLinkParams):
+    """The kernel of an arm with these parameters, built without its check."""
+    arm = object.__new__(TwoLinkArm)
+    object.__setattr__(arm, "params", params)
+    object.__setattr__(arm, "grid_points", 2048)
+    return arm.kernel
+
+
+def check_fails(kernel, q2: float) -> bool:
+    """The per-point check, the closed-form eigenvalues of M(0, q2), fails."""
+    try:
+        _spd2_determinant(*kernel((0.0, q2))[2:5])
+    except SingularInertiaError:
+        return True
+    return False
+
+
+def closed_form_conditioning(kernel, q2: float) -> float:
+    a, b, c = kernel((0.0, q2))[2:5]
+    tr, disc = a + c, math.sqrt((a - c) ** 2 + 4.0 * b * b)
+    return (tr + disc) / (tr - disc)
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(database=None, deadline=None, max_examples=150)
+@given(m1=log_uniform(-8.0, 8.0), m2=log_uniform(-8.0, 8.0),
+       l1=log_uniform(-4.0, 4.0), l2=log_uniform(-4.0, 4.0))
+def test_construction_check_is_the_dense_scan(m1, m2, l1, l2):
+    # M(q) is affine in cos q2, so the worst conditioning is at cos q2 = +1
+    # or -1: checking those two at construction stands for every q.
+    params = TwoLinkParams(m1=m1, m2=m2, l1=l1, l2=l2)
+    kernel = unchecked_kernel(params)
+    failing = [q2 for q2 in Q2_SCAN if check_fails(kernel, q2)]
+    try:
+        TwoLinkArm(params)
+    except SingularInertiaError:
+        assert failing
+    else:
+        # Exact in real arithmetic.  In floats the closed form rounds, so an
+        # interior point can cross the limit by rounding alone, and only
+        # within rounding of the limit (about 1e-4 relative at 1e12).
+        assert all(closed_form_conditioning(kernel, q2) <= INERTIA_COND_LIMIT * (1.0 + 1e-3)
+                   for q2 in failing)
+
+
+def test_construction_check_examples():
+    with pytest.raises(SingularInertiaError, match="numerically singular"):
+        TwoLinkArm(TwoLinkParams(m1=1.0, m2=1e-13))
+    TwoLinkArm(TwoLinkParams(m1=1.0, m2=1e-11))
+    # the kernel itself checks nothing: it evaluates a singular arm's terms
+    kernel = unchecked_kernel(TwoLinkParams(m1=1.0, m2=1e-13))
+    assert check_fails(kernel, 0.0) and len(kernel((0.0, 0.0))) == 9
 
 
 def test_joint_vector_shape_is_checked(arm):

@@ -1,5 +1,5 @@
 """Property tests of the jump rule, the logic step and the scheduled gain over
-random configurations.
+random configurations, and of whole runs over random short scenarios.
 
 Each property is written out here from the thresholds alone, so that it is
 independent of the library's jump-set functions; the sabotage controls show
@@ -8,21 +8,27 @@ that a strict inequality at a threshold would be caught.
 from __future__ import annotations
 
 from types import SimpleNamespace
+from unittest import mock
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from velobs import analysis
+from velobs import analysis, simulator
 from velobs.analysis import illegal_jumps
-from velobs.dynamics import TwoLinkArm
+from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
+                                PdConfig, PdGravity)
+from velobs.dynamics import JOINT_OPS, SingleLinkModel, TwoLinkArm, TwoLinkParams
 from velobs.hybrid_logic import (SEMANTICS, GainSchedule, HybridConfig,
                                  compute_kr, enter_mode, flow_interval, flow_set,
-                                 step_logic)
-from velobs.observers import compute_k0
-from velobs.simulator import JumpEvent
+                                 initialize_logic, step_logic)
+from velobs.observers import compute_k0, full_rate, reduced_rate
+from velobs.simulator import (OBSERVER_MODES, JumpEvent, Scenario, SimulationBlowUp,
+                              simulate, within_blowup_limit)
 
 ARM = TwoLinkArm()
 PROPERTY = settings(database=None, deadline=None, max_examples=200)
@@ -156,3 +162,192 @@ def test_a_strict_threshold_is_caught(monkeypatch):
     check_step(step_logic, cfg, 2, cfg.up_threshold(2))
     with pytest.raises(AssertionError):
         check_step(strict_step, cfg, 2, cfg.up_threshold(2))
+
+
+def zip_final(s, sixth, d1, d2, d3, d4):
+    return tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(s, d1, d2, d3, d4)])
+
+
+def reference_run(sc: Scenario, final=zip_final):
+    """The run by a plain RK4 loop: zip-form stages, each sample recorded as a
+    row in place with its speed bracket, and each jump's mode and gain taken
+    afresh from the thresholds and compute_kr.
+
+    Returns the state rows, the per-sample rows (eps_norm, V, r, k_r, lower,
+    upper, tau) and the jump events.
+    """
+    model, n = sc.model, sc.model.n
+    use_red = sc.observer_mode in ("reduced", "both")
+    use_full = sc.observer_mode in ("full", "both")
+    ops = JOINT_OPS[n]
+    axpy, sub = ops.axpy, ops.sub
+    law = sc.controller.float_torque
+    cfg, dt, eta = sc.hybrid, sc.dt, sc.eta
+    design = compute_k0(model, eta, sc.design_speed())
+    events = []
+    scheduled = sc.gain_mode == "scheduled"
+    if scheduled:
+        init = []
+        r = initialize_logic(cfg, GainSchedule(model, cfg), math.hypot(*sc.xhat2_0.tolist()),
+                             sc.r_guess, events=init).r
+        events += [JumpEvent(0.0, old_r, new_r, nrm, 0) for old_r, new_r, nrm in init]
+        k = compute_kr(model, cfg, r)
+        kd = design.k0
+    else:
+        r = 0
+        k = kd = sc.k0_override if sc.k0_override is not None else design.k0
+    kp = kd * kd
+
+    n2, n3 = 2 * n, 3 * n
+    h1 = n3 if use_red else n2
+    h2 = h1 + n
+    s = sc.q0.tolist() + sc.v0.tolist()
+    if use_red:
+        s += (sc.xhat2_0 - k * sc.q0).tolist()
+    if use_full:
+        s += sc.q0.tolist() + sc.xhat2_0.tolist()
+    s = tuple(s)
+
+    def rhs(t, s, k):
+        q = s[:n]
+        terms = model.kernel(q)
+        est = axpy(k, q, s[n2:n3]) if use_red else s[h2:h2 + n]
+        tau = law(terms, q, est, t)
+        v = s[n:n2]
+        d = v + model.accel(terms, tau, v)
+        if use_red:
+            d += reduced_rate(ops, model.accel, terms, tau, est, k)
+        if use_full:
+            d1, d2 = full_rate(ops, model.accel, terms, tau, q, s[h1:h2], s[h2:h2 + n], kd, kp)
+            d += d1 + d2
+        return d, tau, est, terms
+
+    states, extra = [], []
+    n_samples = sc.sample_count()
+    half = 0.5 * dt
+    for i in range(n_samples):
+        t = i * dt
+        d1, tau, est, terms = rhs(t, s, k)
+        eps = sub(s[n:n2], est)
+        nrm = math.hypot(*est)
+        states.append(s)
+        extra.append((math.hypot(*eps), model.energy(terms, eps), r, k,
+                      max(0.0, nrm - eta), nrm + eta, *tau))
+        if i == n_samples - 1:
+            break
+        d2 = rhs(t + half, tuple([a + half * b for a, b in zip(s, d1)]), k)[0]
+        d3 = rhs(t + half, tuple([a + half * b for a, b in zip(s, d2)]), k)[0]
+        d4 = rhs(t + dt, tuple([a + dt * b for a, b in zip(s, d3)]), k)[0]
+        s = final(s, dt / 6.0, d1, d2, d3, d4)
+        if not within_blowup_limit(s):
+            raise SimulationBlowUp(f"state component left |x| <= 1e+06 at t = {t + dt:.6f}")
+        if scheduled:
+            y = s[:n]
+            est_new = axpy(k, y, s[n2:n3])
+            nrm = math.hypot(*est_new)
+            r_new = next_mode(cfg, r, nrm)
+            if r_new != r:
+                events.append(JumpEvent(t + dt, r, r_new, nrm, i + 1))
+                k = compute_kr(model, cfg, r_new)
+                s = s[:n2] + axpy(-k, y, est_new) + s[n3:]
+                r = r_new
+    return np.array(states), np.array(extra), events
+
+
+@st.composite
+def short_scenarios(draw):
+    """A random run of at most 0.2 s: one or two joints, any observer mode,
+    constant or scheduled gain under either semantics."""
+    def vec(lo, hi):
+        return np.array([draw(st.floats(lo, hi)) for _ in range(n)])
+
+    if draw(st.booleans()):
+        model = TwoLinkArm(TwoLinkParams(
+            m1=draw(st.floats(5.0, 20.0)), m2=draw(st.floats(5.0, 25.0)),
+            l1=draw(st.floats(0.8, 1.6)), l2=draw(st.floats(0.8, 1.6)),
+            f1=draw(st.floats(0.0, 1.0)), f2=draw(st.floats(0.0, 1.0))), grid_points=64)
+        n = 2
+        controller = draw(st.sampled_from(["open_loop_1", "open_loop_2", "constant", "pd"]))
+    else:
+        model = SingleLinkModel(draw(st.floats(0.1, 10.0)), draw(st.floats(0.0, 2.0)))
+        n = 1
+        controller = draw(st.sampled_from(["constant", "pd"]))
+    if controller == "open_loop_1":
+        controller = OpenLoopBounded()
+    elif controller == "open_loop_2":
+        controller = OpenLoopUnbounded()
+    elif controller == "constant":
+        controller = ConstantTorque(vec(-10.0, 10.0))
+    else:
+        controller = PdGravity(PdConfig(kp=vec(1.0, 40.0), kd=vec(1.0, 30.0),
+                                        x_ref=vec(-1.0, 1.0)))
+    v0 = vec(-3.0, 3.0)
+    mode = draw(st.sampled_from(OBSERVER_MODES))
+    dt = draw(st.sampled_from([1e-3, 2e-3]))
+    base = dict(name="prop", model=model, q0=vec(-math.pi, math.pi), v0=v0,
+                xhat2_0=v0 + vec(-1.0, 1.0), controller=controller, observer_mode=mode,
+                dt=dt, t_final=draw(st.floats(dt, 0.2)))
+    if mode == "full" or draw(st.booleans()):
+        return Scenario(gain_mode="constant", eta=draw(st.floats(0.2, 2.0)),
+                        v_max=draw(st.floats(0.5, 5.0)), **base)
+    hybrid = HybridConfig(v_bar=draw(st.floats(0.2, 3.0)), eta=draw(st.floats(0.2, 2.0)),
+                          semantics=draw(st.sampled_from(SEMANTICS)),
+                          r_min=draw(st.integers(0, 2)))
+    return Scenario(gain_mode="scheduled", eta=hybrid.eta, hybrid=hybrid,
+                    r_guess=draw(st.integers(hybrid.r_min, hybrid.r_min + 4)), **base)
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and (np.ascontiguousarray(got).tobytes()
+                                        == np.ascontiguousarray(want).tobytes())
+
+
+def check_run(sc: Scenario, final=zip_final) -> None:
+    """simulate(sc) equals reference_run(sc) bit for bit, and its jumps are legal."""
+    try:
+        traj = simulate(sc)
+    except SimulationBlowUp as exc:
+        with pytest.raises(SimulationBlowUp, match=re.escape(str(exc))):
+            reference_run(sc, final)
+        return
+    states, extra, events = reference_run(sc, final)
+    n = sc.model.n
+    pairs = [(traj.x1, states[:, :n]), (traj.x2, states[:, n:2 * n]),
+             (traj.eps_norm, extra[:, 0]), (traj.v_lyap, extra[:, 1]),
+             (traj.r, extra[:, 2]), (traj.k_gain, extra[:, 3]),
+             (traj.lower, extra[:, 4]), (traj.upper, extra[:, 5]), (traj.tau, extra[:, 6:])]
+    if traj.z is not None:
+        z = states[:, 2 * n:3 * n]
+        pairs += [(traj.z, z), (traj.xhat2_reduced, z + extra[:, 3:4] * states[:, :n])]
+    if traj.xhat2_full is not None:
+        pairs.append((traj.xhat2_full, states[:, -n:]))
+    assert all(same_bits(got, want) for got, want in pairs)
+    assert traj.jump_events == events
+    assert illegal_jumps(traj) == []
+
+
+@settings(database=None, deadline=None, max_examples=80)
+@given(short_scenarios(), st.integers(1, 64))
+def test_a_run_is_the_reference_rk4_loop(sc, block_rows):
+    # small row blocks put block edges inside the run, and a partial last block
+    with mock.patch.object(simulator, "CSV_BLOCK_ROWS", block_rows):
+        check_run(sc)
+
+
+def test_a_reordered_final_stage_is_caught():
+    hybrid = HybridConfig(v_bar=0.5, eta=1.0, r_min=1)
+    sc = Scenario(name="prop", model=TwoLinkArm(grid_points=64), q0=np.array([0.3, -0.8]),
+                  v0=np.array([2.0, 0.5]), xhat2_0=np.array([1.5, 0.1]),
+                  controller=OpenLoopUnbounded(), observer_mode="both",
+                  gain_mode="scheduled", eta=1.0, hybrid=hybrid, r_guess=2,
+                  dt=1e-3, t_final=0.1)
+    check_run(sc)
+
+    def reordered(s, sixth, d1, d2, d3, d4):
+        return tuple([a + sixth * (b1 + b4 + 2.0 * (b2 + b3))
+                      for a, b1, b2, b3, b4 in zip(s, d1, d2, d3, d4)])
+
+    with pytest.raises(AssertionError):
+        check_run(sc, reordered)

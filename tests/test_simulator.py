@@ -482,3 +482,35 @@ def test_simulate_jump_step_rebases_z(arm):
     k_bad = k_old * (1.0 + 1e-6)
     q_bad, v_bad, z_bad, _, _ = hand_rk4_step(arm, controller, k_bad, dt, q, v, xhat2)
     assert relative_gap(got[:3], (q_bad, v_bad, z_bad + k_bad * q_bad)) > 1e-12
+
+
+def zip_stage(s, h, d):
+    return tuple([a + h * b for a, b in zip(s, d)])
+
+
+def zip_final(s, sixth, d1, d2, d3, d4):
+    return tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(s, d1, d2, d3, d4)])
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("width", (3, 4, 5, 6, 8, 10))
+def test_unrolled_rk4_ops_are_the_zip_form(width):
+    # every packed-state width: n = 1 with 1-3 observer blocks, n = 2 likewise
+    stage, final = simulator.rk4_ops(width)
+    rng = np.random.default_rng(width)
+    for _ in range(200):
+        s, d1, d2, d3, d4 = (
+            (rng.normal(size=width) * 10.0 ** rng.uniform(-6, 6, size=width)).tolist()
+            for _ in range(5))
+        h = float(rng.uniform(1e-5, 1e-1))
+        assert bits(stage(s, h, d1)) == bits(zip_stage(s, h, d1))
+        assert bits(final(s, h / 6.0, d1, d2, d3, d4)) == bits(zip_final(s, h / 6.0, d1, d2, d3, d4))
+    # sabotage control: one ulp in one component is caught
+    got = final(s, h / 6.0, d1, d2, d3, d4)
+    off = list(zip_final(s, h / 6.0, d1, d2, d3, d4))
+    off[width // 2] = math.nextafter(off[width // 2], math.inf)
+    assert bits(got) != bits(off)
