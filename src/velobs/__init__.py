@@ -1,8 +1,7 @@
 """Simulation toolkit for reduced-order manipulator velocity observers."""
 
-from .dynamics import (JOINT_OPS, JointOps, PlantState, RobotModel,
-                       SingleLinkModel, SingularInertiaError, TwoLinkArm,
-                       TwoLinkParams, forward_dynamics, spectral_bounds,
+from .dynamics import (PlantState, RobotModel, SingleLinkModel, SingularInertiaError,
+                       TwoLinkArm, TwoLinkParams, forward_dynamics, spectral_bounds,
                        total_energy)
 from .observers import (K_MIN, FullOrderObserverState, GainDesign,
                         ObserverState, compute_k0, compute_k0_conservative,

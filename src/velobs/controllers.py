@@ -1,26 +1,41 @@
 """Torque laws used by the scenario suite.
 
 All feedback laws take the observer velocity estimate, never the true joint
-velocity; positions are assumed measured.  Each law is defined once, on
-Python floats, by its wrapper's `float_torque(g, q, xhat2, t)`, where the
-first n entries of g are the gravity torque at q (the simulator passes the
-model kernel's terms, which start with it); `torque` wraps it for arrays.
+velocity; positions are assumed measured.  Each law is written once, as the
+text LAW (see `equations`): it sets tau1..taun from the gravity torque
+g1..gn, the positions q1..qn, the estimate xh1..xhn, the time t and its
+CONSTANTS (the values of `_constants`).  `float_torque(g, q, xhat2, t)`
+compiles it for Python floats (the first n entries of g are g(q), as in a
+model kernel's terms) and `torque` wraps that for arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import cos, sin
 
 import numpy as np
 
 from .dynamics import RobotModel
+from .equations import compiled, define, joints, names
 
 
 def _two_joint_gravity(model: RobotModel, q) -> list[float]:
     if model.n != 2:
         raise ValueError("open-loop profiles are defined for two-joint models")
     return model.gravity(q).tolist()
+
+
+class TorqueLaw:
+    """A torque law of n joints, written as the text LAW."""
+
+    CONSTANTS: tuple[str, ...] = ()
+    _constants: tuple[float, ...] = ()
+
+    # float_torque(g, q, xhat2, t): LAW on Python floats
+    float_torque = compiled(lambda cls, n: define(
+        "float_torque", "self, g, q, xhat2, t", n,
+        {"self._constants": cls.CONSTANTS, f"g[:{n}]": ["g{i}"], "q": ["q{i}"],
+         "xhat2": ["xh{i}"]}, joints(cls.LAW, n), f"({names('tau{i}', n=n)})"))
 
 
 def _as_gain_matrix(k, n: int, name: str) -> np.ndarray:
@@ -53,57 +68,59 @@ class PdConfig:
         object.__setattr__(self, "kp", _as_gain_matrix(self.kp, n, "kp"))
         object.__setattr__(self, "kd", _as_gain_matrix(self.kd, n, "kd"))
 
-    @cached_property
-    def joint_terms(self) -> tuple[tuple[float, float, float], ...]:
-        """(kp_i, kd_i, x_ref_i) for each joint, as Python floats."""
-        return tuple(zip(np.diagonal(self.kp).tolist(), np.diagonal(self.kd).tolist(),
-                         self.x_ref.tolist()))
-
 
 @dataclass(frozen=True)
-class OpenLoopBounded:
+class OpenLoopBounded(TorqueLaw):
     """Gravity compensation plus the bounded profile (cos(t/2), -cos t)."""
 
     name: str = field(default="open_loop_1", init=False)
 
-    @staticmethod
-    def float_torque(g, q, xhat2, t):
-        return g[0] + cos(0.5 * t), g[1] - cos(t)
+    n = 2
+    LAW = """
+        tau1 = g1 + cos(0.5 * t)
+        tau2 = g2 - cos(t)
+    """
 
     def torque(self, model, q, xhat2, t):
         return np.array(self.float_torque(_two_joint_gravity(model, q), q, xhat2, t))
 
 
 @dataclass(frozen=True)
-class OpenLoopUnbounded:
+class OpenLoopUnbounded(TorqueLaw):
     """Gravity compensation plus (sin t, 1 + sin 2t); drives speeds unbounded."""
 
     name: str = field(default="open_loop_2", init=False)
 
-    @staticmethod
-    def float_torque(g, q, xhat2, t):
-        return g[0] + sin(t), g[1] + (1.0 + sin(2.0 * t))
+    n = 2
+    LAW = """
+        tau1 = g1 + sin(t)
+        tau2 = g2 + (1.0 + sin(2.0 * t))
+    """
 
     def torque(self, model, q, xhat2, t):
         return np.array(self.float_torque(_two_joint_gravity(model, q), q, xhat2, t))
 
 
 @dataclass(frozen=True, eq=False)
-class PdGravity:
+class PdGravity(TorqueLaw):
     """PD regulation about x_ref with gravity compensation, damping on the estimate."""
 
     config: PdConfig
     name: str = field(default="pd", init=False)
 
-    def float_torque(self, g, q, xhat2, t):
-        # g + Kp (x_ref - q) - Kd xhat2 with diagonal gains, for one or two joints
-        joints = self.config.joint_terms
-        if len(joints) == 1:
-            (kp, kd, ref), = joints
-            return (g[0] + kp * (ref - q[0]) - kd * xhat2[0],)
-        (kp1, kd1, ref1), (kp2, kd2, ref2) = joints
-        return (g[0] + kp1 * (ref1 - q[0]) - kd1 * xhat2[0],
-                g[1] + kp2 * (ref2 - q[1]) - kd2 * xhat2[1])
+    # g + Kp (x_ref - q) - Kd xhat2 with diagonal gains
+    CONSTANTS = ("kp{i}", "kd{i}", "ref{i}")
+    LAW = "tau{i} = g{i} + kp{i} * (ref{i} - q{i}) - kd{i} * xh{i}"
+
+    @property
+    def n(self) -> int:
+        return self.config.x_ref.shape[0]
+
+    @cached_property
+    def _constants(self) -> tuple[float, ...]:
+        cfg = self.config
+        return (*np.diagonal(cfg.kp).tolist(), *np.diagonal(cfg.kd).tolist(),
+                *cfg.x_ref.tolist())
 
     def torque(self, model, q, xhat2, t):
         q = model._check_joint_vector(q, "q")
@@ -115,19 +132,23 @@ class PdGravity:
 
 
 @dataclass(frozen=True, eq=False)
-class ConstantTorque:
+class ConstantTorque(TorqueLaw):
     tau: np.ndarray
     name: str = field(default="constant", init=False)
+
+    CONSTANTS = ("u{i}",)
+    LAW = "tau{i} = u{i}"
 
     def __post_init__(self):
         object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float))
 
-    @cached_property
-    def _floats(self) -> tuple[float, ...]:
-        return tuple(np.ravel(self.tau).tolist())
+    @property
+    def n(self) -> int:
+        return self.tau.size
 
-    def float_torque(self, g, q, xhat2, t):
-        return self._floats
+    @cached_property
+    def _constants(self) -> tuple[float, ...]:
+        return tuple(np.ravel(self.tau).tolist())
 
     def torque(self, model, q, xhat2, t):
         return np.array(self.float_torque(None, q, xhat2, t))

@@ -12,14 +12,14 @@ throughout the package:
   * dM/dt - 2 C(q, \dot q) is skew symmetric,
   * C(q, u) w = C(q, w) u for all u, w.
 
-Besides these array methods, every model has a float kernel: `kernel(q)`
-returns the configuration terms at q as one flat tuple of floats, and the
-model's `accel(terms, tau, w, extra)` and `energy(terms, w)` evaluate
-M(q)^-1 (tau - C(q, w) w - F w - g(q) + extra) and 0.5 w^T M(q) w from them.
-These are the one definition of the equations of motion: `forward_dynamics`,
-the observer derivatives and the simulator all go through them.  The kernel
-checks nothing: a model bounds the conditioning of M(q) over every q when it
-is constructed (SingularInertiaError), so the integration loop never has to.
+Besides these array methods, every model writes its equations of motion
+once, as text (see `equations`), compiled on first use into `kernel(q)`, the
+configuration terms at q as one flat tuple of floats, and `accel(terms, tau,
+w, extra)` and `energy(terms, w)`, which evaluate
+M(q)^-1 (tau - C(q, w) w - F w - g(q) + extra) and 0.5 w^T M(q) w from them;
+the simulator inlines the same text.  The kernel checks nothing: a model
+bounds the conditioning of M(q) over every q when it is constructed
+(SingularInertiaError), so the integration loop never has to.
 
 Planar two-link convention: the arm moves in a vertical plane, q1 is measured
 counterclockwise from the horizontal axis, q2 is the second joint angle
@@ -36,12 +36,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .equations import compiled, define, joints, names
+
 # Conditioning limit above which the inertia matrix is treated as singular.
 INERTIA_COND_LIMIT = 1e12
 
 # Distinct models whose design tables are kept (about 50 KB each at the
 # default 2048 grid points).
 DESIGN_TABLES_CACHE = 16
+
+
+# An extra torque x1..xn enters the residual last: M(q) acc = r + x.
+INJECT = "r{i} += x{i}"
 
 
 class SingularInertiaError(RuntimeError):
@@ -105,25 +111,34 @@ class RobotModel(ABC):
     def design_grid(self) -> np.ndarray:
         """Configurations (rows) used for extremal gain and eigenvalue searches."""
 
-    @abstractmethod
-    def kernel(self, q) -> tuple[float, ...]:
-        """Configuration terms at q, a sequence of n floats, as one flat tuple.
+    # The equations of motion as text (see `equations`).  KERNEL sets the
+    # TERMS (the first n are the gravity torque g1..gn) from q1..qn and the
+    # CONSTANTS, the values of `_constants`; RESIDUAL sets r1..rn = tau - C(q, w) w
+    # - F w - g(q) from the terms, tau1..taun and w1..wn; SOLVE sets
+    # acc1..accn = M(q)^-1 r; ENERGY sets energy = 0.5 w^T M(q) w.
+    CONSTANTS: tuple[str, ...]
+    TERMS: tuple[str, ...]
+    KERNEL: str
+    RESIDUAL: str
+    SOLVE: str
+    ENERGY: str
 
-        Evaluates M(q), g(q) and the Coriolis factor once, with no check: the
-        constructor has bounded the conditioning of M over all q.  The first n
-        terms are the gravity torque g(q), so the tuple serves the
-        controllers' float_torque as g.
-        """
-
-    @staticmethod
-    @abstractmethod
-    def accel(terms, tau, w, extra=None) -> tuple[float, ...]:
-        """M(q)^-1 (tau - C(q, w) w - F w - g(q) + extra) from kernel(q)'s terms."""
-
-    @staticmethod
-    @abstractmethod
-    def energy(terms, w) -> float:
-        """The quadratic form 0.5 w^T M(q) w from kernel(q)'s terms."""
+    # kernel(q): the TERMS at q, a flat tuple of floats, unchecked (the
+    # constructor has bounded the conditioning of M over all q)
+    kernel = compiled(lambda cls, n: define(
+        "kernel", "self, q", n, {"self._constants": cls.CONSTANTS, "q": ["q{i}"]},
+        joints(cls.KERNEL, n), f"({names(*cls.TERMS, n=n)})"))
+    # accel(terms, tau, w, extra=None): M(q)^-1 (tau - C(q, w) w - F w - g(q) + extra)
+    accel = compiled(lambda cls, n: staticmethod(define(
+        "accel", "terms, tau, w, extra=None", n,
+        {"terms": cls.TERMS, "tau": ["tau{i}"], "w": ["w{i}"]},
+        [*joints(cls.RESIDUAL, n), "if extra is not None:", f"    {names('x{i}', n=n)}= extra",
+         *(f"    {line}" for line in joints(INJECT, n)), *joints(cls.SOLVE, n)],
+        f"({names('acc{i}', n=n)})")))
+    # energy(terms, w): 0.5 w^T M(q) w
+    energy = compiled(lambda cls, n: staticmethod(define(
+        "energy", "terms, w", n, {"terms": cls.TERMS, "w": ["w{i}"]},
+        joints(cls.ENERGY, n), "energy")))
 
     @property
     def design_tables(self) -> "GridTables":
@@ -190,10 +205,11 @@ def _check_conditioning(lam_min: float, lam_max: float) -> None:
 
 def _spd2_determinant(a: float, b: float, c: float) -> float:
     """Determinant of [[a, b], [b, c]] after its closed-form conditioning check."""
-    tr = a + c
-    disc = math.sqrt(max((a - c) ** 2 + 4.0 * b * b, 0.0))
-    _check_conditioning(0.5 * (tr - disc), 0.5 * (tr + disc))
-    return a * c - b * b
+    # lambda_min as det / lambda_max: 0.5 (tr - disc) would cancel near the limit
+    det = a * c - b * b
+    lam_max = 0.5 * (a + c + math.sqrt(max((a - c) ** 2 + 4.0 * b * b, 0.0)))
+    _check_conditioning(det / lam_max, lam_max)
+    return det
 
 
 @dataclass(frozen=True)
@@ -282,36 +298,31 @@ class TwoLinkArm(RobotModel):
         q = self._check_joint_vector(q, "q")
         return np.array(self.kernel(q)[:2])
 
-    def kernel(self, q):
-        """(g1, g2, a, b, c, det M, h, f1, f2) at q = (q1, q2): g = (g1, g2),
-        M = [[a, b], [b, c]], the Coriolis factor h = coupling sin q2 and
-        F = diag(f1, f2)."""
-        alpha, beta, coupling, a1, a2, f1, f2 = self._constants
-        q1, q2 = q
-        c2 = math.cos(q2)
-        c12 = math.cos(q1 + q2)
+    # g = (g1, g2), M = [[a, b], [b, c]] with det M, the Coriolis factor
+    # h = coupling sin q2, so that C(q, w) = h [[-w2, -(w1 + w2)], [w1, 0]]
+    # as in coriolis(), and F = diag(f1, f2)
+    CONSTANTS = ("alpha", "beta", "coupling", "a1", "a2", "f1", "f2")
+    TERMS = ("g1", "g2", "a", "b", "c", "det", "h", "f1", "f2")
+    KERNEL = """
+        c2 = cos(q2)
+        c12 = cos(q1 + q2)
         a = alpha + 2.0 * coupling * c2
         b = beta + coupling * c2
-        return (a1 * math.cos(q1) + a2 * c12, a2 * c12, a, b, beta, a * beta - b * b,
-                coupling * math.sin(q2), f1, f2)
-
-    @staticmethod
-    def accel(terms, tau, w, extra=None):
-        g1, g2, a, b, c, det, h, f1, f2 = terms
-        w1, w2 = w
-        # C(q, w) w with C as in coriolis()
-        r1 = tau[0] - (-h * w2 * w1 + -h * (w1 + w2) * w2) - f1 * w1 - g1
-        r2 = tau[1] - h * w1 * w1 - f2 * w2 - g2
-        if extra is not None:
-            r1 += extra[0]
-            r2 += extra[1]
-        return (c * r1 - b * r2) / det, (a * r2 - b * r1) / det
-
-    @staticmethod
-    def energy(terms, w):
-        a, b, c = terms[2:5]
-        w1, w2 = w
-        return 0.5 * ((w1 * a + w2 * b) * w1 + (w1 * b + w2 * c) * w2)
+        c = beta
+        det = a * beta - b * b
+        g1 = a1 * cos(q1) + a2 * c12
+        g2 = a2 * c12
+        h = coupling * sin(q2)
+    """
+    RESIDUAL = """
+        r1 = tau1 - (-h * w2 * w1 + -h * (w1 + w2) * w2) - f1 * w1 - g1
+        r2 = tau2 - h * w1 * w1 - f2 * w2 - g2
+    """
+    SOLVE = """
+        acc1 = (c * r1 - b * r2) / det
+        acc2 = (a * r2 - b * r1) / det
+    """
+    ENERGY = "energy = 0.5 * ((w1 * a + w2 * b) * w1 + (w1 * b + w2 * c) * w2)"
 
     def potential(self, q) -> float:
         q = self._check_joint_vector(q, "q")
@@ -377,38 +388,17 @@ class SingleLinkModel(RobotModel):
     def design_grid(self) -> np.ndarray:
         return np.zeros((1, 1))
 
-    def kernel(self, q):
-        """(g = 0, m, d): constant inertia m and damping d."""
-        return 0.0, self.inertia_value, self.damping
+    # constant inertia m and damping d, no gravity
+    CONSTANTS = ("m", "d")
+    TERMS = ("g1", "m", "d")
+    KERNEL = "g1 = 0.0"
+    RESIDUAL = "r1 = tau1 - d * w1"
+    SOLVE = "acc1 = r1 / m"
+    ENERGY = "energy = 0.5 * (w1 * m * w1)"
 
-    @staticmethod
-    def accel(terms, tau, w, extra=None):
-        _, m, d = terms
-        r = tau[0] - d * w[0]
-        if extra is not None:
-            r += extra[0]
-        return (r / m,)
-
-    @staticmethod
-    def energy(terms, w):
-        return 0.5 * (w[0] * terms[1] * w[0])
-
-
-class JointOps(NamedTuple):
-    """Joint-vector helpers: axpy(a, x, y) = a x + y, sub(x, y) = x - y, scale(a, x) = a x."""
-
-    axpy: Callable
-    sub: Callable
-    scale: Callable
-
-
-# The helpers unrolled for each joint count a model has (JOINT_OPS[model.n]).
-JOINT_OPS = {
-    1: JointOps(lambda a, x, y: (a * x[0] + y[0],), lambda x, y: (x[0] - y[0],),
-                lambda a, x: (a * x[0],)),
-    2: JointOps(lambda a, x, y: (a * x[0] + y[0], a * x[1] + y[1]),
-                lambda x, y: (x[0] - y[0], x[1] - y[1]), lambda a, x: (a * x[0], a * x[1])),
-}
+    @property
+    def _constants(self) -> tuple[float, float]:
+        return self.inertia_value, self.damping
 
 
 def inertia_solver(m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -8,12 +8,14 @@ error starts inside a computable region.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import JOINT_OPS, JointOps, RobotModel, spectral_bounds
+from .dynamics import RobotModel, spectral_bounds
+from .equations import define, joints, names
 
 # Positive floor applied to designed gains (the grid formula can go negative
 # when dissipation already dominates the Coriolis term).
@@ -51,13 +53,38 @@ class GainDesign:
         return self.eta * math.sqrt(self.lambda1 / self.lambda2)
 
 
-def reduced_rate(ops: JointOps, accel, terms, tau, xhat2, k0: float) -> tuple[float, ...]:
-    """dz/dt on Python floats, from the model's `accel` and kernel terms at y.
+# The observers' equations as text (see `equations`), on the positions q.
+# The reduced observer's estimate xhat2 = z + k y; its rate dz/dt = -k xhat2
+# + acc, with acc the model's accel at w = xhat2 (the equivalent form of
+# M dz/dt = -C(y, xhat2) xhat2 - F xhat2 - g(y) - k M xhat2 + tau); and z
+# re-based to the gain k, keeping the estimate across a gain change.
+ESTIMATE = "est{i} = k * q{i} + z{i}"
+REDUCED = "dz{i} = -k * est{i} + acc{i}"
+REBASE = "z{i} = -k * q{i} + est{i}"
+# The full-order observer on (x1_hat, x2_hat) = (ph, vh): the innovation
+# e = y - x1_hat gives dx1_hat = x2_hat + kd e, and x = kp e is the extra
+# torque of the model's accel at w = x2_hat.
+FULL = """
+    e{i} = q{i} - ph{i}
+    dph{i} = kd * e{i} + vh{i}
+    x{i} = kp * e{i}
+"""
 
-    Equivalent form of M(y) dz/dt = -C(y, xhat2) xhat2 - F xhat2 - g(y)
-    - k0 M(y) xhat2 + tau, with the linear output injection k(y) = k0 y.
-    """
-    return ops.axpy(-k0, xhat2, accel(terms, tau, xhat2))
+
+@functools.cache
+def _rates(n: int):
+    """REDUCED and FULL compiled for n joints."""
+    reduced = define("reduced", "acc, est, k", n, {"acc": ["acc{i}"], "est": ["est{i}"]},
+                     joints(REDUCED, n), f"({names('dz{i}', n=n)})")
+    full = define("full", "q, ph, vh, kd, kp", n,
+                  {"q": ["q{i}"], "ph": ["ph{i}"], "vh": ["vh{i}"]}, joints(FULL, n),
+                  f"({names('dph{i}', n=n)}), ({names('x{i}', n=n)})")
+    return reduced, full
+
+
+def reduced_rate(model: RobotModel, terms, tau, xhat2, k0: float) -> tuple[float, ...]:
+    """dz/dt (REDUCED) on Python floats, from the model's kernel terms at y."""
+    return _rates(model.n)[0](model.accel(terms, tau, xhat2), xhat2, k0)
 
 
 def reduced_observer_derivative(model: RobotModel, obs: ObserverState,
@@ -65,8 +92,8 @@ def reduced_observer_derivative(model: RobotModel, obs: ObserverState,
     """Time derivative of the observer state z (array wrapper of reduced_rate)."""
     y = model._check_joint_vector(y, "y")
     tau = model._check_joint_vector(tau, "tau")
-    return np.array(reduced_rate(JOINT_OPS[model.n], model.accel, model.kernel(y.tolist()),
-                                 tau.tolist(), obs.estimate(y).tolist(), obs.k0))
+    return np.array(reduced_rate(model, model.kernel(y.tolist()), tau.tolist(),
+                                 obs.estimate(y).tolist(), obs.k0))
 
 
 def _check_design_inputs(eta: float, v_max: float) -> None:
@@ -127,19 +154,11 @@ class FullOrderObserverState:
         self.x2_hat = np.asarray(self.x2_hat, dtype=float)
 
 
-def full_rate(ops: JointOps, accel, terms, tau, y, x1_hat, x2_hat, kd: float, kp: float
+def full_rate(model: RobotModel, terms, tau, y, x1_hat, x2_hat, kd: float, kp: float
               ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(dx1_hat, dx2_hat) on Python floats, from the model's `accel` and
-    kernel terms at y.
-
-    Copies the plant model and injects the position innovation e = y - x1_hat
-    into both equations:
-
-        dx1_hat = x2_hat + kd e
-        M(y) dx2_hat = -C(y, x2_hat) x2_hat - F x2_hat - g(y) + tau + kp e
-    """
-    e = ops.sub(y, x1_hat)
-    return ops.axpy(kd, e, x2_hat), accel(terms, tau, x2_hat, ops.scale(kp, e))
+    """(dx1_hat, dx2_hat) (FULL) on Python floats, from the model's kernel terms at y."""
+    dx1, extra = _rates(model.n)[1](y, x1_hat, x2_hat, kd, kp)
+    return dx1, model.accel(terms, tau, x2_hat, extra)
 
 
 def full_order_observer_derivative(model: RobotModel, obs: FullOrderObserverState,
@@ -149,7 +168,6 @@ def full_order_observer_derivative(model: RobotModel, obs: FullOrderObserverStat
     (array wrapper of full_rate)."""
     y = model._check_joint_vector(y, "y")
     tau = model._check_joint_vector(tau, "tau")
-    d1, d2 = full_rate(JOINT_OPS[model.n], model.accel, model.kernel(y.tolist()),
-                       tau.tolist(), y.tolist(), obs.x1_hat.tolist(),
-                       obs.x2_hat.tolist(), obs.kd, obs.kp)
+    d1, d2 = full_rate(model, model.kernel(y.tolist()), tau.tolist(), y.tolist(),
+                       obs.x1_hat.tolist(), obs.x2_hat.tolist(), obs.kd, obs.kp)
     return np.array(d1), np.array(d2)

@@ -1,10 +1,12 @@
 """Fixed-step integration of the coupled plant / observer / switching system.
 
 The plant and the enabled observers are integrated jointly with classical
-RK4 on Python floats.  Every RHS evaluation goes through the model's float
-kernel (the configuration terms, checked once when the model was built), its
-`accel` and the observers' float derivatives, the same equations that the
-array functions in `dynamics` and `observers` wrap.  The switching logic is
+RK4 on Python floats.  Every RHS evaluation is one call of a flat function
+compiled for the scenario's shape (model class, law class, observer mode)
+from the equation text of the model, the law and the observers: the text
+that also compiles into the per-equation functions (`kernel`, `accel`,
+`float_torque`, `reduced_rate`, `full_rate`) that the array functions in
+`dynamics` and `observers` wrap.  The switching logic is
 evaluated at step boundaries only; when a jump changes the scheduled gain,
 the observer's internal state z is re-based so that the velocity estimate
 xhat2 = z + k y stays continuous across the jump.
@@ -18,10 +20,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import JOINT_OPS, RobotModel
+from .dynamics import INJECT, RobotModel
+from .equations import define, joints, names, rename, source
 from .hybrid_logic import (GainSchedule, HybridConfig, initialize_logic,
                            step_logic, velocity_sandwich)
-from .observers import GainDesign, compute_k0, full_rate, reduced_rate
+from .observers import ESTIMATE, FULL, REBASE, REDUCED, GainDesign, compute_k0
 
 OBSERVER_MODES = ("reduced", "full", "both")
 GAIN_MODES = ("constant", "scheduled")
@@ -237,13 +240,13 @@ class Trajectory:
         t = data[:, 0]
         est = data[:, 5:7]
         # the logic jumps at most once per step, so changes between rows
-        # recover the flow-phase events; time-zero initialization jumps
-        # happen before the first sample and are not in the file
-        events = [
-            JumpEvent(float(t[i]), int(r[i - 1]), int(r[i]),
-                      float(np.linalg.norm(est[i])), int(i))
-            for i in np.flatnonzero(np.diff(r)) + 1
-        ]
+        # recover the flow-phase events, with the norm simulate records;
+        # time-zero initialization jumps happen before the first sample and
+        # are not in the file
+        steps = np.flatnonzero(np.diff(r)) + 1
+        norms = map(math.hypot, est[steps, 0].tolist(), est[steps, 1].tolist())
+        events = list(map(JumpEvent, t[steps].tolist(), r[steps - 1].tolist(),
+                          r[steps].tolist(), norms, steps.tolist()))
         return cls(
             t=t, x1=data[:, 1:3], x2=data[:, 3:5],
             xhat2_reduced=est, eps_norm=data[:, 7], v_lyap=data[:, 8],
@@ -266,6 +269,61 @@ def rk4_ops(width: int) -> tuple[Callable, Callable]:
     return eval(stage), eval(final)
 
 
+# The velocity-estimation error of the fed-back estimate xh.
+ERROR = "eps{i} = v{i} - xh{i}"
+
+
+@functools.cache
+def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
+    """factory(*model._constants, *law._constants, kd, kp) for one scenario
+    shape, built on first use.  It returns, for the packed state s (x1, x2,
+    then z and (x1_hat, x2_hat) as the mode has them) and the reduced gain k:
+    pack(x1, x2, xhat2, k), the packed state; rhs(t, s, k), its derivative;
+    sample(t, s, k, r), the derivative and the sample row (eps_norm, V, r, k,
+    |xhat2|, |xhat2|, tau); estimate_norm(s, k) and rebase(s, k, k_new), s
+    with z re-based to the gain k_new (both None without the reduced
+    observer).  All inline the equation text, bit for bit the composition
+    of the per-equation functions."""
+    n = model_cls.n
+    red, full = mode in ("reduced", "both"), mode in ("full", "both")
+    state = "(%s)" % names("q{i}", "v{i}", *["z{i}"] * red, *["ph{i}", "vh{i}"] * full, n=n)
+    fed = "est" if red else "vh"
+
+    def text(eq: str, **bases: str) -> list[str]:
+        return rename(joints(eq, n), **bases)
+
+    def accel(w: str, acc: str, extra: bool = False) -> list[str]:
+        inject = joints(INJECT, n) if extra else []
+        return rename([*joints(model_cls.RESIDUAL, n), *inject, *joints(model_cls.SOLVE, n)],
+                      w=w, acc=acc)
+
+    body = [f"{state} = s", *joints(model_cls.KERNEL, n), *(text(ESTIMATE) * red),
+            *text(law_cls.LAW, xh=fed), *accel("v", "dv")]
+    if red:
+        body += accel("est", "ar") + text(REDUCED, acc="ar")
+    if full:
+        body += text(FULL) + accel("vh", "dvh", extra=True)
+    rates = "(%s)" % names("v{i}", "dv{i}", *["dz{i}"] * red, *["dph{i}", "dvh{i}"] * full,
+                          n=n)
+    record = [*text(ERROR, xh=fed), *text(model_cls.ENERGY, w="eps", energy="V"),
+              f"nrm = hypot({names(fed + '{i}', n=n)})"]
+    row = f"(hypot({names('eps{i}', n=n)}), V, r, k, nrm, nrm, {names('tau{i}', n=n)})"
+    unpack = [f"({names(v + '{i}', n=n)}) = {v}" for v in ("q", "v", "est")]
+    lines = [*source("pack", "q, v, est, k", [*unpack, *(text(REBASE) * red),
+                                               *text("ph{i} = q{i}\nvh{i} = est{i}") * full],
+                     state),
+             *source("rhs", "t, s, k", body, rates),
+             *source("sample", "t, s, k, r", body + record, f"{rates}, {row}")]
+    lines += [*source("estimate_norm", "s, k", [f"{state} = s", *text(ESTIMATE)],
+                      f"hypot({names('est{i}', n=n)})"),
+              *source("rebase", "s, k, k_new", [f"{state} = s", *text(ESTIMATE),
+                                                *text(REBASE, k="k_new")], state)
+              ] if red else ["estimate_norm = rebase = None"]
+    params = names(*model_cls.CONSTANTS, *law_cls.CONSTANTS, "kd", "kp", n=n)
+    return define("factory", params, n, {}, lines,
+                  "pack, rhs, sample, estimate_norm, rebase")
+
+
 def within_blowup_limit(state) -> bool:
     """True iff every |x| in state is <= BLOWUP_LIMIT; false for a NaN, which
     max(map(abs, state)) would pass over anywhere but first."""
@@ -279,14 +337,10 @@ def simulate(scenario: Scenario) -> Trajectory:
     n = model.n
     use_red = scenario.observer_mode in ("reduced", "both")
     use_full = scenario.observer_mode in ("full", "both")
-    kernel, accel, energy = model.kernel, model.accel, model.energy
-    ops = JOINT_OPS[n]
-    axpy, sub = ops.axpy, ops.sub
-    law = scenario.controller.float_torque
+    law = scenario.controller
     hybrid = scenario.hybrid
     dt = scenario.dt
     eta = scenario.eta
-    hypot = math.hypot
 
     # Spectral constants and the constant-mode gain; in scheduled mode the
     # design speed bound of the starting band keeps the record meaningful.
@@ -298,7 +352,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     if scenario.gain_mode == "scheduled":
         schedule = GainSchedule(model, hybrid)
         init_events: list = []
-        logic = initialize_logic(hybrid, schedule, hypot(*scenario.xhat2_0.tolist()),
+        logic = initialize_logic(hybrid, schedule, math.hypot(*scenario.xhat2_0.tolist()),
                                  scenario.r_guess, events=init_events)
         for old_r, new_r, nrm in init_events:
             events.append(JumpEvent(0.0, old_r, new_r, nrm, 0))
@@ -310,33 +364,13 @@ def simulate(scenario: Scenario) -> Trajectory:
         r_rec = 0
     kp = kd * kd
 
-    # Packed state, a tuple of floats: x1, x2, then z and the full-order
-    # states (x1_hat, x2_hat) as enabled.
+    factory = flat_rhs(type(model), type(law), scenario.observer_mode)
+    pack, rhs, sample, estimate_norm, rebase = factory(*model._constants, *law._constants,
+                                                       kd, kp)
+    s = pack(scenario.q0.tolist(), scenario.v0.tolist(), scenario.xhat2_0.tolist(), k)
     n2 = 2 * n
     n3 = 3 * n
-    h1 = n3 if use_red else n2
-    h2 = h1 + n
-    s = scenario.q0.tolist() + scenario.v0.tolist()
-    if use_red:
-        s += (scenario.xhat2_0 - k * scenario.q0).tolist()
-    if use_full:
-        s += scenario.q0.tolist() + scenario.xhat2_0.tolist()
-    s = tuple(s)
-
-    def rhs(t, s, k):
-        """Packed derivative, torque, fed-back estimate and kernel terms."""
-        q = s[:n]
-        terms = kernel(q)
-        est = axpy(k, q, s[n2:n3]) if use_red else s[h2:h2 + n]
-        tau = law(terms, q, est, t)
-        v = s[n:n2]
-        d = v + accel(terms, tau, v)
-        if use_red:
-            d += reduced_rate(ops, accel, terms, tau, est, k)
-        if use_full:
-            d1, d2 = full_rate(ops, accel, terms, tau, q, s[h1:h2], s[h2:h2 + n], kd, kp)
-            d += d1 + d2
-        return d, tau, est, terms
+    h2 = (n3 if use_red else n2) + n
 
     n_samples = scenario.sample_count()
     states = np.empty((n_samples, len(s)))
@@ -353,30 +387,26 @@ def simulate(scenario: Scenario) -> Trajectory:
         srows, erows = [], []
         for i in range(start, min(start + CSV_BLOCK_ROWS, n_samples)):
             t = i * dt
-            d1, tau_i, est, terms = rhs(t, s, k)
-            eps = sub(s[n:n2], est)
-            nrm = hypot(*est)
+            d1, row = sample(t, s, k, r_rec)
             srows.append(s)
-            erows.append((hypot(*eps), energy(terms, eps), r_rec, k, nrm, nrm, *tau_i))
+            erows.append(row)
             if i == n_samples - 1:
                 break
-            d2 = rhs(t + half, stage(s, half, d1), k)[0]
-            d3 = rhs(t + half, stage(s, half, d2), k)[0]
-            d4 = rhs(t + dt, stage(s, dt, d3), k)[0]
+            d2 = rhs(t + half, stage(s, half, d1), k)
+            d3 = rhs(t + half, stage(s, half, d2), k)
+            d4 = rhs(t + dt, stage(s, dt, d3), k)
             s = final(s, sixth, d1, d2, d3, d4)
             if not within_blowup_limit(s):
                 raise SimulationBlowUp(
                     f"state component left |x| <= {BLOWUP_LIMIT:g} at t = {t + dt:.6f}")
             if logic is not None:
-                y_new = s[:n]
-                est_new = axpy(k, y_new, s[n2:n3])
-                nrm = hypot(*est_new)
+                nrm = estimate_norm(s, k)
                 stepped = step_logic(hybrid, schedule, logic, nrm)
                 if stepped is not logic:
                     events.append(JumpEvent(t + dt, logic.r, stepped.r, nrm, i + 1))
                     # re-base z so the estimate is continuous across the gain change
+                    s = rebase(s, k, stepped.k_r)
                     k = stepped.k_r
-                    s = s[:n2] + axpy(-k, y_new, est_new) + s[n3:]
                     r_rec = stepped.r
                     logic = stepped
         states[start:start + len(srows)] = srows

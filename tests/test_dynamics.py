@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from velobs.dynamics import (
     INERTIA_COND_LIMIT,
-    JOINT_OPS,
     PlantState,
     SingleLinkModel,
     SingularInertiaError,
@@ -247,6 +247,37 @@ def test_construction_check_examples():
     assert check_fails(kernel, 0.0) and len(kernel((0.0, 0.0))) == 9
 
 
+def exceeds_limit_exactly(a: float, b: float, c: float) -> bool:
+    """lambda_max > INERTIA_COND_LIMIT * lambda_min for [[a, b], [b, c]], in
+    exact rational arithmetic: with lambda = (tr +- disc) / 2 the inequality
+    is disc (1 + L) > tr (L - 1), squared (both sides positive, tr > 0)."""
+    a, b, c, lim = (Fraction(x) for x in (a, b, c, INERTIA_COND_LIMIT))
+    return ((a - c) ** 2 + 4 * b * b) * (1 + lim) ** 2 > (a + c) ** 2 * (lim - 1) ** 2
+
+
+def cancelling_check_fails(kernel, q2: float) -> bool:
+    """The per-point check with lambda_min = 0.5 (tr - disc), which cancels."""
+    a, b, c = kernel((0.0, q2))[2:5]
+    tr, disc = a + c, math.sqrt((a - c) ** 2 + 4.0 * b * b)
+    return 0.5 * (tr + disc) > INERTIA_COND_LIMIT * (0.5 * (tr - disc))
+
+
+def test_construction_check_near_the_limit_is_the_exact_scan():
+    # m2 >> m1 and l2 >> l1 put the conditioning within rounding of the
+    # limit, where 0.5 (tr - disc) cancels to a relative error near 1e-4.
+    params = TwoLinkParams(m1=1e-9, m2=1.0, l1=1.0, l2=433010.91445126466)
+    kernel = unchecked_kernel(params)
+    scan = np.linspace(0.0, np.pi, 2049)
+    exact = [q2 for q2 in scan if exceeds_limit_exactly(*kernel((0.0, q2))[2:5])]
+    with pytest.raises(SingularInertiaError):
+        TwoLinkArm(params)
+    assert exact and all(check_fails(kernel, q2) for q2 in exact)
+    # control: the cancelling formula passes both ends, so the arm would
+    # construct, yet it fails inside the scan
+    assert not any(cancelling_check_fails(kernel, q2) for q2 in (0.0, np.pi))
+    assert any(cancelling_check_fails(kernel, q2) for q2 in scan)
+
+
 def test_joint_vector_shape_is_checked(arm):
     with pytest.raises(ValueError):
         arm.inertia(np.zeros(3))
@@ -326,18 +357,3 @@ def test_single_link_model_terms(single):
     assert single.potential(q) == 0.0
     assert single.c0_bound(q) == 0.0
     assert np.allclose(single.dissipation, [[0.4]])
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_joint_ops_are_the_vector_formulas(n):
-    ops = JOINT_OPS[n]
-    rng = np.random.default_rng(n)
-    for _ in range(20):
-        a = float(rng.normal() * 10.0)
-        x, y = rng.normal(size=n) * 3.0, rng.normal(size=n) * 3.0
-        xs, ys = tuple(x.tolist()), tuple(y.tolist())
-        # numpy's elementwise float64 arithmetic rounds as Python floats do
-        assert ops.axpy(a, xs, ys) == tuple((a * x + y).tolist())
-        assert ops.sub(xs, ys) == tuple((x - y).tolist())
-        assert ops.scale(a, xs) == tuple((a * x).tolist())
-    assert sorted(JOINT_OPS) == [1, 2]

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from velobs.dynamics import PlantState, SingleLinkModel, forward_dynamics, inertia_solver
+from velobs.dynamics import (PlantState, SingleLinkModel, TwoLinkArm, forward_dynamics,
+                             inertia_solver)
 from velobs.observers import (
     K_MIN,
     FullOrderObserverState,
@@ -15,7 +16,9 @@ from velobs.observers import (
     compute_k0_conservative,
     convergence_rate,
     full_order_observer_derivative,
+    full_rate,
     reduced_observer_derivative,
+    reduced_rate,
 )
 
 # Frozen gain-design constants for the two-link arm, eta = 1.
@@ -145,3 +148,23 @@ def test_full_order_derivative_matches_plant_when_synchronized(arm):
     plant = forward_dynamics(arm, PlantState(q, v), tau)
     assert np.allclose(d1, plant.x1)
     assert np.allclose(d2, plant.x2, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_observer_rates_are_the_vector_formulas(n):
+    # the per-joint text written out for n joints is the vector formula:
+    # numpy's elementwise float64 arithmetic rounds as Python floats do
+    model = TwoLinkArm() if n == 2 else SingleLinkModel(2.5, 0.4)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        k, kd, kp = (float(x) for x in rng.uniform(0.1, 50.0, size=3))
+        y, tau, xhat2, x1_hat = (rng.normal(size=n) * 3.0 for _ in range(4))
+        terms = model.kernel(y.tolist())
+        acc = np.array(model.accel(terms, tau.tolist(), xhat2.tolist()))
+        assert reduced_rate(model, terms, tau.tolist(), xhat2.tolist(), k) == tuple(
+            (-k * xhat2 + acc).tolist())
+        e = y - x1_hat
+        d1, d2 = full_rate(model, terms, tau.tolist(), y.tolist(), x1_hat.tolist(),
+                           xhat2.tolist(), kd, kp)
+        assert d1 == tuple((kd * e + xhat2).tolist())
+        assert d2 == model.accel(terms, tau.tolist(), xhat2.tolist(), (kp * e).tolist())

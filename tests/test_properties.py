@@ -22,7 +22,7 @@ from velobs import analysis, simulator
 from velobs.analysis import illegal_jumps
 from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                                 PdConfig, PdGravity)
-from velobs.dynamics import JOINT_OPS, SingleLinkModel, TwoLinkArm, TwoLinkParams
+from velobs.dynamics import SingleLinkModel, TwoLinkArm, TwoLinkParams
 from velobs.hybrid_logic import (SEMANTICS, GainSchedule, HybridConfig,
                                  compute_kr, enter_mode, flow_interval, flow_set,
                                  initialize_logic, step_logic)
@@ -164,6 +164,35 @@ def test_a_strict_threshold_is_caught(monkeypatch):
         check_step(strict_step, cfg, 2, cfg.up_threshold(2))
 
 
+def axpy(a, x, y):
+    return tuple([a * xi + yi for xi, yi in zip(x, y)])
+
+
+def sub(x, y):
+    return tuple([xi - yi for xi, yi in zip(x, y)])
+
+
+def composed_rhs(model, law, mode, kd, kp, t, s, k):
+    """The packed derivative, torque, fed-back estimate and kernel terms,
+    composed from the per-equation functions (never the compiled RHS)."""
+    n = model.n
+    use_red = mode in ("reduced", "both")
+    h1 = 3 * n if use_red else 2 * n
+    h2 = h1 + n
+    q = s[:n]
+    terms = model.kernel(q)
+    est = axpy(k, q, s[2 * n:3 * n]) if use_red else s[h2:h2 + n]
+    tau = law.float_torque(terms, q, est, t)
+    v = s[n:2 * n]
+    d = v + model.accel(terms, tau, v)
+    if use_red:
+        d += reduced_rate(model, terms, tau, est, k)
+    if mode in ("full", "both"):
+        d1, d2 = full_rate(model, terms, tau, q, s[h1:h2], s[h2:h2 + n], kd, kp)
+        d += d1 + d2
+    return d, tau, est, terms
+
+
 def zip_final(s, sixth, d1, d2, d3, d4):
     return tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                   for a, b1, b2, b3, b4 in zip(s, d1, d2, d3, d4)])
@@ -180,9 +209,6 @@ def reference_run(sc: Scenario, final=zip_final):
     model, n = sc.model, sc.model.n
     use_red = sc.observer_mode in ("reduced", "both")
     use_full = sc.observer_mode in ("full", "both")
-    ops = JOINT_OPS[n]
-    axpy, sub = ops.axpy, ops.sub
-    law = sc.controller.float_torque
     cfg, dt, eta = sc.hybrid, sc.dt, sc.eta
     design = compute_k0(model, eta, sc.design_speed())
     events = []
@@ -200,8 +226,6 @@ def reference_run(sc: Scenario, final=zip_final):
     kp = kd * kd
 
     n2, n3 = 2 * n, 3 * n
-    h1 = n3 if use_red else n2
-    h2 = h1 + n
     s = sc.q0.tolist() + sc.v0.tolist()
     if use_red:
         s += (sc.xhat2_0 - k * sc.q0).tolist()
@@ -210,18 +234,7 @@ def reference_run(sc: Scenario, final=zip_final):
     s = tuple(s)
 
     def rhs(t, s, k):
-        q = s[:n]
-        terms = model.kernel(q)
-        est = axpy(k, q, s[n2:n3]) if use_red else s[h2:h2 + n]
-        tau = law(terms, q, est, t)
-        v = s[n:n2]
-        d = v + model.accel(terms, tau, v)
-        if use_red:
-            d += reduced_rate(ops, model.accel, terms, tau, est, k)
-        if use_full:
-            d1, d2 = full_rate(ops, model.accel, terms, tau, q, s[h1:h2], s[h2:h2 + n], kd, kp)
-            d += d1 + d2
-        return d, tau, est, terms
+        return composed_rhs(model, sc.controller, sc.observer_mode, kd, kp, t, s, k)
 
     states, extra = [], []
     n_samples = sc.sample_count()
@@ -351,3 +364,76 @@ def test_a_reordered_final_stage_is_caught():
 
     with pytest.raises(AssertionError):
         check_run(sc, reordered)
+
+
+def compiled_matches_composition(model_cls, model, law, mode, t, s, k, kd, kp, r, k_new):
+    """flat_rhs of this shape, bound to these numbers, equals the composition
+    of the per-equation functions bit for bit."""
+    pack, rhs, sample, estimate_norm, rebase = simulator.flat_rhs(model_cls, type(law), mode)(
+        *model._constants, *law._constants, kd, kp)
+    d, tau, est, terms = composed_rhs(model, law, mode, kd, kp, t, s, k)
+    n = model.n
+    q, v = s[:n], s[n:2 * n]
+    eps = sub(v, est)
+    nrm = math.hypot(*est)
+    row = (math.hypot(*eps), model.energy(terms, eps), r, k, nrm, nrm, *tau)
+    # the initial state: z from the estimate as simulate packed it before
+    z0 = tuple((np.array(est) - k * np.array(q)).tolist())
+    packed = q + v + z0 * (mode != "full") + (q + est) * (mode != "reduced")
+    got = [pack(q, v, est, k), rhs(t, s, k), *sample(t, s, k, r)]
+    want = [packed, d, d, row]
+    if mode != "full":
+        z_new = axpy(-k_new, s[:n], est)
+        got += [estimate_norm(s, k), rebase(s, k, k_new)]
+        want += [nrm, s[:2 * n] + z_new + s[3 * n:]]
+    else:
+        assert estimate_norm is rebase is None
+    return all(same_bits(g, w) for g, w in zip(got, want))
+
+
+@st.composite
+def shapes(draw):
+    """A model, a law that fits it, an observer mode and a packed state."""
+    if draw(st.booleans()):
+        model = TwoLinkArm(TwoLinkParams(
+            m1=draw(st.floats(0.5, 30.0)), m2=draw(st.floats(0.5, 30.0)),
+            l1=draw(st.floats(0.3, 2.0)), l2=draw(st.floats(0.3, 2.0)),
+            f1=draw(st.floats(0.0, 1.0)), f2=draw(st.floats(0.0, 1.0))), grid_points=64)
+        laws = ["open_loop_1", "open_loop_2", "constant", "pd"]
+    else:
+        model = SingleLinkModel(draw(st.floats(0.1, 10.0)), draw(st.floats(0.0, 2.0)))
+        laws = ["constant", "pd"]
+    n = model.n
+
+    def vec(lo, hi, size=n):
+        return [draw(st.floats(lo, hi)) for _ in range(size)]
+
+    law = {"open_loop_1": OpenLoopBounded, "open_loop_2": OpenLoopUnbounded,
+           "constant": lambda: ConstantTorque(vec(-10.0, 10.0)),
+           "pd": lambda: PdGravity(PdConfig(kp=vec(1.0, 40.0), kd=vec(1.0, 30.0),
+                                            x_ref=vec(-1.0, 1.0)))}[draw(st.sampled_from(laws))]()
+    mode = draw(st.sampled_from(OBSERVER_MODES))
+    width = {"reduced": 3, "full": 4, "both": 5}[mode] * n
+    return model, law, mode, tuple(vec(-5.0, 5.0, width))
+
+
+@settings(database=None, deadline=None, max_examples=150)
+@given(shapes(), st.floats(0.0, 50.0), st.floats(0.01, 100.0), st.floats(0.01, 100.0),
+       st.floats(0.01, 100.0), st.integers(0, 50), st.floats(0.01, 100.0))
+def test_the_compiled_rhs_is_the_composition(shape, t, k, kd, kp, r, k_new):
+    model, law, mode, s = shape
+    assert compiled_matches_composition(type(model), model, law, mode, t, s, k, kd, kp, r, k_new)
+
+
+class OneUlpArm(TwoLinkArm):
+    """The two-link arm with one kernel constant moved by one ulp."""
+
+    KERNEL = TwoLinkArm.KERNEL.replace("alpha + 2.0 *", f"alpha + {math.nextafter(2.0, 3.0)!r} *")
+
+
+def test_a_one_ulp_template_change_is_caught():
+    assert OneUlpArm.KERNEL != TwoLinkArm.KERNEL
+    s = (0.3, -0.8, 1.2, -0.4, 0.1, 0.2, 0.3, -0.7, 0.9, 0.5)
+    args = (ARM, OpenLoopUnbounded(), "both", 0.7, s, 5.0, 10.0, 100.0, 2, 7.5)
+    assert compiled_matches_composition(TwoLinkArm, *args)
+    assert not compiled_matches_composition(OneUlpArm, *args)

@@ -204,10 +204,12 @@ def test_blow_up_detection(arm):
 
 
 def test_blow_up_check_catches_a_trailing_nan(arm, monkeypatch):
-    # NaN full-observer rates turn the observer states, last in the packed
-    # state, NaN while the plant ahead of them stays finite.
-    nan_rate = (math.nan, math.nan)
-    monkeypatch.setattr(simulator, "full_rate", lambda *args: (nan_rate, nan_rate))
+    # NaN full-observer gains, bound into the compiled RHS through its
+    # factory, turn the observer states, last in the packed state, NaN while
+    # the plant ahead of them stays finite.
+    flat_rhs = simulator.flat_rhs
+    monkeypatch.setattr(simulator, "flat_rhs", lambda *shape: lambda *numbers: flat_rhs(
+        *shape)(*numbers[:-2], math.nan, math.nan))
     sc = make_scenario(arm, observer_mode="full", t_final=0.01)
     assert not simulator.within_blowup_limit((0.0, 1.0, math.nan))
     with pytest.raises(SimulationBlowUp, match="t = 0.001000"):
@@ -297,6 +299,23 @@ def test_csv_reload_reconstructs_jump_events(example2_traj, tmp_path):
                        [ev.time for ev in orig], rtol=0.0, atol=1e-12)
     assert np.allclose([ev.est_norm for ev in back.jump_events],
                        [ev.est_norm for ev in orig], rtol=1e-9, atol=0.0)
+
+
+def test_csv_reload_events_are_the_mode_change_rows(example2_traj, tmp_path):
+    path = tmp_path / "e2.csv"
+    example2_traj.to_csv(path)
+    back = Trajectory.from_csv(path)
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    r = data[:, simulator.CSV_COLUMNS.index("r")]
+    changed = [i for i in range(1, len(r)) if r[i] != r[i - 1]]
+    col = simulator.CSV_COLUMNS.index("dq1_hat")
+    want = [(data[i, 0], int(r[i - 1]), int(r[i]),
+             math.hypot(data[i, col], data[i, col + 1]), i) for i in changed]
+    assert changed and back.jump_events == want
+    assert all(type(v) in (int, float) for ev in back.jump_events for v in ev)
+    # sabotage control: the numpy norm of the same columns differs somewhere
+    assert [ev.est_norm for ev in back.jump_events] != [
+        float(np.linalg.norm(data[i, col:col + 2])) for i in changed]
 
 
 def test_csv_header_is_checked(arm, tmp_path):
