@@ -1,12 +1,9 @@
 """Simulation toolkit for reduced-order manipulator velocity observers."""
 
 from .dynamics import (PlantState, RobotModel, SingleLinkModel, SingularInertiaError,
-                       TwoLinkArm, TwoLinkParams, forward_dynamics, spectral_bounds,
-                       total_energy)
-from .observers import (K_MIN, FullOrderObserverState, GainDesign,
-                        ObserverState, compute_k0, compute_k0_conservative,
-                        convergence_rate, full_order_observer_derivative,
-                        reduced_observer_derivative)
+                       TwoLinkArm, TwoLinkParams, spectral_bounds, total_energy)
+from .observers import (K_MIN, GainDesign, compute_k0, compute_k0_conservative,
+                        convergence_rate)
 from .hybrid_logic import (GainSchedule, HybridConfig, LogicState, compute_kr,
                            enter_mode, flow_interval, flow_set, initialize_logic,
                            jump_down_set, jump_up_set, step_logic,
@@ -16,8 +13,7 @@ from .controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
 from .simulator import (JumpEvent, Scenario, ScenarioError, SimulationBlowUp,
                         Trajectory, builtin_scenarios, simulate)
 from .analysis import (LyapunovCheck, chatter_score, check_lyapunov_decrease,
-                       illegal_jumps, lyapunov_value, report_lines,
-                       sandwich_violations, scenario_checks, settling_time,
-                       ultimate_r_constant)
+                       illegal_jumps, report_lines, sandwich_violations,
+                       scenario_checks, settling_time, ultimate_r_constant)
 
 __version__ = "0.1.0"

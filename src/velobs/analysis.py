@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RobotModel
 from .hybrid_logic import flow_interval, jump_down_set, jump_up_set
 from .observers import GainDesign
 from .simulator import Trajectory
@@ -20,14 +19,6 @@ CHATTER_WINDOW = 10
 # A sample pair breaks the Lyapunov decrease when V grows by more than
 # LYAPUNOV_TOL * (1 + V).
 LYAPUNOV_TOL = 1e-8
-
-
-def lyapunov_value(model: RobotModel, eps, y) -> float:
-    """Quadratic error energy 0.5 * eps^T M(y) eps (the kernel's energy form,
-    which also writes the V column)."""
-    eps = model._check_joint_vector(eps, "eps")
-    y = model._check_joint_vector(y, "y")
-    return model.energy(model.kernel(y.tolist()), eps.tolist())
 
 
 @dataclass

@@ -227,7 +227,7 @@ def cmd_check(args) -> int:
     traj.scenario = sc
     if sc.observer_mode == "full":
         # the file's estimate column is the active observer's
-        traj.active, traj.xhat2_full, traj.xhat2_reduced = "full", traj.xhat2_reduced, None
+        traj.xhat2_full, traj.xhat2_reduced = traj.xhat2_reduced, None
     design = compute_k0(sc.model, sc.eta, sc.design_speed())
     lines, passed = diagnose(traj, design)
     text = "\n".join(lines)

@@ -408,15 +408,6 @@ def inertia_solver(m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda rhs: np.linalg.solve(m, rhs)
 
 
-def forward_dynamics(model: RobotModel, state: PlantState, tau: np.ndarray) -> PlantState:
-    """Plant state derivative (x2, acceleration) under applied torque tau."""
-    tau = model._check_joint_vector(tau, "tau")
-    x1 = model._check_joint_vector(state.x1, "x1")
-    x2 = model._check_joint_vector(state.x2, "x2")
-    terms = model.kernel(x1.tolist())
-    return PlantState(x2.copy(), np.array(model.accel(terms, tau.tolist(), x2.tolist())))
-
-
 class GridTables(NamedTuple):
     """Per-grid-row inertia eigenvalue range and Coriolis bound."""
 

@@ -111,25 +111,16 @@ def flow_interval(config: HybridConfig, r: int) -> tuple[float, float] | None:
 
 def compute_kr(model: RobotModel, config: HybridConfig, r: int) -> float:
     """Scheduled gain of mode r: the constant design for speeds up to r * v_bar."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
     return compute_k0(model, config.eta, r * config.v_bar).k0
 
 
 class GainSchedule:
-    """Gain k_r and LogicState of each mode, made when first asked for."""
+    """The LogicState of each mode, with its designed gain, made when first entered."""
 
     def __init__(self, model: RobotModel, config: HybridConfig):
         self.model = model
         self.config = config
-        self._gains: dict[int, float] = {}
         self.states: dict[int, LogicState] = {}
-
-    def gain(self, r: int) -> float:
-        k = self._gains.get(r)
-        if k is None:
-            k = self._gains[r] = compute_kr(self.model, self.config, r)
-        return k
 
 
 class LogicState(NamedTuple):
@@ -141,43 +132,44 @@ class LogicState(NamedTuple):
     down: float     # jump_down_set is nrm <= down; -inf at the floor mode
 
 
-def enter_mode(config: HybridConfig, schedule: GainSchedule, r: int) -> LogicState:
-    """The logic state of mode r, with its gain and jump thresholds, built on
-    the first entry and kept by the schedule (whose config this must be)."""
+def enter_mode(schedule: GainSchedule, r: int) -> LogicState:
+    """The logic state of mode r, with its gain (compute_kr) and jump
+    thresholds, built on the first entry and kept by the schedule."""
     state = schedule.states.get(r)
     if state is None:
+        config = schedule.config
         _check_mode(config, r)
         down = config.down_threshold(r) if r > config.r_min else -math.inf
-        state = schedule.states[r] = LogicState(r, schedule.gain(r),
+        state = schedule.states[r] = LogicState(r, compute_kr(schedule.model, config, r),
                                                 config.up_threshold(r), down)
     return state
 
 
-def step_logic(config: HybridConfig, schedule: GainSchedule, state: LogicState,
-               nrm: float) -> LogicState:
+def step_logic(schedule: GainSchedule, state: LogicState, nrm: float) -> LogicState:
     """Apply at most one jump; an up-jump wins when both sets are hit.
 
-    Two compares against the thresholds that enter_mode took from config.
+    Two compares against the thresholds that enter_mode took from the
+    schedule's config.
     """
     if nrm >= state.up:
-        return enter_mode(config, schedule, state.r + 1)
+        return enter_mode(schedule, state.r + 1)
     if nrm <= state.down:
-        return enter_mode(config, schedule, state.r - 1)
+        return enter_mode(schedule, state.r - 1)
     return state
 
 
-def initialize_logic(config: HybridConfig, schedule: GainSchedule, nrm: float,
-                     r_guess: int, *, events: list | None = None) -> LogicState:
+def initialize_logic(schedule: GainSchedule, nrm: float, r_guess: int, *,
+                     events: list | None = None) -> LogicState:
     """Settle the logic index at time zero by iterating jumps.
 
     Jumps are applied repeatedly until the initial estimate norm is outside the
     active jump sets, or only inside the one that points back to the mode
     just exited (crossing back would cycle forever).  Each applied jump is
     appended to `events` as (old_r, new_r, estimate_norm) when a list is
-    given.  Raises ValueError when MAX_INIT_JUMPS jumps have not settled it.
+    given.  Raises ValueError when r_guess is below r_min (the first jump-set
+    test refuses that mode) or MAX_INIT_JUMPS jumps have not settled it.
     """
-    if r_guess < config.r_min:
-        raise ValueError("r_guess must not be below r_min")
+    config = schedule.config
     r = r_guess
     last = 0                    # direction of the previous jump
     for _ in range(MAX_INIT_JUMPS):
@@ -186,7 +178,7 @@ def initialize_logic(config: HybridConfig, schedule: GainSchedule, nrm: float,
         elif last != 1 and jump_down_set(config, r, nrm):
             step = -1
         else:
-            return enter_mode(config, schedule, r)
+            return enter_mode(schedule, r)
         if events is not None:
             events.append((r, r + step, nrm))
         r += step

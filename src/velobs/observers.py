@@ -22,19 +22,11 @@ from .equations import define, joints, names
 K_MIN = 0.01
 
 
-@dataclass
-class ObserverState:
-    """Internal state z and gain k0 of the reduced-order observer."""
-
-    z: np.ndarray
-    k0: float
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float)
-
-    def estimate(self, y) -> np.ndarray:
-        """Velocity estimate xhat2 = z + k0 * y."""
-        return self.z + self.k0 * np.asarray(y, dtype=float)
+def check_gain(k: float, name: str) -> float:
+    """k, checked to be positive with a finite square (the full observer's kp is k * k)."""
+    if not (k > 0.0 and math.isfinite(k * k)):
+        raise ValueError(f"{name} must be positive with a finite square, got {k:g}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -87,15 +79,6 @@ def reduced_rate(model: RobotModel, terms, tau, xhat2, k0: float) -> tuple[float
     return _rates(model.n)[0](model.accel(terms, tau, xhat2), xhat2, k0)
 
 
-def reduced_observer_derivative(model: RobotModel, obs: ObserverState,
-                                y: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Time derivative of the observer state z (array wrapper of reduced_rate)."""
-    y = model._check_joint_vector(y, "y")
-    tau = model._check_joint_vector(tau, "tau")
-    return np.array(reduced_rate(model, model.kernel(y.tolist()), tau.tolist(),
-                                 obs.estimate(y).tolist(), obs.k0))
-
-
 def _check_design_inputs(eta: float, v_max: float) -> None:
     if eta <= 0.0:
         raise ValueError("eta must be positive")
@@ -112,8 +95,11 @@ def compute_k0(model: RobotModel, eta: float, v_max: float) -> GainDesign:
     """
     _check_design_inputs(eta, v_max)
     tables = model.design_tables
-    ratios = (tables.c0 * (v_max + eta) - model.dissipation_floor()) / tables.lam_min
-    k0 = max(float(ratios.max()), K_MIN)
+    # a speed bound near the float limit overflows here; check_gain refuses
+    # the gain that comes out, so numpy's warning would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = (tables.c0 * (v_max + eta) - model.dissipation_floor()) / tables.lam_min
+    k0 = check_gain(max(float(ratios.max()), K_MIN), "designed gain k0")
     return GainDesign(eta, v_max, k0, *spectral_bounds(model))
 
 
@@ -140,34 +126,9 @@ def convergence_rate(design: GainDesign, eps_max: float) -> float:
     return design.eta - math.sqrt(design.lambda2 / design.lambda1) * eps_max
 
 
-@dataclass
-class FullOrderObserverState:
-    """States and gains of the classical full-order position+velocity observer."""
-
-    x1_hat: np.ndarray
-    x2_hat: np.ndarray
-    kd: float
-    kp: float
-
-    def __post_init__(self):
-        self.x1_hat = np.asarray(self.x1_hat, dtype=float)
-        self.x2_hat = np.asarray(self.x2_hat, dtype=float)
-
-
 def full_rate(model: RobotModel, terms, tau, y, x1_hat, x2_hat, kd: float, kp: float
               ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(dx1_hat, dx2_hat) (FULL) on Python floats, from the model's kernel terms at y."""
     dx1, extra = _rates(model.n)[1](y, x1_hat, x2_hat, kd, kp)
     return dx1, model.accel(terms, tau, x2_hat, extra)
 
-
-def full_order_observer_derivative(model: RobotModel, obs: FullOrderObserverState,
-                                   y: np.ndarray, tau: np.ndarray
-                                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives (dx1_hat, dx2_hat) of the full-order baseline observer
-    (array wrapper of full_rate)."""
-    y = model._check_joint_vector(y, "y")
-    tau = model._check_joint_vector(tau, "tau")
-    d1, d2 = full_rate(model, model.kernel(y.tolist()), tau.tolist(), y.tolist(),
-                       obs.x1_hat.tolist(), obs.x2_hat.tolist(), obs.kd, obs.kp)
-    return np.array(d1), np.array(d2)

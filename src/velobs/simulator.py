@@ -1,12 +1,11 @@
 """Fixed-step integration of the coupled plant / observer / switching system.
 
 The plant and the enabled observers are integrated jointly with classical
-RK4 on Python floats.  Every RHS evaluation is one call of a flat function
-compiled for the scenario's shape (model class, law class, observer mode)
+RK4 on Python floats.  Each step and its sample row is one call of a flat
+function compiled for the scenario's shape (model class, law class, observer mode)
 from the equation text of the model, the law and the observers: the text
 that also compiles into the per-equation functions (`kernel`, `accel`,
-`float_torque`, `reduced_rate`, `full_rate`) that the array functions in
-`dynamics` and `observers` wrap.  The switching logic is
+`float_torque`, `reduced_rate`, `full_rate`).  The switching logic is
 evaluated at step boundaries only; when a jump changes the scheduled gain,
 the observer's internal state z is re-based so that the velocity estimate
 xhat2 = z + k y stays continuous across the jump.
@@ -24,7 +23,7 @@ from .dynamics import INJECT, RobotModel
 from .equations import define, joints, names, rename, source
 from .hybrid_logic import (GainSchedule, HybridConfig, initialize_logic,
                            step_logic, velocity_sandwich)
-from .observers import ESTIMATE, FULL, REBASE, REDUCED, GainDesign, compute_k0
+from .observers import ESTIMATE, FULL, REBASE, REDUCED, GainDesign, check_gain, compute_k0
 
 OBSERVER_MODES = ("reduced", "full", "both")
 GAIN_MODES = ("constant", "scheduled")
@@ -130,10 +129,11 @@ class Scenario:
                 raise ScenarioError("r_guess must not be below r_min")
             if self.k0_override is not None:
                 raise ScenarioError("k0_override applies to the constant gain mode only")
-        # the full observer's kp is k0 * k0
-        if self.k0_override is not None and not (
-                self.k0_override > 0.0 and math.isfinite(self.k0_override * self.k0_override)):
-            raise ScenarioError("k0_override must be positive with a finite square")
+        if self.k0_override is not None:
+            try:
+                check_gain(self.k0_override, "k0_override")
+            except ValueError as exc:
+                raise ScenarioError(str(exc)) from None
         # the integration loop calls the float law unchecked
         try:
             tau = self.controller.torque(self.model, self.q0, self.xhat2_0, 0.0)
@@ -172,7 +172,6 @@ class Trajectory:
     tau: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    active: str = "reduced"
     xhat2_reduced: np.ndarray | None = None
     xhat2_full: np.ndarray | None = None
     z: np.ndarray | None = None
@@ -181,9 +180,14 @@ class Trajectory:
     design: GainDesign | None = None
 
     @property
+    def active(self) -> str:
+        """The observer the scalar columns follow: reduced when present, else full."""
+        return "reduced" if self.xhat2_reduced is not None else "full"
+
+    @property
     def xhat2(self) -> np.ndarray:
         """Estimate of the active observer (reduced when present)."""
-        est = self.xhat2_reduced if self.active == "reduced" else self.xhat2_full
+        est = self.xhat2_reduced if self.xhat2_reduced is not None else self.xhat2_full
         if est is None:
             raise ValueError("active observer estimate is missing")
         return est
@@ -251,22 +255,7 @@ class Trajectory:
             t=t, x1=data[:, 1:3], x2=data[:, 3:5],
             xhat2_reduced=est, eps_norm=data[:, 7], v_lyap=data[:, 8],
             r=r, k_gain=data[:, 10], tau=data[:, 11:13],
-            lower=data[:, 13], upper=data[:, 14], active="reduced",
-            jump_events=events)
-
-
-@functools.cache
-def rk4_ops(width: int) -> tuple[Callable, Callable]:
-    """(stage, final) for a packed state of `width` floats, built on first use:
-    stage(s, h, d) = s + h d and final(s, sixth, d1, d2, d3, d4) =
-    s + sixth (d1 + 2 d2 + 2 d3 + d4), written out element by element in the
-    operation order of the zip comprehension, so bit for bit equal to it."""
-    idx = range(width)
-    stage = "lambda s, h, d: (" + "".join(f"s[{i}] + h * d[{i}], " for i in idx) + ")"
-    final = "lambda s, sixth, d1, d2, d3, d4: (" + "".join(
-        f"s[{i}] + sixth * (d1[{i}] + 2.0 * d2[{i}] + 2.0 * d3[{i}] + d4[{i}]), "
-        for i in idx) + ")"
-    return eval(stage), eval(final)
+            lower=data[:, 13], upper=data[:, 14], jump_events=events)
 
 
 # The velocity-estimation error of the fed-back estimate xh.
@@ -275,18 +264,23 @@ ERROR = "eps{i} = v{i} - xh{i}"
 
 @functools.cache
 def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
-    """factory(*model._constants, *law._constants, kd, kp) for one scenario
+    """factory(*model._constants, *law._constants, kd, kp, dt) for one scenario
     shape, built on first use.  It returns, for the packed state s (x1, x2,
     then z and (x1_hat, x2_hat) as the mode has them) and the reduced gain k:
-    pack(x1, x2, xhat2, k), the packed state; rhs(t, s, k), its derivative;
-    sample(t, s, k, r), the derivative and the sample row (eps_norm, V, r, k,
-    |xhat2|, |xhat2|, tau); estimate_norm(s, k) and rebase(s, k, k_new), s
-    with z re-based to the gain k_new (both None without the reduced
-    observer).  All inline the equation text, bit for bit the composition
-    of the per-equation functions."""
+    pack(x1, x2, xhat2, k), the packed state; step(t, s, k, r, last=False),
+    the sample row of s (eps_norm, V, r, k, |xhat2|, |xhat2|, tau, then the
+    reduced observer's xhat2 when the mode has it) and the state one RK4
+    step of dt later, or None when last (no later stage is evaluated);
+    estimate_norm(s, k) and rebase(s, k, k_new), s with z re-based to the
+    gain k_new (both None without the reduced observer).  All inline the
+    equation text, bit for bit the composition of the per-equation
+    functions."""
     n = model_cls.n
     red, full = mode in ("reduced", "both"), mode in ("full", "both")
-    state = "(%s)" % names("q{i}", "v{i}", *["z{i}"] * red, *["ph{i}", "vh{i}"] * full, n=n)
+    # each packed state with its rate (the rate of q is v)
+    pairs = [("q", "v"), ("v", "dv"), *[("z", "dz")] * red,
+             *[("ph", "dph"), ("vh", "dvh")] * full]
+    state = "(%s)" % names(*(x + "{i}" for x, _ in pairs), n=n)
     fed = "est" if red else "vh"
 
     def text(eq: str, **bases: str) -> list[str]:
@@ -297,31 +291,44 @@ def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
         return rename([*joints(model_cls.RESIDUAL, n), *inject, *joints(model_cls.SOLVE, n)],
                       w=w, acc=acc)
 
-    body = [f"{state} = s", *joints(model_cls.KERNEL, n), *(text(ESTIMATE) * red),
+    # one RHS evaluation: the rates of `pairs` at (t, the state)
+    body = [*joints(model_cls.KERNEL, n), *(text(ESTIMATE) * red),
             *text(law_cls.LAW, xh=fed), *accel("v", "dv")]
     if red:
         body += accel("est", "ar") + text(REDUCED, acc="ar")
     if full:
         body += text(FULL) + accel("vh", "dvh", extra=True)
-    rates = "(%s)" % names("v{i}", "dv{i}", *["dz{i}"] * red, *["dph{i}", "dvh{i}"] * full,
-                          n=n)
+
+    def stage(suffix: str, h: str, prev: str) -> list[str]:
+        """The RHS at t + h and s + h d (d the rates named with suffix prev),
+        with t and every state and rate named with `suffix`."""
+        at = [f"{x}{suffix}{{i}} = {x}{{i}} + {h} * {d}{prev}{{i}}" for x, d in pairs]
+        bases = {b: b + suffix for pair in [("t",), *pairs] for b in pair}
+        return [f"t{suffix} = t + {h}", *text("\n".join(at)), *rename(body, **bases)]
+
     record = [*text(ERROR, xh=fed), *text(model_cls.ENERGY, w="eps", energy="V"),
-              f"nrm = hypot({names(fed + '{i}', n=n)})"]
-    row = f"(hypot({names('eps{i}', n=n)}), V, r, k, nrm, nrm, {names('tau{i}', n=n)})"
+              f"nrm = hypot({names(fed + '{i}', n=n)})",
+              f"row = (hypot({names('eps{i}', n=n)}), V, r, k, nrm, nrm, "
+              f"{names('tau{i}', n=n)}{names('est{i}', n=n) if red else ''})"]
+    # stages 2, 3 and 4 name their states and rates with _b, _c and _d
+    final = [f"{x}{{i}} + sixth * ({d}{{i}} + 2.0 * {d}_b{{i}} + 2.0 * {d}_c{{i}} + {d}_d{{i}})"
+             for x, d in pairs]
+    steps = stage("_b", "half", "") + stage("_c", "half", "_b") + stage("_d", "dt", "_c")
     unpack = [f"({names(v + '{i}', n=n)}) = {v}" for v in ("q", "v", "est")]
-    lines = [*source("pack", "q, v, est, k", [*unpack, *(text(REBASE) * red),
+    lines = ["half = 0.5 * dt", "sixth = dt / 6.0",
+             *source("pack", "q, v, est, k", [*unpack, *(text(REBASE) * red),
                                                *text("ph{i} = q{i}\nvh{i} = est{i}") * full],
                      state),
-             *source("rhs", "t, s, k", body, rates),
-             *source("sample", "t, s, k, r", body + record, f"{rates}, {row}")]
+             *source("step", "t, s, k, r, last=False",
+                     [f"{state} = s", *body, *record, "if last:", "    return row, None",
+                      *steps], f"row, ({names(*final, n=n)})")]
     lines += [*source("estimate_norm", "s, k", [f"{state} = s", *text(ESTIMATE)],
                       f"hypot({names('est{i}', n=n)})"),
               *source("rebase", "s, k, k_new", [f"{state} = s", *text(ESTIMATE),
                                                 *text(REBASE, k="k_new")], state)
               ] if red else ["estimate_norm = rebase = None"]
-    params = names(*model_cls.CONSTANTS, *law_cls.CONSTANTS, "kd", "kp", n=n)
-    return define("factory", params, n, {}, lines,
-                  "pack, rhs, sample, estimate_norm, rebase")
+    params = names(*model_cls.CONSTANTS, *law_cls.CONSTANTS, "kd", "kp", "dt", n=n)
+    return define("factory", params, n, {}, lines, "pack, step, estimate_norm, rebase")
 
 
 def within_blowup_limit(state) -> bool:
@@ -338,7 +345,6 @@ def simulate(scenario: Scenario) -> Trajectory:
     use_red = scenario.observer_mode in ("reduced", "both")
     use_full = scenario.observer_mode in ("full", "both")
     law = scenario.controller
-    hybrid = scenario.hybrid
     dt = scenario.dt
     eta = scenario.eta
 
@@ -350,9 +356,9 @@ def simulate(scenario: Scenario) -> Trajectory:
     logic = None
     events: list[JumpEvent] = []
     if scenario.gain_mode == "scheduled":
-        schedule = GainSchedule(model, hybrid)
+        schedule = GainSchedule(model, scenario.hybrid)
         init_events: list = []
-        logic = initialize_logic(hybrid, schedule, math.hypot(*scenario.xhat2_0.tolist()),
+        logic = initialize_logic(schedule, math.hypot(*scenario.xhat2_0.tolist()),
                                  scenario.r_guess, events=init_events)
         for old_r, new_r, nrm in init_events:
             events.append(JumpEvent(0.0, old_r, new_r, nrm, 0))
@@ -365,21 +371,16 @@ def simulate(scenario: Scenario) -> Trajectory:
     kp = kd * kd
 
     factory = flat_rhs(type(model), type(law), scenario.observer_mode)
-    pack, rhs, sample, estimate_norm, rebase = factory(*model._constants, *law._constants,
-                                                       kd, kp)
+    pack, step, estimate_norm, rebase = factory(*model._constants, *law._constants,
+                                                kd, kp, dt)
     s = pack(scenario.q0.tolist(), scenario.v0.tolist(), scenario.xhat2_0.tolist(), k)
-    n2 = 2 * n
-    n3 = 3 * n
-    h2 = (n3 if use_red else n2) + n
 
     n_samples = scenario.sample_count()
+    last = n_samples - 1
     states = np.empty((n_samples, len(s)))
-    # per-sample columns: eps_norm, V, r, k_r, lower, upper, tau
-    extra = np.empty((n_samples, 6 + n))
-    stage, final = rk4_ops(len(s))
-
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    # per-sample columns: eps_norm, V, r, k_r, lower, upper, tau, then the
+    # reduced observer's estimate
+    extra = np.empty((n_samples, 6 + n + n * use_red))
     # Rows are collected a block at a time and copied into the arrays per
     # block.  Both bracket columns record the estimate norm; velocity_sandwich
     # maps them to the bracket after the loop.
@@ -387,21 +388,17 @@ def simulate(scenario: Scenario) -> Trajectory:
         srows, erows = [], []
         for i in range(start, min(start + CSV_BLOCK_ROWS, n_samples)):
             t = i * dt
-            d1, row = sample(t, s, k, r_rec)
             srows.append(s)
+            row, s = step(t, s, k, r_rec, i == last)
             erows.append(row)
-            if i == n_samples - 1:
+            if s is None:
                 break
-            d2 = rhs(t + half, stage(s, half, d1), k)
-            d3 = rhs(t + half, stage(s, half, d2), k)
-            d4 = rhs(t + dt, stage(s, dt, d3), k)
-            s = final(s, sixth, d1, d2, d3, d4)
             if not within_blowup_limit(s):
                 raise SimulationBlowUp(
                     f"state component left |x| <= {BLOWUP_LIMIT:g} at t = {t + dt:.6f}")
             if logic is not None:
                 nrm = estimate_norm(s, k)
-                stepped = step_logic(hybrid, schedule, logic, nrm)
+                stepped = step_logic(schedule, logic, nrm)
                 if stepped is not logic:
                     events.append(JumpEvent(t + dt, logic.r, stepped.r, nrm, i + 1))
                     # re-base z so the estimate is continuous across the gain change
@@ -413,16 +410,14 @@ def simulate(scenario: Scenario) -> Trajectory:
         extra[start:start + len(erows)] = erows
     extra[:, 4], extra[:, 5] = velocity_sandwich(eta, extra[:, 4])
 
-    x1 = states[:, :n]
-    k_arr = extra[:, 3]
-    z = states[:, n2:n3] if use_red else None
     return Trajectory(
-        t=np.arange(n_samples) * dt, x1=x1, x2=states[:, n:n2],
+        t=np.arange(n_samples) * dt, x1=states[:, :n], x2=states[:, n:2 * n],
         eps_norm=extra[:, 0], v_lyap=extra[:, 1], r=extra[:, 2].astype(int),
-        k_gain=k_arr, tau=extra[:, 6:], lower=extra[:, 4], upper=extra[:, 5],
-        active="reduced" if use_red else "full",
-        xhat2_reduced=z + k_arr[:, None] * x1 if use_red else None,
-        xhat2_full=states[:, h2:h2 + n] if use_full else None, z=z,
+        k_gain=extra[:, 3], tau=extra[:, 6:6 + n], lower=extra[:, 4], upper=extra[:, 5],
+        xhat2_reduced=extra[:, 6 + n:] if use_red else None,
+        # the full observer's x2_hat is packed last
+        xhat2_full=states[:, -n:] if use_full else None,
+        z=states[:, 2 * n:3 * n] if use_red else None,
         jump_events=events, scenario=scenario, design=design)
 
 

@@ -121,6 +121,21 @@ def test_nan_design_constant_is_a_config_error(tmp_path, capsys, key):
     assert err.startswith(f"error: {key}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ini", [
+    pytest.param(QUICK_INI.replace("v_max = 1.5", "v_max = 1e308"), id="constant"),
+    pytest.param(SCHEDULED_INI.replace("v_bar = 1.5", "v_bar = 1e308")
+                 .replace("r_guess = 1", "r_guess = 5"), id="scheduled"),
+])
+def test_an_overflowing_designed_gain_is_a_config_error(tmp_path, capsys, ini):
+    # numpy's overflow warning is an error under this suite, so it must not
+    # be raised on the way
+    path = tmp_path / "huge.ini"
+    path.write_text(ini)
+    assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: designed gain k0") and err.count("\n") == 1
+
+
 def test_nan_band_width_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "nan_band.ini"
     path.write_text(SCHEDULED_INI.replace("v_bar = 1.5", "v_bar = nan"))

@@ -131,14 +131,15 @@ def test_compute_kr_rejects_negative_mode(arm):
 
 
 def test_gain_schedule_consistency(arm):
-    cfg = HybridConfig(v_bar=1.5, eta=1.0, r_min=1)
+    cfg = HybridConfig(v_bar=1.5, eta=1.0, r_min=0)
     schedule = GainSchedule(arm, cfg)
     for r in [0, 1, 4, 8, 9, 70]:
-        assert schedule.gain(r) == compute_kr(arm, cfg, r)
-    gains = [schedule.gain(r) for r in range(10)]
+        assert enter_mode(schedule, r).k_r == compute_kr(arm, cfg, r)
+        assert enter_mode(schedule, r) is schedule.states[r]
+    gains = [enter_mode(schedule, r).k_r for r in range(10)]
     assert all(b > a for a, b in zip(gains, gains[1:]))
     with pytest.raises(ValueError):
-        schedule.gain(-2)
+        enter_mode(schedule, -2)
 
 
 def test_gain_schedule_designs_only_the_modes_asked_for(arm, monkeypatch):
@@ -155,31 +156,31 @@ def test_gain_schedule_designs_only_the_modes_asked_for(arm, monkeypatch):
     # midway through the flow annulus of mode r_guess + 3
     nrm = 0.5 * (cfg.up_threshold(r_guess + 2) + cfg.up_threshold(r_guess + 3))
     events = []
-    state = initialize_logic(cfg, schedule, nrm, r_guess, events=events)
+    state = initialize_logic(schedule, nrm, r_guess, events=events)
     assert state.r == r_guess + 3 and len(events) == 3
-    assert schedule.gain(state.r) == state.k_r
+    assert enter_mode(schedule, state.r) is state
     assert len(calls) == 1
-    assert schedule.gain(r_guess) == compute_k0(arm, 1.0, r_guess * 1e-5).k0
+    assert enter_mode(schedule, r_guess).k_r == compute_k0(arm, 1.0, r_guess * 1e-5).k0
     assert len(calls) == 2
 
 
 def test_step_logic_flows_inside_band(arm):
     cfg = make_config()
     schedule = GainSchedule(arm, cfg)
-    state = enter_mode(cfg, schedule, 2)
-    assert step_logic(cfg, schedule, state, 4.5) is state
+    state = enter_mode(schedule, 2)
+    assert step_logic(schedule, state, 4.5) is state
 
 
 def test_step_logic_single_up_and_down_jumps(arm):
     cfg = make_config()
     schedule = GainSchedule(arm, cfg)
-    state = enter_mode(cfg, schedule, 2)
-    up = step_logic(cfg, schedule, state, 5.1)
+    state = enter_mode(schedule, 2)
+    up = step_logic(schedule, state, 5.1)
     assert up.r == 3
-    assert up.k_r == schedule.gain(3)
-    down = step_logic(cfg, schedule, state, 3.9)
+    assert up.k_r == compute_kr(arm, cfg, 3)
+    down = step_logic(schedule, state, 3.9)
     assert down.r == 1
-    assert down.k_r == schedule.gain(1)
+    assert down.k_r == compute_kr(arm, cfg, 1)
 
 
 def test_step_logic_up_wins_when_sets_overlap(arm):
@@ -188,15 +189,15 @@ def test_step_logic_up_wins_when_sets_overlap(arm):
     schedule = GainSchedule(arm, cfg)
     assert jump_up_set(cfg, 1, 0.7)
     assert jump_down_set(cfg, 1, 0.7)
-    state = enter_mode(cfg, schedule, 1)
-    assert step_logic(cfg, schedule, state, 0.7).r == 2
+    state = enter_mode(schedule, 1)
+    assert step_logic(schedule, state, 0.7).r == 2
 
 
 def test_initialize_settles_zero_estimate_to_floor(arm):
     cfg = make_config()
     schedule = GainSchedule(arm, cfg)
     events = []
-    state = initialize_logic(cfg, schedule, 0.0, 1, events=events)
+    state = initialize_logic(schedule, 0.0, 1, events=events)
     assert state.r == cfg.r_min == 0
     assert events == [(1, 0, 0.0)]
 
@@ -206,19 +207,19 @@ def test_initialize_climbs_to_matching_band(arm):
     cfg = make_config()
     schedule = GainSchedule(arm, cfg)
     events = []
-    state = initialize_logic(cfg, schedule, 10.0, 0, events=events)
+    state = initialize_logic(schedule, 10.0, 0, events=events)
     assert state.r == 4
     assert [(a, b) for a, b, _ in events] == [(0, 1), (1, 2), (2, 3), (3, 4)]
     assert all(nrm == 10.0 for _, _, nrm in events)
-    assert state.k_r == schedule.gain(4)
+    assert state.k_r == compute_kr(arm, cfg, 4)
 
 
 def test_initialize_respects_floor_and_guess_validation(arm):
     cfg = make_config(r_min=1)
     schedule = GainSchedule(arm, cfg)
     with pytest.raises(ValueError):
-        initialize_logic(cfg, schedule, 0.0, 0)
-    state = initialize_logic(cfg, schedule, 0.0, 3)
+        initialize_logic(schedule, 0.0, 0)
+    state = initialize_logic(schedule, 0.0, 3)
     assert state.r == 1
 
 
@@ -227,7 +228,7 @@ def test_initialize_raises_when_it_cannot_settle(arm):
     cfg = HybridConfig(v_bar=1e-3, eta=1.0)
     schedule = GainSchedule(arm, cfg)
     with pytest.raises(ValueError, match="settle"):
-        initialize_logic(cfg, schedule, 10.0, 0)
+        initialize_logic(schedule, 10.0, 0)
 
 
 def test_velocity_sandwich_bracket():

@@ -6,20 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from velobs.dynamics import (PlantState, SingleLinkModel, TwoLinkArm, forward_dynamics,
-                             inertia_solver)
+from velobs.controllers import ConstantTorque
+from velobs.dynamics import SingleLinkModel, TwoLinkArm, inertia_solver
 from velobs.observers import (
     K_MIN,
-    FullOrderObserverState,
-    ObserverState,
     compute_k0,
     compute_k0_conservative,
     convergence_rate,
-    full_order_observer_derivative,
     full_rate,
-    reduced_observer_derivative,
     reduced_rate,
 )
+from velobs.simulator import flat_rhs
 
 # Frozen gain-design constants for the two-link arm, eta = 1.
 K0_SLOW = 13.35798304843369        # v_max = 1.5
@@ -29,8 +26,13 @@ REGION_RADIUS = 0.13667045197664296
 
 
 def test_estimate_is_affine_in_output():
-    obs = ObserverState(z=np.array([1.0, -2.0]), k0=3.0)
-    assert np.allclose(obs.estimate([0.5, 0.25]), [2.5, -1.25])
+    # the ESTIMATE text xhat2 = z + k0 y, as a compiled step records it
+    _, step, estimate_norm, _ = flat_rhs(TwoLinkArm, ConstantTorque, "reduced")(
+        *TwoLinkArm()._constants, 0.0, 0.0, 1.0, 1.0, 1e-3)
+    s = (0.5, 0.25, 0.0, 0.0, 1.0, -2.0)
+    row, _ = step(0.0, s, 3.0, 0)
+    assert row[-2:] == (2.5, -1.25)
+    assert estimate_norm(s, 3.0) == math.hypot(2.5, -1.25)
 
 
 def test_frozen_design_constants(arm, design15):
@@ -83,6 +85,11 @@ def test_design_input_validation(arm, design15):
         compute_k0_conservative(arm, -1.0, 1.0)
     with pytest.raises(ValueError):
         convergence_rate(design15, -1e-9)
+    # a gain that overflows, or whose square (the full observer's kp) does;
+    # numpy's overflow warning is an error under this suite
+    for v_max in (1e308, 1e160):
+        with pytest.raises(ValueError, match="finite square"):
+            compute_k0(arm, 1.0, v_max)
 
 
 def test_convergence_rate_endpoints(design15):
@@ -105,13 +112,17 @@ def test_error_dynamics_identity(arm):
         x2 = rng.normal(size=2) * 3.0
         z = rng.normal(size=2)
         tau = rng.normal(size=2) * 20.0
-        obs = ObserverState(z=z, k0=k0)
-        xhat2 = obs.estimate(y)
+        xhat2 = z + k0 * y
         eps = x2 - xhat2
+        terms = arm.kernel(y.tolist())
 
-        plant_acc = forward_dynamics(arm, PlantState(y, x2), tau).x2
-        est_rate = reduced_observer_derivative(arm, obs, y, tau) + k0 * x2
-        lhs = plant_acc - est_rate
+        def error_rate(tau):
+            """d(x2 - xhat2)/dt, with d(k0 y)/dt = k0 x2."""
+            plant_acc = np.array(arm.accel(terms, tau.tolist(), x2.tolist()))
+            dz = np.array(reduced_rate(arm, terms, tau.tolist(), xhat2.tolist(), k0))
+            return plant_acc - (dz + k0 * x2)
+
+        lhs = error_rate(tau)
 
         solve = inertia_solver(arm.inertia(y))
         coupling = (arm.coriolis(y, x2) + arm.coriolis(y, xhat2)
@@ -120,18 +131,11 @@ def test_error_dynamics_identity(arm):
         assert np.allclose(lhs, rhs, atol=1e-10)
 
         # torque independence: shifting tau leaves the error derivative alone
-        shifted = (forward_dynamics(arm, PlantState(y, x2), tau + 7.0).x2
-                   - reduced_observer_derivative(arm, obs, y, tau + 7.0)
-                   - k0 * x2)
-        assert np.allclose(shifted, lhs, atol=1e-10)
+        assert np.allclose(error_rate(tau + 7.0), lhs, atol=1e-10)
 
 
 def test_full_order_derivative_single_link(single):
-    obs = FullOrderObserverState(x1_hat=np.array([0.2]), x2_hat=np.array([-0.8]),
-                                 kd=5.0, kp=25.0)
-    y = np.array([0.5])
-    tau = np.array([0.7])
-    d1, d2 = full_order_observer_derivative(single, obs, y, tau)
+    d1, d2 = full_rate(single, single.kernel([0.5]), [0.7], [0.5], [0.2], [-0.8], 5.0, 25.0)
     e = 0.5 - 0.2
     assert np.allclose(d1, [-0.8 + 5.0 * e])
     assert np.allclose(d2, [(-0.4 * -0.8 + 0.7 + 25.0 * e) / 2.5])
@@ -143,11 +147,10 @@ def test_full_order_derivative_matches_plant_when_synchronized(arm):
     q = rng.uniform(-np.pi, np.pi, size=2)
     v = rng.normal(size=2)
     tau = rng.normal(size=2) * 5.0
-    obs = FullOrderObserverState(x1_hat=q, x2_hat=v, kd=3.0, kp=9.0)
-    d1, d2 = full_order_observer_derivative(arm, obs, q, tau)
-    plant = forward_dynamics(arm, PlantState(q, v), tau)
-    assert np.allclose(d1, plant.x1)
-    assert np.allclose(d2, plant.x2, atol=1e-12)
+    terms = arm.kernel(q.tolist())
+    d1, d2 = full_rate(arm, terms, tau.tolist(), q.tolist(), q.tolist(), v.tolist(), 3.0, 9.0)
+    assert np.allclose(d1, v)
+    assert np.allclose(d2, arm.accel(terms, tau.tolist(), v.tolist()), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -90,14 +90,14 @@ def next_mode(cfg, r, nrm) -> int:
 
 def check_step(step, cfg, r, nrm) -> None:
     schedule = GainSchedule(ARM, cfg)
-    state = enter_mode(cfg, schedule, r)
-    new = step(cfg, schedule, state, nrm)
+    state = enter_mode(schedule, r)
+    new = step(schedule, state, nrm)
     want = next_mode(cfg, r, nrm)
     assert new.r == want
     if want == r:
         assert new is state
     down = cfg.down_threshold(want) if want > cfg.r_min else -math.inf
-    assert new == (want, schedule.gain(want), cfg.up_threshold(want), down)
+    assert new == (want, compute_kr(ARM, cfg, want), cfg.up_threshold(want), down)
 
 
 def check_flow_set(flow, cfg, r, nrm) -> None:
@@ -152,11 +152,11 @@ def test_a_strict_threshold_is_caught(monkeypatch):
     with pytest.raises(AssertionError):
         check_audit(cfg, on_threshold)
 
-    def strict_step(cfg, schedule, state, nrm):
+    def strict_step(schedule, state, nrm):
         if nrm > state.up:
-            return enter_mode(cfg, schedule, state.r + 1)
+            return enter_mode(schedule, state.r + 1)
         if nrm <= state.down:
-            return enter_mode(cfg, schedule, state.r - 1)
+            return enter_mode(schedule, state.r - 1)
         return state
 
     check_step(step_logic, cfg, 2, cfg.up_threshold(2))
@@ -198,6 +198,16 @@ def zip_final(s, sixth, d1, d2, d3, d4):
                   for a, b1, b2, b3, b4 in zip(s, d1, d2, d3, d4)])
 
 
+def zip_step(rhs, t, s, dt, d1, final=zip_final):
+    """The RK4 step of dt from s, whose rate d1 is given, with zip-form
+    stages; rhs(t, s) returns the rate first."""
+    half = 0.5 * dt
+    d2 = rhs(t + half, tuple([a + half * b for a, b in zip(s, d1)]))[0]
+    d3 = rhs(t + half, tuple([a + half * b for a, b in zip(s, d2)]))[0]
+    d4 = rhs(t + dt, tuple([a + dt * b for a, b in zip(s, d3)]))[0]
+    return final(s, dt / 6.0, d1, d2, d3, d4)
+
+
 def reference_run(sc: Scenario, final=zip_final):
     """The run by a plain RK4 loop: zip-form stages, each sample recorded as a
     row in place with its speed bracket, and each jump's mode and gain taken
@@ -215,7 +225,7 @@ def reference_run(sc: Scenario, final=zip_final):
     scheduled = sc.gain_mode == "scheduled"
     if scheduled:
         init = []
-        r = initialize_logic(cfg, GainSchedule(model, cfg), math.hypot(*sc.xhat2_0.tolist()),
+        r = initialize_logic(GainSchedule(model, cfg), math.hypot(*sc.xhat2_0.tolist()),
                              sc.r_guess, events=init).r
         events += [JumpEvent(0.0, old_r, new_r, nrm, 0) for old_r, new_r, nrm in init]
         k = compute_kr(model, cfg, r)
@@ -233,15 +243,14 @@ def reference_run(sc: Scenario, final=zip_final):
         s += sc.q0.tolist() + sc.xhat2_0.tolist()
     s = tuple(s)
 
-    def rhs(t, s, k):
+    def rhs(t, s):
         return composed_rhs(model, sc.controller, sc.observer_mode, kd, kp, t, s, k)
 
     states, extra = [], []
     n_samples = sc.sample_count()
-    half = 0.5 * dt
     for i in range(n_samples):
         t = i * dt
-        d1, tau, est, terms = rhs(t, s, k)
+        d1, tau, est, terms = rhs(t, s)
         eps = sub(s[n:n2], est)
         nrm = math.hypot(*est)
         states.append(s)
@@ -249,10 +258,7 @@ def reference_run(sc: Scenario, final=zip_final):
                       max(0.0, nrm - eta), nrm + eta, *tau))
         if i == n_samples - 1:
             break
-        d2 = rhs(t + half, tuple([a + half * b for a, b in zip(s, d1)]), k)[0]
-        d3 = rhs(t + half, tuple([a + half * b for a, b in zip(s, d2)]), k)[0]
-        d4 = rhs(t + dt, tuple([a + dt * b for a, b in zip(s, d3)]), k)[0]
-        s = final(s, dt / 6.0, d1, d2, d3, d4)
+        s = zip_step(rhs, t, s, dt, d1, final)
         if not within_blowup_limit(s):
             raise SimulationBlowUp(f"state component left |x| <= 1e+06 at t = {t + dt:.6f}")
         if scheduled:
@@ -366,22 +372,31 @@ def test_a_reordered_final_stage_is_caught():
         check_run(sc, reordered)
 
 
-def compiled_matches_composition(model_cls, model, law, mode, t, s, k, kd, kp, r, k_new):
+def compiled_matches_composition(model_cls, model, law, mode, t, s, k, kd, kp, r, k_new, dt):
     """flat_rhs of this shape, bound to these numbers, equals the composition
-    of the per-equation functions bit for bit."""
-    pack, rhs, sample, estimate_norm, rebase = simulator.flat_rhs(model_cls, type(law), mode)(
-        *model._constants, *law._constants, kd, kp)
-    d, tau, est, terms = composed_rhs(model, law, mode, kd, kp, t, s, k)
+    of the per-equation functions bit for bit: one zip-form RK4 step and the
+    sample row."""
+    pack, step, estimate_norm, rebase = simulator.flat_rhs(model_cls, type(law), mode)(
+        *model._constants, *law._constants, kd, kp, dt)
+
+    def rhs(t, s):
+        return composed_rhs(model, law, mode, kd, kp, t, s, k)
+
+    d1, tau, est, terms = rhs(t, s)
     n = model.n
     q, v = s[:n], s[n:2 * n]
     eps = sub(v, est)
     nrm = math.hypot(*est)
-    row = (math.hypot(*eps), model.energy(terms, eps), r, k, nrm, nrm, *tau)
+    row = (math.hypot(*eps), model.energy(terms, eps), r, k, nrm, nrm, *tau,
+           *est * (mode != "full"))
     # the initial state: z from the estimate as simulate packed it before
     z0 = tuple((np.array(est) - k * np.array(q)).tolist())
     packed = q + v + z0 * (mode != "full") + (q + est) * (mode != "reduced")
-    got = [pack(q, v, est, k), rhs(t, s, k), *sample(t, s, k, r)]
-    want = [packed, d, d, row]
+    last_row, no_state = step(t, s, k, r, last=True)
+    got = [pack(q, v, est, k), *step(t, s, k, r), last_row]
+    want = [packed, row, zip_step(rhs, t, s, dt, d1), row]
+    if no_state is not None:
+        return False
     if mode != "full":
         z_new = axpy(-k_new, s[:n], est)
         got += [estimate_norm(s, k), rebase(s, k, k_new)]
@@ -419,10 +434,13 @@ def shapes(draw):
 
 @settings(database=None, deadline=None, max_examples=150)
 @given(shapes(), st.floats(0.0, 50.0), st.floats(0.01, 100.0), st.floats(0.01, 100.0),
-       st.floats(0.01, 100.0), st.integers(0, 50), st.floats(0.01, 100.0))
-def test_the_compiled_rhs_is_the_composition(shape, t, k, kd, kp, r, k_new):
+       st.floats(0.01, 100.0), st.integers(0, 50), st.floats(0.01, 100.0),
+       st.floats(1e-4, 1e-2))
+def test_the_compiled_rhs_is_the_composition(shape, t, k, kd, kp, r, k_new, dt):
+    # every packed width: one or two joints, with one to three observer blocks
     model, law, mode, s = shape
-    assert compiled_matches_composition(type(model), model, law, mode, t, s, k, kd, kp, r, k_new)
+    assert compiled_matches_composition(type(model), model, law, mode, t, s, k, kd, kp, r,
+                                        k_new, dt)
 
 
 class OneUlpArm(TwoLinkArm):
@@ -434,6 +452,6 @@ class OneUlpArm(TwoLinkArm):
 def test_a_one_ulp_template_change_is_caught():
     assert OneUlpArm.KERNEL != TwoLinkArm.KERNEL
     s = (0.3, -0.8, 1.2, -0.4, 0.1, 0.2, 0.3, -0.7, 0.9, 0.5)
-    args = (ARM, OpenLoopUnbounded(), "both", 0.7, s, 5.0, 10.0, 100.0, 2, 7.5)
+    args = (ARM, OpenLoopUnbounded(), "both", 0.7, s, 5.0, 10.0, 100.0, 2, 7.5, 1e-3)
     assert compiled_matches_composition(TwoLinkArm, *args)
     assert not compiled_matches_composition(OneUlpArm, *args)

@@ -10,11 +10,9 @@ import pytest
 from velobs import dynamics, simulator
 from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                                 PdConfig, PdGravity)
-from velobs.dynamics import PlantState, SingleLinkModel, TwoLinkArm, forward_dynamics
-from velobs.hybrid_logic import GainSchedule, HybridConfig
-from velobs.observers import (FullOrderObserverState, ObserverState,
-                              full_order_observer_derivative,
-                              reduced_observer_derivative)
+from velobs.dynamics import SingleLinkModel, TwoLinkArm
+from velobs.hybrid_logic import HybridConfig, compute_kr
+from velobs.observers import full_rate, reduced_rate
 from velobs.simulator import (
     Scenario,
     ScenarioError,
@@ -160,8 +158,8 @@ def test_estimate_is_consistent_with_internal_state(example1_traj):
 
 def test_scheduled_gain_tracks_logic_state(example2_traj):
     traj = example2_traj
-    schedule = GainSchedule(traj.scenario.model, traj.scenario.hybrid)
-    expected = np.array([schedule.gain(int(r)) for r in traj.r])
+    model, hybrid = traj.scenario.model, traj.scenario.hybrid
+    expected = np.array([compute_kr(model, hybrid, int(r)) for r in traj.r])
     assert np.array_equal(traj.k_gain, expected)
 
 
@@ -209,7 +207,7 @@ def test_blow_up_check_catches_a_trailing_nan(arm, monkeypatch):
     # the plant ahead of them stays finite.
     flat_rhs = simulator.flat_rhs
     monkeypatch.setattr(simulator, "flat_rhs", lambda *shape: lambda *numbers: flat_rhs(
-        *shape)(*numbers[:-2], math.nan, math.nan))
+        *shape)(*numbers[:-3], math.nan, math.nan, numbers[-1]))
     sc = make_scenario(arm, observer_mode="full", t_final=0.01)
     assert not simulator.within_blowup_limit((0.0, 1.0, math.nan))
     with pytest.raises(SimulationBlowUp, match="t = 0.001000"):
@@ -221,6 +219,18 @@ def test_blow_up_check_catches_a_trailing_nan(arm, monkeypatch):
     traj = simulate(sc)
     assert np.isnan(traj.xhat2_full[1:]).all()
     assert np.isfinite(traj.x1).all() and np.isfinite(traj.x2).all()
+
+
+def test_the_last_sample_evaluates_no_later_stage(arm):
+    # from this state the velocity overflows within the step, and a later
+    # stage takes the cosine of an infinite angle; the last row needs neither
+    _, step, _, _ = simulator.flat_rhs(TwoLinkArm, ConstantTorque, "reduced")(
+        *arm._constants, 0.0, 0.0, 1.0, 1.0, 1e-3)
+    s = (0.0, 1.0, 1e308, 1e308, 0.0, 0.0)
+    with pytest.raises(ValueError, match="math domain"):
+        step(0.0, s, 1.0, 0)
+    row, no_state = step(0.0, s, 1.0, 0, last=True)
+    assert no_state is None and row[2:4] == (0, 1.0)
 
 
 def test_single_link_and_full_only_runs(single):
@@ -413,18 +423,19 @@ KERNEL_CASES = (
 
 
 def hand_rk4_step(model, controller, gain, dt, q, v, xhat2):
-    """One RK4 step of plant, reduced and full observers, assembled from
-    forward_dynamics and the two array observer derivatives."""
+    """One RK4 step of plant, reduced and full observers on arrays, assembled
+    from the array torque law and the per-equation functions."""
 
     def deriv(t, x):
         q, v, z, h1, h2 = x
-        obs = ObserverState(z=z, k0=gain)
-        tau = controller.torque(model, q, obs.estimate(q), t)
-        plant = forward_dynamics(model, PlantState(q, v), tau)
-        dz = reduced_observer_derivative(model, obs, q, tau)
-        full = FullOrderObserverState(x1_hat=h1, x2_hat=h2, kd=gain, kp=gain * gain)
-        dh1, dh2 = full_order_observer_derivative(model, full, q, tau)
-        return [plant.x1, plant.x2, dz, dh1, dh2]
+        est = z + gain * q
+        terms = model.kernel(q.tolist())
+        tau = controller.torque(model, q, est, t).tolist()
+        dv = model.accel(terms, tau, v.tolist())
+        dz = reduced_rate(model, terms, tau, est.tolist(), gain)
+        dh1, dh2 = full_rate(model, terms, tau, q.tolist(), h1.tolist(), h2.tolist(),
+                             gain, gain * gain)
+        return [v, *map(np.array, (dv, dz, dh1, dh2))]
 
     x = [q, v, xhat2 - gain * q, q, xhat2]
     d1 = deriv(0.0, x)
@@ -484,8 +495,7 @@ def test_simulate_jump_step_rebases_z(arm):
                   controller=controller, observer_mode="reduced",
                   gain_mode="scheduled", hybrid=hybrid, r_guess=1, dt=dt, t_final=dt)
     traj = simulate(sc)
-    schedule = GainSchedule(arm, hybrid)
-    k_old, k_new = schedule.gain(1), schedule.gain(2)
+    k_old, k_new = compute_kr(arm, hybrid, 1), compute_kr(arm, hybrid, 2)
     assert list(traj.r) == [1, 2] and list(traj.k_gain) == [k_old, k_new]
     assert [(ev.old_r, ev.new_r, ev.step) for ev in traj.jump_events] == [(1, 2, 1)]
     # the step is taken with the old gain; the jump leaves xhat2 where the
@@ -501,35 +511,3 @@ def test_simulate_jump_step_rebases_z(arm):
     k_bad = k_old * (1.0 + 1e-6)
     q_bad, v_bad, z_bad, _, _ = hand_rk4_step(arm, controller, k_bad, dt, q, v, xhat2)
     assert relative_gap(got[:3], (q_bad, v_bad, z_bad + k_bad * q_bad)) > 1e-12
-
-
-def zip_stage(s, h, d):
-    return tuple([a + h * b for a, b in zip(s, d)])
-
-
-def zip_final(s, sixth, d1, d2, d3, d4):
-    return tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(s, d1, d2, d3, d4)])
-
-
-def bits(values) -> bytes:
-    return np.array(values, dtype=float).tobytes()
-
-
-@pytest.mark.parametrize("width", (3, 4, 5, 6, 8, 10))
-def test_unrolled_rk4_ops_are_the_zip_form(width):
-    # every packed-state width: n = 1 with 1-3 observer blocks, n = 2 likewise
-    stage, final = simulator.rk4_ops(width)
-    rng = np.random.default_rng(width)
-    for _ in range(200):
-        s, d1, d2, d3, d4 = (
-            (rng.normal(size=width) * 10.0 ** rng.uniform(-6, 6, size=width)).tolist()
-            for _ in range(5))
-        h = float(rng.uniform(1e-5, 1e-1))
-        assert bits(stage(s, h, d1)) == bits(zip_stage(s, h, d1))
-        assert bits(final(s, h / 6.0, d1, d2, d3, d4)) == bits(zip_final(s, h / 6.0, d1, d2, d3, d4))
-    # sabotage control: one ulp in one component is caught
-    got = final(s, h / 6.0, d1, d2, d3, d4)
-    off = list(zip_final(s, h / 6.0, d1, d2, d3, d4))
-    off[width // 2] = math.nextafter(off[width // 2], math.inf)
-    assert bits(got) != bits(off)
