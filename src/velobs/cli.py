@@ -46,11 +46,9 @@ def load_scenario_file(path) -> Scenario:
     """Build a scenario from a flat INI-style config file."""
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(f"cannot read scenario file {path}")
-
     try:
+        if not parser.read(str(path)):
+            raise FileNotFoundError(f"cannot read scenario file {path}")
         msec = parser["model"] if parser.has_section("model") else {}
         params = TwoLinkParams(
             m1=float(msec.get("m1", 10.0)), m2=float(msec.get("m2", 20.0)),
@@ -107,7 +105,8 @@ def load_scenario_file(path) -> Scenario:
     except (KeyError, ValueError, SingularInertiaError, configparser.Error) as exc:
         if isinstance(exc, ScenarioError):
             raise
-        raise ScenarioError(f"invalid scenario file {path}: {exc}") from exc
+        detail = str(exc).replace("\n", " ")  # a configparser message can span lines
+        raise ScenarioError(f"invalid scenario file {path}: {detail}") from exc
 
 
 def resolve_scenario(token: str) -> Scenario:

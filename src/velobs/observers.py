@@ -113,7 +113,7 @@ def compute_k0_conservative(model: RobotModel, eta: float, v_max: float) -> Gain
     lambda1, lambda2 = spectral_bounds(model)
     lam_f = model.dissipation_floor()
     k0 = max((model.c0_max * (v_max + eta) - lam_f) / (2.0 * lambda1), K_MIN)
-    return GainDesign(eta, v_max, k0, lambda1, lambda2)
+    return GainDesign(eta, v_max, check_gain(k0, "designed gain k0"), lambda1, lambda2)
 
 
 def convergence_rate(design: GainDesign, eps_max: float) -> float:

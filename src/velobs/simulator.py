@@ -1,14 +1,14 @@
 """Fixed-step integration of the coupled plant / observer / switching system.
 
 The plant and the enabled observers are integrated jointly with classical
-RK4 on Python floats.  Each step and its sample row is one call of a flat
-function compiled for the scenario's shape (model class, law class, observer mode)
-from the equation text of the model, the law and the observers: the text
-that also compiles into the per-equation functions (`kernel`, `accel`,
-`float_torque`, `reduced_rate`, `full_rate`).  The switching logic is
-evaluated at step boundaries only; when a jump changes the scheduled gain,
-the observer's internal state z is re-based so that the velocity estimate
-xhat2 = z + k y stays continuous across the jump.
+RK4 on Python floats.  A block of steps with their sample rows is one call
+of a loop compiled for the scenario's shape (model class, law class,
+observer mode) from the equation text of the model, the law and the
+observers: the text that also compiles into the per-equation functions
+(`kernel`, `accel`, `float_torque`, `reduced_rate`, `full_rate`).  The
+switching logic is evaluated at step boundaries only; when a jump changes
+the scheduled gain, the observer's internal state z is re-based so that the
+velocity estimate xhat2 = z + k y stays continuous across the jump.
 """
 from __future__ import annotations
 
@@ -260,27 +260,34 @@ class Trajectory:
 
 # The velocity-estimation error of the fed-back estimate xh.
 ERROR = "eps{i} = v{i} - xh{i}"
+# The blow-up check of one packed state component x: false for a NaN, which
+# max(map(abs, state)) <= limit would pass over anywhere but first.
+WITHIN_LIMIT = "-{limit} <= {x} <= {limit}"
 
 
 @functools.cache
 def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
     """factory(*model._constants, *law._constants, kd, kp, dt) for one scenario
     shape, built on first use.  It returns, for the packed state s (x1, x2,
-    then z and (x1_hat, x2_hat) as the mode has them) and the reduced gain k:
-    pack(x1, x2, xhat2, k), the packed state; step(t, s, k, r, last=False),
-    the sample row of s (eps_norm, V, r, k, |xhat2|, |xhat2|, tau, then the
-    reduced observer's xhat2 when the mode has it) and the state one RK4
-    step of dt later, or None when last (no later stage is evaluated);
-    estimate_norm(s, k) and rebase(s, k, k_new), s with z re-based to the
-    gain k_new (both None without the reduced observer).  All inline the
-    equation text, bit for bit the composition of the per-equation
-    functions."""
+    then z and (x1_hat, x2_hat) as the mode has them) and the reduced gain k,
+    pack(x1, x2, xhat2, k), the packed state, and
+    run(i, stop, s, k, r, last, logic, schedule, step_logic, events), which
+    integrates samples i to stop - 1 from s, evaluating no stage past the
+    sample `last`.  run returns the block's state tuples and sample rows
+    (eps_norm, V, r, k, |xhat2|, |xhat2|, tau, then the reduced observer's
+    xhat2 when the mode has it), then s, k, r and logic for the next block;
+    s is None after a step that left the blow-up limit or raised a math
+    error.  With a logic state each step calls step_logic(schedule, logic,
+    |xhat2|); a jump appends its JumpEvent to events and re-bases z.  Both
+    inline the equation text, bit for bit the composition of the
+    per-equation functions."""
     n = model_cls.n
     red, full = mode in ("reduced", "both"), mode in ("full", "both")
     # each packed state with its rate (the rate of q is v)
     pairs = [("q", "v"), ("v", "dv"), *[("z", "dz")] * red,
              *[("ph", "dph"), ("vh", "dvh")] * full]
-    state = "(%s)" % names(*(x + "{i}" for x, _ in pairs), n=n)
+    packed = joints("\n".join(x + "{i}" for x, _ in pairs), n)
+    state = "(%s)" % names(*packed, n=n)
     fed = "est" if red else "vh"
 
     def text(eq: str, **bases: str) -> list[str]:
@@ -290,6 +297,9 @@ def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
         inject = joints(INJECT, n) if extra else []
         return rename([*joints(model_cls.RESIDUAL, n), *inject, *joints(model_cls.SOLVE, n)],
                       w=w, acc=acc)
+
+    def indent(lines: list[str]) -> list[str]:
+        return [f"    {line}" for line in lines]
 
     # one RHS evaluation: the rates of `pairs` at (t, the state)
     body = [*joints(model_cls.KERNEL, n), *(text(ESTIMATE) * red),
@@ -308,33 +318,38 @@ def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
 
     record = [*text(ERROR, xh=fed), *text(model_cls.ENERGY, w="eps", energy="V"),
               f"nrm = hypot({names(fed + '{i}', n=n)})",
-              f"row = (hypot({names('eps{i}', n=n)}), V, r, k, nrm, nrm, "
-              f"{names('tau{i}', n=n)}{names('est{i}', n=n) if red else ''})"]
+              f"put((hypot({names('eps{i}', n=n)}), V, r, k, nrm, nrm, "
+              f"{names('tau{i}', n=n)}{names('est{i}', n=n) if red else ''}))"]
     # stages 2, 3 and 4 name their states and rates with _b, _c and _d
     final = [f"{x}{{i}} + sixth * ({d}{{i}} + 2.0 * {d}_b{{i}} + 2.0 * {d}_c{{i}} + {d}_d{{i}})"
              for x, d in pairs]
     steps = stage("_b", "half", "") + stage("_c", "half", "_b") + stage("_d", "dt", "_c")
+    within = " and ".join(WITHIN_LIMIT.format(x=x, limit=BLOWUP_LIMIT) for x in packed)
+    # the step's sample at t, its RK4 step, the blow-up check, then the logic
+    loop = ["t = i * dt", "keep(s)", *body, *record, "if i == last:", "    break",
+            "try:", *indent([*steps, f"s = ({names(*final, n=n)})"]),
+            "except (ValueError, ArithmeticError):", "    return srows, erows, None, k, r, logic",
+            f"{state} = s",
+            f"if not ({within}):",
+            "    return srows, erows, None, k, r, logic"]
+    if red:
+        loop += ["if logic is not None:", *indent([
+            *text(ESTIMATE), f"nrm = hypot({names('est{i}', n=n)})",
+            "stepped = step_logic(schedule, logic, nrm)", "if stepped is not logic:",
+            "    events.append(JumpEvent(t + dt, logic.r, stepped.r, nrm, i + 1))",
+            "    k = stepped.k_r", "    r = stepped.r", "    logic = stepped",
+            *indent([*text(REBASE), f"s = {state}"])])]
     unpack = [f"({names(v + '{i}', n=n)}) = {v}" for v in ("q", "v", "est")]
     lines = ["half = 0.5 * dt", "sixth = dt / 6.0",
              *source("pack", "q, v, est, k", [*unpack, *(text(REBASE) * red),
                                                *text("ph{i} = q{i}\nvh{i} = est{i}") * full],
                      state),
-             *source("step", "t, s, k, r, last=False",
-                     [f"{state} = s", *body, *record, "if last:", "    return row, None",
-                      *steps], f"row, ({names(*final, n=n)})")]
-    lines += [*source("estimate_norm", "s, k", [f"{state} = s", *text(ESTIMATE)],
-                      f"hypot({names('est{i}', n=n)})"),
-              *source("rebase", "s, k, k_new", [f"{state} = s", *text(ESTIMATE),
-                                                *text(REBASE, k="k_new")], state)
-              ] if red else ["estimate_norm = rebase = None"]
+             *source("run", "i, stop, s, k, r, last, logic, schedule, step_logic, events",
+                     ["srows, erows = [], []", "keep, put = srows.append, erows.append",
+                      f"{state} = s", "for i in range(i, stop):", *indent(loop)],
+                     "srows, erows, s, k, r, logic")]
     params = names(*model_cls.CONSTANTS, *law_cls.CONSTANTS, "kd", "kp", "dt", n=n)
-    return define("factory", params, n, {}, lines, "pack, step, estimate_norm, rebase")
-
-
-def within_blowup_limit(state) -> bool:
-    """True iff every |x| in state is <= BLOWUP_LIMIT; false for a NaN, which
-    max(map(abs, state)) would pass over anywhere but first."""
-    return all(map(BLOWUP_LIMIT.__ge__, map(abs, state)))
+    return define("factory", params, n, {}, lines, "pack, run", JumpEvent=JumpEvent)
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -371,43 +386,27 @@ def simulate(scenario: Scenario) -> Trajectory:
     kp = kd * kd
 
     factory = flat_rhs(type(model), type(law), scenario.observer_mode)
-    pack, step, estimate_norm, rebase = factory(*model._constants, *law._constants,
-                                                kd, kp, dt)
+    pack, run = factory(*model._constants, *law._constants, kd, kp, dt)
     s = pack(scenario.q0.tolist(), scenario.v0.tolist(), scenario.xhat2_0.tolist(), k)
 
     n_samples = scenario.sample_count()
-    last = n_samples - 1
     states = np.empty((n_samples, len(s)))
     # per-sample columns: eps_norm, V, r, k_r, lower, upper, tau, then the
     # reduced observer's estimate
     extra = np.empty((n_samples, 6 + n + n * use_red))
-    # Rows are collected a block at a time and copied into the arrays per
-    # block.  Both bracket columns record the estimate norm; velocity_sandwich
-    # maps them to the bracket after the loop.
+    # run integrates a block of samples and returns its rows, which are
+    # copied into the arrays per block.  Both bracket columns record the
+    # estimate norm; velocity_sandwich maps them to the bracket after the loop.
     for start in range(0, n_samples, CSV_BLOCK_ROWS):
-        srows, erows = [], []
-        for i in range(start, min(start + CSV_BLOCK_ROWS, n_samples)):
-            t = i * dt
-            srows.append(s)
-            row, s = step(t, s, k, r_rec, i == last)
-            erows.append(row)
-            if s is None:
-                break
-            if not within_blowup_limit(s):
-                raise SimulationBlowUp(
-                    f"state component left |x| <= {BLOWUP_LIMIT:g} at t = {t + dt:.6f}")
-            if logic is not None:
-                nrm = estimate_norm(s, k)
-                stepped = step_logic(schedule, logic, nrm)
-                if stepped is not logic:
-                    events.append(JumpEvent(t + dt, logic.r, stepped.r, nrm, i + 1))
-                    # re-base z so the estimate is continuous across the gain change
-                    s = rebase(s, k, stepped.k_r)
-                    k = stepped.k_r
-                    r_rec = stepped.r
-                    logic = stepped
-        states[start:start + len(srows)] = srows
-        extra[start:start + len(erows)] = erows
+        stop = min(start + CSV_BLOCK_ROWS, n_samples)
+        srows, erows, s, k, r_rec, logic = run(start, stop, s, k, r_rec, n_samples - 1,
+                                               logic, schedule, step_logic, events)
+        if s is None:
+            t = (start + len(srows) - 1) * dt
+            raise SimulationBlowUp(
+                f"state component left |x| <= {BLOWUP_LIMIT:g} at t = {t + dt:.6f}")
+        states[start:stop] = srows
+        extra[start:stop] = erows
     extra[:, 4], extra[:, 5] = velocity_sandwich(eta, extra[:, 4])
 
     return Trajectory(

@@ -136,6 +136,32 @@ def test_an_overflowing_designed_gain_is_a_config_error(tmp_path, capsys, ini):
     assert err.startswith("error: designed gain k0") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("text", [
+    pytest.param("[model]\nm1 = 5\nm1 = 6\n", id="duplicate_option"),
+    pytest.param("[model]\nm1 = 5\n[model]\nm2 = 6\n", id="duplicate_section"),
+    pytest.param("m1 = 5\n[model]\n", id="no_section_header"),
+])
+def test_a_malformed_ini_is_a_one_line_config_error(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main([command, str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid scenario file {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("law", ["open_loop_1", "open_loop_2", "constant"])
+@pytest.mark.parametrize("dt", ["1e100", "1e300"])
+def test_a_math_error_mid_run_is_a_blow_up(tmp_path, capsys, law, dt):
+    # the first step overflows the angle, and a later stage takes its cosine
+    path = tmp_path / "huge_step.ini"
+    path.write_text(f"[controller]\ntype = {law}\n[initial]\nq0 = 0.1 0.2\ndq0 = 1 1\n"
+                    f"[observer]\nv_max = 1.5\n[simulation]\ndt = {dt}\nt_final = {dt}\n")
+    assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert err == f"simulation failed: state component left |x| <= 1e+06 at t = {float(dt):.6f}\n"
+
+
 def test_nan_band_width_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "nan_band.ini"
     path.write_text(SCHEDULED_INI.replace("v_bar = 1.5", "v_bar = nan"))

@@ -26,13 +26,20 @@ REGION_RADIUS = 0.13667045197664296
 
 
 def test_estimate_is_affine_in_output():
-    # the ESTIMATE text xhat2 = z + k0 y, as a compiled step records it
-    _, step, estimate_norm, _ = flat_rhs(TwoLinkArm, ConstantTorque, "reduced")(
+    # the ESTIMATE text xhat2 = z + k0 y, as a compiled run records it in the
+    # sample row and hands its norm to the switching logic after the step
+    _, run = flat_rhs(TwoLinkArm, ConstantTorque, "reduced")(
         *TwoLinkArm()._constants, 0.0, 0.0, 1.0, 1.0, 1e-3)
     s = (0.5, 0.25, 0.0, 0.0, 1.0, -2.0)
-    row, _ = step(0.0, s, 3.0, 0)
-    assert row[-2:] == (2.5, -1.25)
-    assert estimate_norm(s, 3.0) == math.hypot(2.5, -1.25)
+    norms = []
+
+    def logic_step(schedule, logic, nrm):
+        norms.append(nrm)
+        return logic
+
+    _, (row,), s1, _, _, _ = run(0, 1, s, 3.0, 0, 1, "logic", None, logic_step, [])
+    assert row[-2:] == (2.5, -1.25) and row[4] == math.hypot(2.5, -1.25)
+    assert norms == [math.hypot(3.0 * s1[0] + s1[4], 3.0 * s1[1] + s1[5])]
 
 
 def test_frozen_design_constants(arm, design15):
@@ -90,6 +97,8 @@ def test_design_input_validation(arm, design15):
     for v_max in (1e308, 1e160):
         with pytest.raises(ValueError, match="finite square"):
             compute_k0(arm, 1.0, v_max)
+        with pytest.raises(ValueError, match="finite square"):
+            compute_k0_conservative(arm, 1.0, v_max)
 
 
 def test_convergence_rate_endpoints(design15):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 from unittest import mock
 
+import dataclasses
 import math
 import re
 
@@ -27,8 +28,7 @@ from velobs.hybrid_logic import (SEMANTICS, GainSchedule, HybridConfig,
                                  compute_kr, enter_mode, flow_interval, flow_set,
                                  initialize_logic, step_logic)
 from velobs.observers import compute_k0, full_rate, reduced_rate
-from velobs.simulator import (OBSERVER_MODES, JumpEvent, Scenario, SimulationBlowUp,
-                              simulate, within_blowup_limit)
+from velobs.simulator import OBSERVER_MODES, JumpEvent, Scenario, SimulationBlowUp, simulate
 
 ARM = TwoLinkArm()
 PROPERTY = settings(database=None, deadline=None, max_examples=200)
@@ -214,7 +214,9 @@ def reference_run(sc: Scenario, final=zip_final):
     afresh from the thresholds and compute_kr.
 
     Returns the state rows, the per-sample rows (eps_norm, V, r, k_r, lower,
-    upper, tau) and the jump events.
+    upper, tau), the jump events and the blow-up message, None when the run
+    held; after a blow-up the rows end with the sample of the step that left
+    the limit or raised a math error.
     """
     model, n = sc.model, sc.model.n
     use_red = sc.observer_mode in ("reduced", "both")
@@ -258,9 +260,14 @@ def reference_run(sc: Scenario, final=zip_final):
                       max(0.0, nrm - eta), nrm + eta, *tau))
         if i == n_samples - 1:
             break
-        s = zip_step(rhs, t, s, dt, d1, final)
-        if not within_blowup_limit(s):
-            raise SimulationBlowUp(f"state component left |x| <= 1e+06 at t = {t + dt:.6f}")
+        try:
+            s = zip_step(rhs, t, s, dt, d1, final)
+        except (ValueError, ArithmeticError):     # cos of an overflowed angle
+            s = None
+        # a NaN fails both compares
+        if s is None or not all(-1e6 <= x <= 1e6 for x in s):
+            return (np.array(states), np.array(extra), events,
+                    f"state component left |x| <= 1e+06 at t = {t + dt:.6f}")
         if scheduled:
             y = s[:n]
             est_new = axpy(k, y, s[n2:n3])
@@ -271,7 +278,7 @@ def reference_run(sc: Scenario, final=zip_final):
                 k = compute_kr(model, cfg, r_new)
                 s = s[:n2] + axpy(-k, y, est_new) + s[n3:]
                 r = r_new
-    return np.array(states), np.array(extra), events
+    return np.array(states), np.array(extra), events, None
 
 
 @st.composite
@@ -323,15 +330,15 @@ def same_bits(got, want) -> bool:
                                         == np.ascontiguousarray(want).tobytes())
 
 
-def check_run(sc: Scenario, final=zip_final) -> None:
-    """simulate(sc) equals reference_run(sc) bit for bit, and its jumps are legal."""
-    try:
-        traj = simulate(sc)
-    except SimulationBlowUp as exc:
-        with pytest.raises(SimulationBlowUp, match=re.escape(str(exc))):
-            reference_run(sc, final)
+def check_run(sc: Scenario, want) -> None:
+    """simulate(sc) equals want, a reference_run of sc, bit for bit, and its
+    jumps are legal; or both blow up with the same message."""
+    states, extra, events, failure = want
+    if failure is not None:
+        with pytest.raises(SimulationBlowUp, match=re.escape(failure)):
+            simulate(sc)
         return
-    states, extra, events = reference_run(sc, final)
+    traj = simulate(sc)
     n = sc.model.n
     pairs = [(traj.x1, states[:, :n]), (traj.x2, states[:, n:2 * n]),
              (traj.eps_norm, extra[:, 0]), (traj.v_lyap, extra[:, 1]),
@@ -347,12 +354,37 @@ def check_run(sc: Scenario, final=zip_final) -> None:
     assert illegal_jumps(traj) == []
 
 
+def edge_blocks(want) -> set[int]:
+    """Row-block sizes that put a block edge at an event of the reference run
+    want: the step that blew up last in its block; the first flow jump's
+    step first in its block, and last."""
+    states, _, events, failure = want
+    if failure is not None:
+        return {len(states)}
+    steps = [ev.step for ev in events if ev.step > 1]
+    return {steps[0] - 1, steps[0]} if steps else set()
+
+
+def check_blocks(sc: Scenario, block_rows: int, final=zip_final) -> set[int]:
+    """check_run of sc against reference_run(sc, final) with block_rows rows
+    per block and with each of its edge_blocks; returns the edge blocks."""
+    want = reference_run(sc, final)
+    edges = edge_blocks(want)
+    for rows in {block_rows, *edges}:
+        with mock.patch.object(simulator, "CSV_BLOCK_ROWS", rows):
+            check_run(sc, want)
+    return edges
+
+
 @settings(database=None, deadline=None, max_examples=80)
-@given(short_scenarios(), st.integers(1, 64))
-def test_a_run_is_the_reference_rk4_loop(sc, block_rows):
+@given(short_scenarios(), st.integers(1, 64), st.sampled_from([False, False, True]))
+def test_a_run_is_the_reference_rk4_loop(sc, block_rows, blow_up):
+    if blow_up:
+        # a torque that drives the arm past the blow-up limit within the run
+        sc = dataclasses.replace(sc, controller=ConstantTorque([1e7] * sc.model.n),
+                                 t_final=0.2)
     # small row blocks put block edges inside the run, and a partial last block
-    with mock.patch.object(simulator, "CSV_BLOCK_ROWS", block_rows):
-        check_run(sc)
+    check_blocks(sc, block_rows)
 
 
 def test_a_reordered_final_stage_is_caught():
@@ -362,26 +394,33 @@ def test_a_reordered_final_stage_is_caught():
                   controller=OpenLoopUnbounded(), observer_mode="both",
                   gain_mode="scheduled", eta=1.0, hybrid=hybrid, r_guess=2,
                   dt=1e-3, t_final=0.1)
-    check_run(sc)
+    # the run jumps, so its edge blocks put a jump on a block's first step
+    assert len(check_blocks(sc, 1024)) == 2
+    # and this one blows up on a block's last step
+    assert check_blocks(dataclasses.replace(sc, controller=ConstantTorque([1e7, 1e7])),
+                        1024) == {16}
 
     def reordered(s, sixth, d1, d2, d3, d4):
         return tuple([a + sixth * (b1 + b4 + 2.0 * (b2 + b3))
                       for a, b1, b2, b3, b4 in zip(s, d1, d2, d3, d4)])
 
     with pytest.raises(AssertionError):
-        check_run(sc, reordered)
+        check_blocks(sc, 1024, reordered)
 
 
-def compiled_matches_composition(model_cls, model, law, mode, t, s, k, kd, kp, r, k_new, dt):
+def compiled_matches_composition(model_cls, model, law, mode, i, s, k, kd, kp, r, k_new, dt):
     """flat_rhs of this shape, bound to these numbers, equals the composition
-    of the per-equation functions bit for bit: one zip-form RK4 step and the
-    sample row."""
-    pack, step, estimate_norm, rebase = simulator.flat_rhs(model_cls, type(law), mode)(
+    of the per-equation functions bit for bit: one run step from sample i
+    (stop = i + 1) with its sample row, the last sample's row alone, and with
+    a logic state, the estimate norm handed to step_logic and the jump's
+    event and re-based z."""
+    pack, run = simulator.flat_rhs(model_cls, type(law), mode)(
         *model._constants, *law._constants, kd, kp, dt)
 
     def rhs(t, s):
         return composed_rhs(model, law, mode, kd, kp, t, s, k)
 
+    t = i * dt
     d1, tau, est, terms = rhs(t, s)
     n = model.n
     q, v = s[:n], s[n:2 * n]
@@ -392,18 +431,30 @@ def compiled_matches_composition(model_cls, model, law, mode, t, s, k, kd, kp, r
     # the initial state: z from the estimate as simulate packed it before
     z0 = tuple((np.array(est) - k * np.array(q)).tolist())
     packed = q + v + z0 * (mode != "full") + (q + est) * (mode != "reduced")
-    last_row, no_state = step(t, s, k, r, last=True)
-    got = [pack(q, v, est, k), *step(t, s, k, r), last_row]
-    want = [packed, row, zip_step(rhs, t, s, dt, d1), row]
-    if no_state is not None:
-        return False
+    s1 = zip_step(rhs, t, s, dt, d1)
+    srows, (got_row,), got_s1, *ends = run(i, i + 1, s, k, r, i + 1, None, None, None, None)
+    _, (last_row,), same, *last_ends = run(i, i + 1, s, k, r, i, None, None, None, None)
+    got = [pack(q, v, est, k), *srows, got_row, got_s1, last_row, same]
+    want = [packed, s, row, s1, row, s]
+    exact = ends == last_ends == [k, r, None] and len(srows) == 1
     if mode != "full":
-        z_new = axpy(-k_new, s[:n], est)
-        got += [estimate_norm(s, k), rebase(s, k, k_new)]
-        want += [nrm, s[:2 * n] + z_new + s[3 * n:]]
-    else:
-        assert estimate_norm is rebase is None
-    return all(same_bits(g, w) for g, w in zip(got, want))
+        # a logic step that jumps to a mode with gain k_new
+        seen, events = [], []
+        logic, stepped = SimpleNamespace(r=r), SimpleNamespace(r=r + 1, k_r=k_new)
+
+        def jump(schedule, logic, nrm):
+            seen.append((schedule, logic, nrm))
+            return stepped
+
+        *_, s2, k2, r2, logic2 = run(i, i + 1, s, k, r, i + 1, logic, "schedule", jump, events)
+        q1 = s1[:n]
+        est1 = axpy(k, q1, s1[2 * n:3 * n])
+        nrm1 = math.hypot(*est1)
+        got.append(s2)
+        want.append(s1[:2 * n] + axpy(-k_new, q1, est1) + s1[3 * n:])
+        exact = exact and seen == [("schedule", logic, nrm1)] and (k2, r2, logic2) == (
+            k_new, r + 1, stepped) and events == [JumpEvent(t + dt, r, r + 1, nrm1, i + 1)]
+    return exact and all(same_bits(g, w) for g, w in zip(got, want))
 
 
 @st.composite
@@ -433,13 +484,13 @@ def shapes(draw):
 
 
 @settings(database=None, deadline=None, max_examples=150)
-@given(shapes(), st.floats(0.0, 50.0), st.floats(0.01, 100.0), st.floats(0.01, 100.0),
+@given(shapes(), st.integers(0, 50_000), st.floats(0.01, 100.0), st.floats(0.01, 100.0),
        st.floats(0.01, 100.0), st.integers(0, 50), st.floats(0.01, 100.0),
        st.floats(1e-4, 1e-2))
-def test_the_compiled_rhs_is_the_composition(shape, t, k, kd, kp, r, k_new, dt):
+def test_the_compiled_rhs_is_the_composition(shape, i, k, kd, kp, r, k_new, dt):
     # every packed width: one or two joints, with one to three observer blocks
     model, law, mode, s = shape
-    assert compiled_matches_composition(type(model), model, law, mode, t, s, k, kd, kp, r,
+    assert compiled_matches_composition(type(model), model, law, mode, i, s, k, kd, kp, r,
                                         k_new, dt)
 
 
@@ -452,6 +503,6 @@ class OneUlpArm(TwoLinkArm):
 def test_a_one_ulp_template_change_is_caught():
     assert OneUlpArm.KERNEL != TwoLinkArm.KERNEL
     s = (0.3, -0.8, 1.2, -0.4, 0.1, 0.2, 0.3, -0.7, 0.9, 0.5)
-    args = (ARM, OpenLoopUnbounded(), "both", 0.7, s, 5.0, 10.0, 100.0, 2, 7.5, 1e-3)
+    args = (ARM, OpenLoopUnbounded(), "both", 700, s, 5.0, 10.0, 100.0, 2, 7.5, 1e-3)
     assert compiled_matches_composition(TwoLinkArm, *args)
     assert not compiled_matches_composition(OneUlpArm, *args)

@@ -209,28 +209,31 @@ def test_blow_up_check_catches_a_trailing_nan(arm, monkeypatch):
     monkeypatch.setattr(simulator, "flat_rhs", lambda *shape: lambda *numbers: flat_rhs(
         *shape)(*numbers[:-3], math.nan, math.nan, numbers[-1]))
     sc = make_scenario(arm, observer_mode="full", t_final=0.01)
-    assert not simulator.within_blowup_limit((0.0, 1.0, math.nan))
     with pytest.raises(SimulationBlowUp, match="t = 0.001000"):
         simulate(sc)
-    # sabotage control: max() passes over a NaN that is not first, so the
-    # run would end with a NaN estimate and no error
-    monkeypatch.setattr(simulator, "within_blowup_limit",
-                        lambda state: max(map(abs, state)) <= simulator.BLOWUP_LIMIT)
-    traj = simulate(sc)
+    # sabotage control: the same compare negated passes a NaN, so the run
+    # would end with a NaN estimate and no error
+    monkeypatch.setattr(simulator, "WITHIN_LIMIT", "not abs({x}) > {limit}")
+    flat_rhs.cache_clear()
+    try:
+        traj = simulate(sc)
+    finally:
+        flat_rhs.cache_clear()
     assert np.isnan(traj.xhat2_full[1:]).all()
     assert np.isfinite(traj.x1).all() and np.isfinite(traj.x2).all()
 
 
 def test_the_last_sample_evaluates_no_later_stage(arm):
     # from this state the velocity overflows within the step, and a later
-    # stage takes the cosine of an infinite angle; the last row needs neither
-    _, step, _, _ = simulator.flat_rhs(TwoLinkArm, ConstantTorque, "reduced")(
+    # stage takes the cosine of an infinite angle: a blow-up (no state); the
+    # last sample's row needs neither
+    _, run = simulator.flat_rhs(TwoLinkArm, ConstantTorque, "reduced")(
         *arm._constants, 0.0, 0.0, 1.0, 1.0, 1e-3)
     s = (0.0, 1.0, 1e308, 1e308, 0.0, 0.0)
-    with pytest.raises(ValueError, match="math domain"):
-        step(0.0, s, 1.0, 0)
-    row, no_state = step(0.0, s, 1.0, 0, last=True)
-    assert no_state is None and row[2:4] == (0, 1.0)
+    srows, erows, blown, *_ = run(0, 1, s, 1.0, 0, 1, None, None, None, None)
+    assert blown is None and srows == [s] and len(erows) == 1
+    srows, (row,), same, k, r, _ = run(0, 1, s, 1.0, 0, 0, None, None, None, None)
+    assert srows == [s] and same == s and row[2:4] == (0, 1.0) == (r, k)
 
 
 def test_single_link_and_full_only_runs(single):
