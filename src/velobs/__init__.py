@@ -4,14 +4,14 @@ from .dynamics import (PlantState, RobotModel, SingleLinkModel, SingularInertiaE
                        TwoLinkArm, TwoLinkParams, spectral_bounds, total_energy)
 from .observers import (K_MIN, GainDesign, compute_k0, compute_k0_conservative,
                         convergence_rate)
-from .hybrid_logic import (GainSchedule, HybridConfig, LogicState, compute_kr,
-                           enter_mode, flow_interval, flow_set, initialize_logic,
-                           jump_down_set, jump_up_set, step_logic,
+from .hybrid_logic import (GainSchedule, HybridConfig, JumpEvent, LogicState,
+                           compute_kr, enter_mode, flow_interval, flow_set,
+                           initialize_logic, jump_down_set, jump_up_set, step_logic,
                            velocity_sandwich)
 from .controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                           PdConfig, PdGravity)
-from .simulator import (JumpEvent, Scenario, ScenarioError, SimulationBlowUp,
-                        Trajectory, builtin_scenarios, simulate)
+from .simulator import (Scenario, ScenarioError, SimulationBlowUp, Trajectory,
+                        builtin_scenarios, simulate)
 from .analysis import (LyapunovCheck, chatter_score, check_lyapunov_decrease,
                        illegal_jumps, report_lines, sandwich_violations,
                        scenario_checks, settling_time, ultimate_r_constant)

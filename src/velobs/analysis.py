@@ -45,7 +45,7 @@ def check_lyapunov_decrease(traj: Trajectory, design: GainDesign) -> LyapunovChe
     radius = design.region_radius
     speed = np.linalg.norm(traj.x2, axis=1)
     if traj.scenario is not None and traj.scenario.gain_mode == "scheduled":
-        bound = traj.r * traj.scenario.hybrid.v_bar
+        bound = traj.scenario.hybrid.band_speed(traj.r)
     else:
         bound = np.full(traj.t.shape, design.v_max)
     admissible = (traj.eps_norm < radius) & (speed <= bound)
@@ -213,7 +213,7 @@ def report_lines(traj: Trajectory, design: GainDesign,
             lines.append(f"jump_semantics: {sc.hybrid.semantics}")
             lines.append(f"v_bar: {sc.hybrid.v_bar:g}")
             lines.append(f"r_min: {sc.hybrid.r_min}")
-            empty = flow_interval(sc.hybrid, max(sc.hybrid.r_min + 1, 1)) is None
+            empty = flow_interval(sc.hybrid, sc.hybrid.r_min + 1) is None
             lines.append(f"empty_flow_annulus: {str(empty).lower()}")
         lines.append(f"dt: {sc.dt:g}")
         lines.append(f"t_final: {sc.t_final:g}")

@@ -49,13 +49,11 @@ def load_scenario_file(path) -> Scenario:
     try:
         if not parser.read(str(path)):
             raise FileNotFoundError(f"cannot read scenario file {path}")
+        # a key the file leaves out keeps the TwoLinkParams default
         msec = parser["model"] if parser.has_section("model") else {}
-        params = TwoLinkParams(
-            m1=float(msec.get("m1", 10.0)), m2=float(msec.get("m2", 20.0)),
-            l1=float(msec.get("l1", 1.0)), l2=float(msec.get("l2", 1.5)),
-            f1=float(msec.get("f1", 0.1)), f2=float(msec.get("f2", 0.3)),
-            gravity_accel=float(msec.get("gravity", 9.81)))
-        model = TwoLinkArm(params)
+        model = TwoLinkArm(TwoLinkParams(**{
+            "gravity_accel" if key == "gravity" else key: float(msec[key])
+            for key in ("m1", "m2", "l1", "l2", "f1", "f2", "gravity") if key in msec}))
 
         isec = parser["initial"] if parser.has_section("initial") else {}
         q0 = _parse_vec(isec.get("q0", "0 0"), 2)
@@ -95,13 +93,12 @@ def load_scenario_file(path) -> Scenario:
             r_guess = int(hsec.get("r_guess", max(hybrid.r_min, 1)))
 
         ssec = parser["simulation"] if parser.has_section("simulation") else {}
+        horizon = {key: float(ssec[key]) for key in ("dt", "t_final") if key in ssec}
         return Scenario(
             name=path.stem, model=model, q0=q0, v0=v0, xhat2_0=est0,
             controller=controller,
             observer_mode=osec.get("mode", "reduced"), gain_mode=gain_mode,
-            eta=eta, v_max=v_max, hybrid=hybrid, r_guess=r_guess,
-            dt=float(ssec.get("dt", 1e-3)),
-            t_final=float(ssec.get("t_final", 10.0)))
+            eta=eta, v_max=v_max, hybrid=hybrid, r_guess=r_guess, **horizon)
     except (KeyError, ValueError, SingularInertiaError, configparser.Error) as exc:
         if isinstance(exc, ScenarioError):
             raise

@@ -53,7 +53,7 @@ def define(name: str, params: str, n: int, unpack: dict, lines: list[str], resul
     """Compile `def name(params)` in NAMESPACE and `scope` and return the
     function.  Its body first unpacks each `value: spec` of `unpack`
     (`names(*spec, n=n) = value`) whose names the lines or the result read."""
-    read = set(re.findall(r"\w+", "\n".join([*lines, result])))
+    read = set(re.findall(r"\w+", "\n".join([*lines, result]))) if unpack else set()
     head = [f"{names(*spec, n=n)}= {value}" for value, spec in unpack.items()
             if read.intersection(joints("\n".join(spec), n))]
     scope.update(NAMESPACE)

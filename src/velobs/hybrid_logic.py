@@ -50,35 +50,46 @@ class HybridConfig:
         if self.r_min < 0:
             raise ValueError("r_min must be nonnegative")
 
-    def up_threshold(self, r: int) -> float:
-        return r * self.v_bar - self.eta
+    def band_speed(self, r):
+        """Top speed of the band of mode r, r * v_bar, which its gain is
+        designed for; elementwise for an array of modes."""
+        return r * self.v_bar
 
-    def down_threshold(self, r: int) -> float:
-        if self.semantics == "hysteresis":
-            return (r - 1) * self.v_bar - self.eta
-        return (r - 1) * self.v_bar + self.eta
+    def thresholds(self, r: int) -> tuple[float, float]:
+        """(up, down) of mode r: its up-jump set is nrm >= up, its down-jump
+        set nrm <= down.  down is -inf at the floor mode r_min, which has no
+        mode below to jump to; a mode below r_min raises ValueError."""
+        if r < self.r_min:
+            raise ValueError("r below the lowest admissible mode")
+        if r == self.r_min:
+            down = -math.inf
+        elif self.semantics == "hysteresis":
+            down = self.band_speed(r - 1) - self.eta
+        else:
+            down = self.band_speed(r - 1) + self.eta
+        return self.band_speed(r) - self.eta, down
 
 
-def _check_mode(config: HybridConfig, r: int) -> None:
-    if r < config.r_min:
-        raise ValueError("r below the lowest admissible mode")
+class JumpEvent(NamedTuple):
+    """One logic jump: when, from which mode to which, at what estimate norm,
+    and at which sample (0 for the jumps that settle the mode at time zero)."""
+
+    time: float
+    old_r: int
+    new_r: int
+    est_norm: float
+    step: int
 
 
 def jump_up_set(config: HybridConfig, r: int, nrm: float) -> bool:
     """True iff the estimate norm lies in the up-jump set of mode r."""
-    _check_mode(config, r)
-    return nrm >= config.up_threshold(r)
+    return nrm >= config.thresholds(r)[0]
 
 
 def jump_down_set(config: HybridConfig, r: int, nrm: float) -> bool:
-    """True iff the estimate norm lies in the down-jump set of mode r.
-
-    Always false at the floor mode, there is no mode below to jump to.
-    """
-    _check_mode(config, r)
-    if r <= config.r_min:
-        return False
-    return nrm <= config.down_threshold(r)
+    """True iff the estimate norm lies in the down-jump set of mode r;
+    always false at the floor mode."""
+    return nrm <= config.thresholds(r)[1]
 
 
 def flow_set(config: HybridConfig, r: int, nrm: float) -> bool:
@@ -101,17 +112,16 @@ def flow_interval(config: HybridConfig, r: int) -> tuple[float, float] | None:
     An empty interval means the jump sets cover the whole space in mode r,
     which happens with v_bar < 2 eta in paper_faithful semantics.
     """
-    _check_mode(config, r)
-    hi = config.up_threshold(r)
-    lo = max(config.down_threshold(r), 0.0) if r > config.r_min else 0.0
-    if hi < lo:
+    up, down = config.thresholds(r)
+    lo = max(down, 0.0)
+    if up < lo:
         return None
-    return lo, hi
+    return lo, up
 
 
 def compute_kr(model: RobotModel, config: HybridConfig, r: int) -> float:
     """Scheduled gain of mode r: the constant design for speeds up to r * v_bar."""
-    return compute_k0(model, config.eta, r * config.v_bar).k0
+    return compute_k0(model, config.eta, config.band_speed(r)).k0
 
 
 class GainSchedule:
@@ -138,10 +148,9 @@ def enter_mode(schedule: GainSchedule, r: int) -> LogicState:
     state = schedule.states.get(r)
     if state is None:
         config = schedule.config
-        _check_mode(config, r)
-        down = config.down_threshold(r) if r > config.r_min else -math.inf
+        up, down = config.thresholds(r)
         state = schedule.states[r] = LogicState(r, compute_kr(schedule.model, config, r),
-                                                config.up_threshold(r), down)
+                                                up, down)
     return state
 
 
@@ -158,29 +167,29 @@ def step_logic(schedule: GainSchedule, state: LogicState, nrm: float) -> LogicSt
     return state
 
 
-def initialize_logic(schedule: GainSchedule, nrm: float, r_guess: int, *,
-                     events: list | None = None) -> LogicState:
+def initialize_logic(schedule: GainSchedule, nrm: float, r_guess: int,
+                     events: list[JumpEvent]) -> LogicState:
     """Settle the logic index at time zero by iterating jumps.
 
     Jumps are applied repeatedly until the initial estimate norm is outside the
     active jump sets, or only inside the one that points back to the mode
     just exited (crossing back would cycle forever).  Each applied jump is
-    appended to `events` as (old_r, new_r, estimate_norm) when a list is
-    given.  Raises ValueError when r_guess is below r_min (the first jump-set
-    test refuses that mode) or MAX_INIT_JUMPS jumps have not settled it.
+    appended to `events` as JumpEvent(0.0, old_r, new_r, nrm, 0).  Raises
+    ValueError when r_guess is below r_min (its thresholds refuse that mode)
+    or MAX_INIT_JUMPS jumps have not settled it.
     """
     config = schedule.config
     r = r_guess
     last = 0                    # direction of the previous jump
     for _ in range(MAX_INIT_JUMPS):
-        if last != -1 and jump_up_set(config, r, nrm):
+        up, down = config.thresholds(r)
+        if last != -1 and nrm >= up:
             step = 1
-        elif last != 1 and jump_down_set(config, r, nrm):
+        elif last != 1 and nrm <= down:
             step = -1
         else:
             return enter_mode(schedule, r)
-        if events is not None:
-            events.append((r, r + step, nrm))
+        events.append(JumpEvent(0.0, r, r + step, nrm, 0))
         r += step
         last = step
     raise ValueError("logic index did not settle; inconsistent hybrid configuration")

@@ -15,13 +15,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .dynamics import INJECT, RobotModel
 from .equations import define, joints, names, rename, source
-from .hybrid_logic import (GainSchedule, HybridConfig, initialize_logic,
+from .hybrid_logic import (GainSchedule, HybridConfig, JumpEvent, initialize_logic,
                            step_logic, velocity_sandwich)
 from .observers import ESTIMATE, FULL, REBASE, REDUCED, GainDesign, check_gain, compute_k0
 
@@ -53,16 +53,6 @@ class ScenarioError(ValueError):
 
 class SimulationBlowUp(RuntimeError):
     """State left the numerically meaningful range during integration."""
-
-
-class JumpEvent(NamedTuple):
-    """One logic jump: when, from which mode to which, at what estimate norm."""
-
-    time: float
-    old_r: int
-    new_r: int
-    est_norm: float
-    step: int
 
 
 @dataclass(eq=False)
@@ -149,7 +139,7 @@ class Scenario:
         if self.v_max is not None:
             return self.v_max
         if self.hybrid is not None:
-            return self.hybrid.v_bar * max(self.r_guess, 1)
+            return self.hybrid.band_speed(max(self.r_guess, 1))
         return None
 
     def sample_count(self) -> int:
@@ -372,11 +362,8 @@ def simulate(scenario: Scenario) -> Trajectory:
     events: list[JumpEvent] = []
     if scenario.gain_mode == "scheduled":
         schedule = GainSchedule(model, scenario.hybrid)
-        init_events: list = []
         logic = initialize_logic(schedule, math.hypot(*scenario.xhat2_0.tolist()),
-                                 scenario.r_guess, events=init_events)
-        for old_r, new_r, nrm in init_events:
-            events.append(JumpEvent(0.0, old_r, new_r, nrm, 0))
+                                 scenario.r_guess, events)
         k = logic.k_r
         r_rec = logic.r
         kd = design.k0
@@ -404,7 +391,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         if s is None:
             t = (start + len(srows) - 1) * dt
             raise SimulationBlowUp(
-                f"state component left |x| <= {BLOWUP_LIMIT:g} at t = {t + dt:.6f}")
+                f"state component left |x| <= {BLOWUP_LIMIT:g} at t = {t + dt:.6g}")
         states[start:stop] = srows
         extra[start:stop] = erows
     extra[:, 4], extra[:, 5] = velocity_sandwich(eta, extra[:, 4])

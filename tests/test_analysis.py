@@ -19,7 +19,8 @@ from velobs.analysis import (
     settling_time,
     ultimate_r_constant,
 )
-from velobs.simulator import JumpEvent, Trajectory, builtin_scenarios, simulate
+from velobs.hybrid_logic import JumpEvent
+from velobs.simulator import Trajectory, builtin_scenarios, simulate
 
 
 def synthetic(eps, dt=0.1, speed=0.0, v_lyap=None, r=0, scenario=None,
@@ -162,8 +163,9 @@ def test_sandwich_violation_count():
 def test_illegal_jump_audit(example2_traj):
     assert illegal_jumps(example2_traj) == []
     sc = builtin_scenarios()["example2"]
-    up_ok = JumpEvent(0.5, 1, 2, sc.hybrid.up_threshold(1) + 0.1, 500)
-    up_bad = JumpEvent(0.6, 1, 2, sc.hybrid.up_threshold(1) - 0.1, 600)
+    up = 1 * sc.hybrid.v_bar - sc.hybrid.eta     # the up threshold of mode 1
+    up_ok = JumpEvent(0.5, 1, 2, up + 0.1, 500)
+    up_bad = JumpEvent(0.6, 1, 2, up - 0.1, 600)
     skip = JumpEvent(0.7, 1, 3, 99.0, 700)
     down_bad = JumpEvent(0.8, 1, 0, 0.0, 800)   # below the floor
     from_below = JumpEvent(0.9, 0, 1, 99.0, 900)  # out of a mode below r_min

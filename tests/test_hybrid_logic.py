@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from velobs import hybrid_logic
 from velobs.hybrid_logic import (
     GainSchedule,
     HybridConfig,
+    JumpEvent,
     compute_kr,
     enter_mode,
     flow_interval,
@@ -34,10 +36,20 @@ def make_config(**kwargs) -> HybridConfig:
 
 def test_threshold_formulas():
     cfg = make_config()
-    assert cfg.up_threshold(2) == 5.0
-    assert cfg.down_threshold(2) == 4.0
+    assert cfg.band_speed(2) == 6.0
+    assert cfg.thresholds(2) == (5.0, 4.0)
     hyst = make_config(semantics="hysteresis")
-    assert hyst.down_threshold(2) == 2.0
+    assert hyst.thresholds(2) == (5.0, 2.0)
+    # the floor mode has no down-jump set
+    assert cfg.thresholds(0) == (-1.0, -math.inf)
+    assert make_config(r_min=2).thresholds(2) == (5.0, -math.inf)
+    with pytest.raises(ValueError, match="lowest admissible mode"):
+        make_config(r_min=2).thresholds(1)
+
+
+def test_band_speed_is_elementwise():
+    cfg = make_config()
+    assert cfg.band_speed(np.array([0, 1, 4])).tolist() == [0.0, 3.0, 12.0]
 
 
 def test_jump_set_membership():
@@ -52,7 +64,8 @@ def test_jump_set_membership():
 
 def test_down_jump_disabled_at_floor():
     cfg = make_config(r_min=1)
-    assert not jump_down_set(cfg, 1, 0.0)
+    for nrm in (0.0, 1e300, math.inf, math.nan):
+        assert not jump_down_set(cfg, 1, nrm)
     with pytest.raises(ValueError):
         jump_down_set(cfg, 0, 0.0)
     with pytest.raises(ValueError):
@@ -97,8 +110,8 @@ def test_hysteresis_separates_thresholds():
         paper = HybridConfig(v_bar=v_bar, eta=eta)
         hyst = HybridConfig(v_bar=v_bar, eta=eta, semantics="hysteresis")
         for r in range(0, 5):
-            assert hyst.down_threshold(r + 1) <= paper.up_threshold(r)
-            assert paper.down_threshold(r + 1) > paper.up_threshold(r)
+            assert hyst.thresholds(r + 1)[1] <= paper.thresholds(r)[0]
+            assert paper.thresholds(r + 1)[1] > paper.thresholds(r)[0]
 
 
 def test_config_validation():
@@ -153,10 +166,11 @@ def test_gain_schedule_designs_only_the_modes_asked_for(arm, monkeypatch):
     cfg = HybridConfig(v_bar=1e-5, eta=1.0, semantics="hysteresis")
     r_guess = 1_099_990
     schedule = GainSchedule(arm, cfg)
-    # midway through the flow annulus of mode r_guess + 3
-    nrm = 0.5 * (cfg.up_threshold(r_guess + 2) + cfg.up_threshold(r_guess + 3))
+    # midway through the flow annulus of mode r_guess + 3, between the down
+    # threshold (r_guess + 2) v_bar - eta and the up one (r_guess + 3) v_bar - eta
+    nrm = (r_guess + 2.5) * cfg.v_bar - cfg.eta
     events = []
-    state = initialize_logic(schedule, nrm, r_guess, events=events)
+    state = initialize_logic(schedule, nrm, r_guess, events)
     assert state.r == r_guess + 3 and len(events) == 3
     assert enter_mode(schedule, state.r) is state
     assert len(calls) == 1
@@ -197,9 +211,9 @@ def test_initialize_settles_zero_estimate_to_floor(arm):
     cfg = make_config()
     schedule = GainSchedule(arm, cfg)
     events = []
-    state = initialize_logic(schedule, 0.0, 1, events=events)
+    state = initialize_logic(schedule, 0.0, 1, events)
     assert state.r == cfg.r_min == 0
-    assert events == [(1, 0, 0.0)]
+    assert events == [JumpEvent(0.0, 1, 0, 0.0, 0)]
 
 
 def test_initialize_climbs_to_matching_band(arm):
@@ -207,10 +221,9 @@ def test_initialize_climbs_to_matching_band(arm):
     cfg = make_config()
     schedule = GainSchedule(arm, cfg)
     events = []
-    state = initialize_logic(schedule, 10.0, 0, events=events)
+    state = initialize_logic(schedule, 10.0, 0, events)
     assert state.r == 4
-    assert [(a, b) for a, b, _ in events] == [(0, 1), (1, 2), (2, 3), (3, 4)]
-    assert all(nrm == 10.0 for _, _, nrm in events)
+    assert events == [JumpEvent(0.0, r, r + 1, 10.0, 0) for r in range(4)]
     assert state.k_r == compute_kr(arm, cfg, 4)
 
 
@@ -218,9 +231,11 @@ def test_initialize_respects_floor_and_guess_validation(arm):
     cfg = make_config(r_min=1)
     schedule = GainSchedule(arm, cfg)
     with pytest.raises(ValueError):
-        initialize_logic(schedule, 0.0, 0)
-    state = initialize_logic(schedule, 0.0, 3)
+        initialize_logic(schedule, 0.0, 0, [])
+    events = []
+    state = initialize_logic(schedule, 0.0, 3, events)
     assert state.r == 1
+    assert events == [JumpEvent(0.0, 3, 2, 0.0, 0), JumpEvent(0.0, 2, 1, 0.0, 0)]
 
 
 def test_initialize_raises_when_it_cannot_settle(arm):
@@ -228,7 +243,7 @@ def test_initialize_raises_when_it_cannot_settle(arm):
     cfg = HybridConfig(v_bar=1e-3, eta=1.0)
     schedule = GainSchedule(arm, cfg)
     with pytest.raises(ValueError, match="settle"):
-        initialize_logic(schedule, 10.0, 0)
+        initialize_logic(schedule, 10.0, 0, [])
 
 
 def test_velocity_sandwich_bracket():

@@ -24,11 +24,11 @@ from velobs.analysis import illegal_jumps
 from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                                 PdConfig, PdGravity)
 from velobs.dynamics import SingleLinkModel, TwoLinkArm, TwoLinkParams
-from velobs.hybrid_logic import (SEMANTICS, GainSchedule, HybridConfig,
+from velobs.hybrid_logic import (SEMANTICS, GainSchedule, HybridConfig, JumpEvent,
                                  compute_kr, enter_mode, flow_interval, flow_set,
-                                 initialize_logic, step_logic)
+                                 initialize_logic, jump_down_set, jump_up_set, step_logic)
 from velobs.observers import compute_k0, full_rate, reduced_rate
-from velobs.simulator import OBSERVER_MODES, JumpEvent, Scenario, SimulationBlowUp, simulate
+from velobs.simulator import OBSERVER_MODES, Scenario, SimulationBlowUp, simulate
 
 ARM = TwoLinkArm()
 PROPERTY = settings(database=None, deadline=None, max_examples=200)
@@ -37,11 +37,22 @@ configs = st.builds(HybridConfig, v_bar=st.floats(1e-3, 10.0), eta=st.floats(1e-
                     semantics=st.sampled_from(SEMANTICS), r_min=st.integers(0, 5))
 
 
+def up_thr(cfg, r) -> float:
+    """The up threshold of mode r: the top of its band, r v_bar, less eta."""
+    return r * cfg.v_bar - cfg.eta
+
+
+def down_thr(cfg, r) -> float:
+    """The down threshold of mode r above the floor: the top of the band
+    below, (r - 1) v_bar, plus eta, or less eta under hysteresis."""
+    return (r - 1) * cfg.v_bar + (-cfg.eta if cfg.semantics == "hysteresis" else cfg.eta)
+
+
 @st.composite
 def norms(draw, cfg, r):
     """An estimate norm: anywhere, or exactly on a threshold of mode r."""
     free = draw(st.floats(0.0, 600.0))
-    on = draw(st.sampled_from([cfg.up_threshold(r), cfg.down_threshold(r), free]))
+    on = draw(st.sampled_from([up_thr(cfg, r), down_thr(cfg, r), free]))
     return on if on >= 0.0 else free
 
 
@@ -65,7 +76,7 @@ def jump_events(draw):
 
 def in_annulus(cfg, r, nrm) -> bool:
     """The closed annulus: at most the up threshold, at least the down one above the floor."""
-    return nrm <= cfg.up_threshold(r) and (r == cfg.r_min or nrm >= cfg.down_threshold(r))
+    return nrm <= up_thr(cfg, r) and (r == cfg.r_min or nrm >= down_thr(cfg, r))
 
 
 def legal(cfg, ev) -> bool:
@@ -73,17 +84,17 @@ def legal(cfg, ev) -> bool:
     if ev.old_r < cfg.r_min:
         return False
     if ev.new_r == ev.old_r + 1:
-        return ev.est_norm >= cfg.up_threshold(ev.old_r)
+        return ev.est_norm >= up_thr(cfg, ev.old_r)
     if ev.new_r == ev.old_r - 1:
-        return ev.old_r > cfg.r_min and ev.est_norm <= cfg.down_threshold(ev.old_r)
+        return ev.old_r > cfg.r_min and ev.est_norm <= down_thr(cfg, ev.old_r)
     return False
 
 
 def next_mode(cfg, r, nrm) -> int:
     """The mode after one logic step: up wins, no down-jump out of the floor."""
-    if nrm >= cfg.up_threshold(r):
+    if nrm >= up_thr(cfg, r):
         return r + 1
-    if r > cfg.r_min and nrm <= cfg.down_threshold(r):
+    if r > cfg.r_min and nrm <= down_thr(cfg, r):
         return r - 1
     return r
 
@@ -96,8 +107,8 @@ def check_step(step, cfg, r, nrm) -> None:
     assert new.r == want
     if want == r:
         assert new is state
-    down = cfg.down_threshold(want) if want > cfg.r_min else -math.inf
-    assert new == (want, compute_kr(ARM, cfg, want), cfg.up_threshold(want), down)
+    down = down_thr(cfg, want) if want > cfg.r_min else -math.inf
+    assert new == (want, compute_kr(ARM, cfg, want), up_thr(cfg, want), down)
 
 
 def check_flow_set(flow, cfg, r, nrm) -> None:
@@ -127,6 +138,24 @@ def test_illegal_jumps_flags_exactly_the_events_outside_their_jump_set(case):
     check_audit(*case)
 
 
+@PROPERTY
+@given(configs, st.one_of(st.integers(0, 8), st.integers(0, 10**9)), st.floats(0.0, 600.0))
+def test_the_thresholds_are_the_band_formula(cfg, r, free):
+    if r < cfg.r_min:
+        with pytest.raises(ValueError, match="lowest admissible mode"):
+            cfg.thresholds(r)
+        return
+    up, down = up_thr(cfg, r), down_thr(cfg, r) if r > cfg.r_min else -math.inf
+    assert cfg.thresholds(r) == (up, down)
+    state = enter_mode(GainSchedule(ARM, cfg), r)
+    assert (state.r, state.up, state.down) == (r, up, down)
+    for nrm in (up, down, free):
+        assert jump_up_set(cfg, r, nrm) is (nrm >= up)
+        assert jump_down_set(cfg, r, nrm) is (nrm <= down)
+    lo = max(down, 0.0)
+    assert flow_interval(cfg, r) == ((lo, up) if lo <= up else None)
+
+
 @settings(database=None, deadline=None, max_examples=50)
 @given(configs, st.integers(0, 10**6))
 def test_scheduled_gain_is_the_grid_gain_at_the_band_speed(cfg, r):
@@ -140,15 +169,14 @@ def test_a_strict_threshold_is_caught(monkeypatch):
         interval = flow_interval(cfg, r)
         return interval is not None and interval[0] < nrm < interval[1]
 
-    for nrm in (cfg.down_threshold(2), cfg.up_threshold(2)):
+    for nrm in (down_thr(cfg, 2), up_thr(cfg, 2)):
         check_flow_set(flow_set, cfg, 2, nrm)
         with pytest.raises(AssertionError):
             check_flow_set(strict_flow_set, cfg, 2, nrm)
 
-    on_threshold = [JumpEvent(0.1, 2, 3, cfg.up_threshold(2), 100)]
+    on_threshold = [JumpEvent(0.1, 2, 3, up_thr(cfg, 2), 100)]
     check_audit(cfg, on_threshold)
-    monkeypatch.setattr(analysis, "jump_up_set",
-                        lambda cfg, r, nrm: nrm > cfg.up_threshold(r))
+    monkeypatch.setattr(analysis, "jump_up_set", lambda cfg, r, nrm: nrm > up_thr(cfg, r))
     with pytest.raises(AssertionError):
         check_audit(cfg, on_threshold)
 
@@ -159,9 +187,9 @@ def test_a_strict_threshold_is_caught(monkeypatch):
             return enter_mode(schedule, state.r - 1)
         return state
 
-    check_step(step_logic, cfg, 2, cfg.up_threshold(2))
+    check_step(step_logic, cfg, 2, up_thr(cfg, 2))
     with pytest.raises(AssertionError):
-        check_step(strict_step, cfg, 2, cfg.up_threshold(2))
+        check_step(strict_step, cfg, 2, up_thr(cfg, 2))
 
 
 def axpy(a, x, y):
@@ -226,10 +254,8 @@ def reference_run(sc: Scenario, final=zip_final):
     events = []
     scheduled = sc.gain_mode == "scheduled"
     if scheduled:
-        init = []
         r = initialize_logic(GainSchedule(model, cfg), math.hypot(*sc.xhat2_0.tolist()),
-                             sc.r_guess, events=init).r
-        events += [JumpEvent(0.0, old_r, new_r, nrm, 0) for old_r, new_r, nrm in init]
+                             sc.r_guess, events).r
         k = compute_kr(model, cfg, r)
         kd = design.k0
     else:
@@ -267,7 +293,7 @@ def reference_run(sc: Scenario, final=zip_final):
         # a NaN fails both compares
         if s is None or not all(-1e6 <= x <= 1e6 for x in s):
             return (np.array(states), np.array(extra), events,
-                    f"state component left |x| <= 1e+06 at t = {t + dt:.6f}")
+                    f"state component left |x| <= 1e+06 at t = {t + dt:.6g}")
         if scheduled:
             y = s[:n]
             est_new = axpy(k, y, s[n2:n3])
