@@ -31,6 +31,16 @@ EXIT_CONFIG = 1
 EXIT_SIMULATION = 2
 EXIT_CHECKS = 3
 
+# The keys a scenario file may hold, by section; anything else is refused.
+SCENARIO_KEYS = {
+    "model": ("m1", "m2", "l1", "l2", "f1", "f2", "gravity"),
+    "initial": ("q0", "dq0", "dq0_hat"),
+    "controller": ("type", "kp", "kd", "setpoint", "tau"),
+    "observer": ("eta", "mode", "gain", "v_max"),
+    "hybrid": ("v_bar", "r_min", "r_guess", "semantics"),
+    "simulation": ("dt", "t_final"),
+}
+
 _SEMANTICS_ALIASES = {"paper": "paper_faithful", "paper_faithful": "paper_faithful",
                       "hysteresis": "hysteresis"}
 
@@ -49,11 +59,18 @@ def load_scenario_file(path) -> Scenario:
     try:
         if not parser.read(str(path)):
             raise FileNotFoundError(f"cannot read scenario file {path}")
+        for section in parser.sections():
+            if section not in SCENARIO_KEYS:
+                raise ValueError(f"unknown section [{section}]")
+            # a [DEFAULT] key is read in every section, so each must know it
+            for key in parser[section]:
+                if key not in SCENARIO_KEYS[section]:
+                    raise ValueError(f"unknown key {key!r} in section [{section}]")
         # a key the file leaves out keeps the TwoLinkParams default
         msec = parser["model"] if parser.has_section("model") else {}
         model = TwoLinkArm(TwoLinkParams(**{
             "gravity_accel" if key == "gravity" else key: float(msec[key])
-            for key in ("m1", "m2", "l1", "l2", "f1", "f2", "gravity") if key in msec}))
+            for key in SCENARIO_KEYS["model"] if key in msec}))
 
         isec = parser["initial"] if parser.has_section("initial") else {}
         q0 = _parse_vec(isec.get("q0", "0 0"), 2)
@@ -93,7 +110,7 @@ def load_scenario_file(path) -> Scenario:
             r_guess = int(hsec.get("r_guess", max(hybrid.r_min, 1)))
 
         ssec = parser["simulation"] if parser.has_section("simulation") else {}
-        horizon = {key: float(ssec[key]) for key in ("dt", "t_final") if key in ssec}
+        horizon = {key: float(ssec[key]) for key in SCENARIO_KEYS["simulation"] if key in ssec}
         return Scenario(
             name=path.stem, model=model, q0=q0, v0=v0, xhat2_0=est0,
             controller=controller,

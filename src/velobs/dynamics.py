@@ -75,7 +75,7 @@ class RobotModel(ABC):
 
     @abstractmethod
     def inertia(self, q: np.ndarray) -> np.ndarray:
-        """Symmetric positive definite inertia matrix M(q)."""
+        """Symmetric positive definite inertia matrix M(q) (inertia_stack of one q)."""
 
     @abstractmethod
     def inertia_rate(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -94,8 +94,8 @@ class RobotModel(ABC):
         """Gravitational potential energy whose gradient is gravity(q)."""
 
     @abstractmethod
-    def c0_bound(self, q: np.ndarray) -> float:
-        """Configuration-dependent bound with ||C(q, v)|| <= c0(q) ||v||."""
+    def c0(self, q) -> float:
+        """c0_bound(q) for q a sequence of n floats, unchecked."""
 
     @property
     @abstractmethod
@@ -115,9 +115,11 @@ class RobotModel(ABC):
     # TERMS (the first n are the gravity torque g1..gn) from q1..qn and the
     # CONSTANTS, the values of `_constants`; RESIDUAL sets r1..rn = tau - C(q, w) w
     # - F w - g(q) from the terms, tau1..taun and w1..wn; SOLVE sets
-    # acc1..accn = M(q)^-1 r; ENERGY sets energy = 0.5 w^T M(q) w.
+    # acc1..accn = M(q)^-1 r; ENERGY sets energy = 0.5 w^T M(q) w.  INERTIA
+    # names the n * n TERMS that are the entries of M(q), row by row.
     CONSTANTS: tuple[str, ...]
     TERMS: tuple[str, ...]
+    INERTIA: tuple[str, ...]
     KERNEL: str
     RESIDUAL: str
     SOLVE: str
@@ -145,6 +147,17 @@ class RobotModel(ABC):
         """grid_tables(self), built once per distinct model (see _design_tables)."""
         return _design_tables(self)
 
+    def inertia_stack(self, rows: list) -> np.ndarray:
+        """M(q) for each q of `rows` (sequences of n floats), unchecked, as
+        one (len(rows), n, n) array of the kernel's INERTIA terms."""
+        pick = [self.TERMS.index(name) for name in self.INERTIA]
+        terms = np.array([self.kernel(q) for q in rows])
+        return terms[:, pick].reshape(len(rows), self.n, self.n)
+
+    def c0_bound(self, q) -> float:
+        """Configuration-dependent bound with ||C(q, v)|| <= c0(q) ||v||."""
+        return self.c0(self._check_joint_vector(q, "q").tolist())
+
     def dissipation_floor(self) -> float:
         """Smallest eigenvalue of the symmetric part of F."""
         f = self.dissipation
@@ -157,44 +170,12 @@ class RobotModel(ABC):
         return x
 
 
-def _shape_norm(theta: float) -> float:
-    # Spectral norm of [[-v2, -(v1+v2)], [v1, 0]] for v = (cos t, sin t).
-    v1, v2 = math.cos(theta), math.sin(theta)
-    s2 = (v1 + v2) ** 2
-    tr = 1.0 + s2
-    disc = math.sqrt(max(tr * tr - 4.0 * s2 * v1 * v1, 0.0))
-    return math.sqrt(0.5 * (tr + disc))
-
-
-@lru_cache(maxsize=1)
-def _unit_coriolis_gain() -> float:
-    """Peak over unit velocities of the two-link Coriolis shape norm.
-
-    The two-link Coriolis matrix factors as a sin(q2) times a matrix that is
-    linear in the velocity, so the tight c0 constant is the peak spectral
-    norm of that factor over the unit circle.  The peak is found on a dense
-    grid and refined by golden-section search.
-    """
-    thetas = np.linspace(0.0, np.pi, 4097)
-    values = [_shape_norm(t) for t in thetas]
-    i = int(np.argmax(values))
-    lo = thetas[max(i - 1, 0)]
-    hi = thetas[min(i + 1, len(thetas) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = _shape_norm(c), _shape_norm(d)
-    for _ in range(120):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _shape_norm(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _shape_norm(d)
-    return max(fc, fd)
+# Peak over unit velocities v of the spectral norm of the two-link Coriolis
+# factor [[-v2, -(v1 + v2)], [v1, 0]]: C(q, v) is coupling sin(q2) times that
+# matrix, so c0_max = UNIT_CORIOLIS_GAIN * coupling is the tight c0 constant.
+# tests/test_dynamics.py derives it (a dense scan refined by golden-section
+# search) and checks that it equals this value bit for bit.
+UNIT_CORIOLIS_GAIN = 1.6444905289849119
 
 
 def _check_conditioning(lam_min: float, lam_max: float) -> None:
@@ -249,7 +230,7 @@ class TwoLinkArm(RobotModel):
 
     @cached_property
     def c0_max(self) -> float:
-        return _unit_coriolis_gain() * self.coupling
+        return UNIT_CORIOLIS_GAIN * self.coupling
 
     @cached_property
     def dissipation(self) -> np.ndarray:
@@ -277,9 +258,7 @@ class TwoLinkArm(RobotModel):
             _spd2_determinant(*self.kernel((0.0, q2))[2:5])
 
     def inertia(self, q) -> np.ndarray:
-        q = self._check_joint_vector(q, "q")
-        _, _, a, b, c = self.kernel(q)[:5]
-        return np.array([[a, b], [b, c]])
+        return self.inertia_stack([self._check_joint_vector(q, "q").tolist()])[0]
 
     def inertia_rate(self, q, v) -> np.ndarray:
         q = self._check_joint_vector(q, "q")
@@ -303,6 +282,7 @@ class TwoLinkArm(RobotModel):
     # as in coriolis(), and F = diag(f1, f2)
     CONSTANTS = ("alpha", "beta", "coupling", "a1", "a2", "f1", "f2")
     TERMS = ("g1", "g2", "a", "b", "c", "det", "h", "f1", "f2")
+    INERTIA = ("a", "b", "b", "c")
     KERNEL = """
         c2 = cos(q2)
         c12 = cos(q1 + q2)
@@ -329,8 +309,7 @@ class TwoLinkArm(RobotModel):
         a1, a2 = self._constants[3:5]
         return a1 * math.sin(q[0]) + a2 * math.sin(q[0] + q[1])
 
-    def c0_bound(self, q) -> float:
-        q = self._check_joint_vector(q, "q")
+    def c0(self, q) -> float:
         return self.c0_max * abs(math.sin(q[1]))
 
     def design_grid(self) -> np.ndarray:
@@ -357,8 +336,7 @@ class SingleLinkModel(RobotModel):
             raise ValueError("damping must be nonnegative and finite")
 
     def inertia(self, q) -> np.ndarray:
-        self._check_joint_vector(q, "q")
-        return np.array([[self.inertia_value]])
+        return self.inertia_stack([self._check_joint_vector(q, "q").tolist()])[0]
 
     def inertia_rate(self, q, v) -> np.ndarray:
         self._check_joint_vector(q, "q")
@@ -377,8 +355,7 @@ class SingleLinkModel(RobotModel):
         self._check_joint_vector(q, "q")
         return 0.0
 
-    def c0_bound(self, q) -> float:
-        self._check_joint_vector(q, "q")
+    def c0(self, q) -> float:
         return 0.0
 
     @property
@@ -391,6 +368,7 @@ class SingleLinkModel(RobotModel):
     # constant inertia m and damping d, no gravity
     CONSTANTS = ("m", "d")
     TERMS = ("g1", "m", "d")
+    INERTIA = ("m",)
     KERNEL = "g1 = 0.0"
     RESIDUAL = "r1 = tau1 - d * w1"
     SOLVE = "acc1 = r1 / m"
@@ -418,11 +396,11 @@ class GridTables(NamedTuple):
 
 def grid_tables(model: RobotModel) -> GridTables:
     """Evaluate eigenvalue and c0 tables over the model's design grid."""
-    grid = model.design_grid()
-    # M(q) and c0(q) row by row on Python floats (math.cos, not np.cos, so the
-    # entries are the kernel's), the eigenvalues in one batched call
-    w = np.linalg.eigvalsh(np.array([model.inertia(q) for q in grid]))
-    c0 = np.array([model.c0_bound(q) for q in grid])
+    # M(q) and c0(q) for every row on Python floats (math.cos, not np.cos,
+    # so the entries are the kernel's), the eigenvalues in one batched call
+    rows = model.design_grid().tolist()
+    w = np.linalg.eigvalsh(model.inertia_stack(rows))
+    c0 = np.array([model.c0(q) for q in rows])
     return GridTables(w[:, 0].copy(), w[:, -1].copy(), c0)
 
 

@@ -418,3 +418,35 @@ def test_a_scenario_file_keeps_the_defaults_it_leaves_out(tmp_path):
     sc = load_scenario_file(path)
     assert sc.model.params == TwoLinkParams(gravity_accel=1.62)
     assert (sc.dt, sc.t_final) == (defaults["dt"], 2.0)
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("[model]\nmass2 = 5\n\n[simulation]\nt_finall = 0.5\n",
+                 "unknown key 'mass2' in section [model]", id="misspelt_keys"),
+    pytest.param("[model]\nm2 = 5\n[sim]\nt_final = 0.5\n",
+                 "unknown section [sim]", id="misspelt_section"),
+    # a [DEFAULT] key is read in every section
+    pytest.param("[DEFAULT]\neta = 2\n[observer]\nmode = reduced\n[model]\nm1 = 3\n",
+                 "unknown key 'eta' in section [model]", id="default_key"),
+])
+def test_an_unknown_key_or_section_is_a_one_line_config_error(tmp_path, capsys, text,
+                                                               message):
+    path = tmp_path / "typo.ini"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: invalid scenario file {path}: {message}\n"
+    assert not (tmp_path / "typo.csv").exists()
+
+
+def test_every_documented_key_is_accepted(tmp_path):
+    path = tmp_path / "full.ini"
+    path.write_text(
+        "[model]\nm1 = 9\nm2 = 19\nl1 = 1.1\nl2 = 1.4\nf1 = 0.2\nf2 = 0.1\ngravity = 9.8\n"
+        "[initial]\nq0 = 0.1 0.2\ndq0 = 0 0\ndq0_hat = 0 0\n"
+        "[controller]\ntype = pd\nkp = 40 20\nkd = 60 30\nsetpoint = 0.5 -0.5\ntau = 0 0\n"
+        "[observer]\neta = 1.0\nmode = reduced\ngain = scheduled\nv_max = 1.5\n"
+        "[hybrid]\nv_bar = 1.5\nr_min = 1\nr_guess = 2\nsemantics = hysteresis\n"
+        "[simulation]\ndt = 1e-3\nt_final = 0.5\n")
+    sc = load_scenario_file(path)
+    assert sc.model.params == TwoLinkParams(9.0, 19.0, 1.1, 1.4, 0.2, 0.1, 9.8)
+    assert (sc.r_guess, sc.hybrid.semantics, sc.t_final) == (2, "hysteresis", 0.5)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from velobs import dynamics
 from velobs.dynamics import (
     INERTIA_COND_LIMIT,
     PlantState,
@@ -125,6 +126,43 @@ def test_coriolis_norm_bound_holds_and_is_tight(arm, oracle):
 def test_unit_coriolis_gain_frozen_value(arm):
     assert math.isclose(arm.c0_max / arm.coupling, UNIT_CORIOLIS_GAIN,
                         rel_tol=1e-12)
+
+
+def shape_norm(theta: float) -> float:
+    # Spectral norm of [[-v2, -(v1+v2)], [v1, 0]] for v = (cos t, sin t).
+    v1, v2 = math.cos(theta), math.sin(theta)
+    s2 = (v1 + v2) ** 2
+    tr = 1.0 + s2
+    disc = math.sqrt(max(tr * tr - 4.0 * s2 * v1 * v1, 0.0))
+    return math.sqrt(0.5 * (tr + disc))
+
+
+def unit_coriolis_gain_scan() -> float:
+    """Peak of shape_norm over the unit half circle: the best point of a
+    dense grid, refined by golden-section search between its neighbours."""
+    thetas = np.linspace(0.0, np.pi, 4097)
+    values = [shape_norm(t) for t in thetas]
+    i = int(np.argmax(values))
+    a = thetas[max(i - 1, 0)]
+    b = thetas[min(i + 1, len(thetas) - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = shape_norm(c), shape_norm(d)
+    for _ in range(120):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = shape_norm(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = shape_norm(d)
+    return max(fc, fd)
+
+
+def test_unit_coriolis_gain_is_the_scan():
+    assert unit_coriolis_gain_scan() == dynamics.UNIT_CORIOLIS_GAIN
 
 
 def test_gravity_is_potential_gradient(arm):
@@ -324,6 +362,49 @@ def test_grid_tables_shapes(arm):
     assert np.all(tables.lam_min > 0.0)
     assert np.all(tables.lam_max >= tables.lam_min)
     assert np.all(tables.c0 >= 0.0)
+
+
+def reference_tables(model):
+    """grid_tables row by row: eigvalsh of the stacked model.inertia(q) and
+    model.c0_bound(q), each on one grid row."""
+    grid = model.design_grid()
+    w = np.linalg.eigvalsh(np.array([model.inertia(q) for q in grid]))
+    return w[:, 0], w[:, -1], np.array([model.c0_bound(q) for q in grid])
+
+
+def same_bits(tables, reference) -> bool:
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(tables, reference, strict=True))
+
+
+class OneUlpArm(TwoLinkArm):
+    """The arm with the off-diagonal inertia term b one ulp higher."""
+
+    def kernel(self, q):
+        terms = list(TwoLinkArm.kernel(self, q))
+        terms[3] = math.nextafter(terms[3], math.inf)
+        return tuple(terms)
+
+
+def design_models():
+    arms = st.builds(
+        lambda m1, m2, l1, l2, points: TwoLinkArm(TwoLinkParams(m1=m1, m2=m2, l1=l1, l2=l2),
+                                                  grid_points=points),
+        log_uniform(-2.0, 2.0), log_uniform(-2.0, 2.0), log_uniform(-1.0, 1.0),
+        log_uniform(-1.0, 1.0), st.integers(1, 700))
+    singles = st.builds(SingleLinkModel, log_uniform(-3.0, 3.0), st.floats(0.0, 10.0))
+    return st.one_of(arms, singles)
+
+
+@settings(database=None, deadline=None, max_examples=40)
+@given(design_models())
+def test_grid_tables_are_the_per_row_reference(model):
+    assert same_bits(grid_tables(model), reference_tables(model))
+
+
+def test_a_one_ulp_inertia_entry_is_caught(arm):
+    assert same_bits(grid_tables(arm), reference_tables(arm))
+    assert not same_bits(grid_tables(OneUlpArm()), reference_tables(arm))
 
 
 def test_grid_refinement_is_converged(arm):
