@@ -115,27 +115,30 @@ def illegal_jumps(traj: Trajectory) -> list:
     """Jump events whose recorded estimate norm is outside the matching jump set.
 
     A jump of more than one mode, or out of a mode below r_min, is illegal.
+    Each source mode's jump sets are applied once, to its events' norms.
     """
     sc = traj.scenario
-    if sc is None or sc.hybrid is None:
+    events = traj.jump_events
+    if sc is None or sc.hybrid is None or not events:
         return []
-    jump_sets = {1: jump_up_set, -1: jump_down_set}
-    bad = []
-    for ev in traj.jump_events:
-        in_set = jump_sets.get(ev.new_r - ev.old_r)
+    _, old_r, new_r, nrm, _ = map(np.array, zip(*events))
+    ok = np.zeros(len(events), dtype=bool)
+    order = np.argsort(old_r, kind="stable")
+    modes, first = np.unique(old_r[order], return_index=True)
+    for r, at in zip(modes.tolist(), np.split(order, first[1:])):
         try:
-            ok = in_set is not None and in_set(sc.hybrid, ev.old_r, ev.est_norm)
+            up = jump_up_set(sc.hybrid, r, nrm[at])
+            down = jump_down_set(sc.hybrid, r, nrm[at])
         except ValueError:      # a mode below r_min has no jump sets
-            ok = False
-        if not ok:
-            bad.append(ev)
-    return bad
+            continue
+        ok[at] = ((new_r[at] == r + 1) & up) | ((new_r[at] == r - 1) & down)
+    return [events[i] for i in np.flatnonzero(~ok).tolist()]
 
 
 def chatter_score(traj: Trajectory) -> int:
     """Number of jumps landing within CHATTER_WINDOW steps of the previous jump."""
-    steps = [ev.step for ev in traj.jump_events]
-    return sum(1 for a, b in zip(steps, steps[1:]) if b - a <= CHATTER_WINDOW)
+    steps = np.array([ev.step for ev in traj.jump_events])
+    return int(np.count_nonzero(np.diff(steps) <= CHATTER_WINDOW))
 
 
 def ultimate_r_constant(traj: Trajectory, *, fraction: float = 0.2) -> bool:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -66,6 +67,9 @@ def load_scenario_file(path) -> Scenario:
             for key in parser[section]:
                 if key not in SCENARIO_KEYS[section]:
                     raise ValueError(f"unknown key {key!r} in section [{section}]")
+        # with no other section, a [DEFAULT] key is read by none
+        for key in parser.defaults() if not parser.sections() else ():
+            raise ValueError(f"unknown key {key!r} in section [{parser.default_section}]")
         # a key the file leaves out keeps the TwoLinkParams default
         msec = parser["model"] if parser.has_section("model") else {}
         model = TwoLinkArm(TwoLinkParams(**{
@@ -252,6 +256,7 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="velobs",
@@ -299,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     return _exit_code(args.func, args)

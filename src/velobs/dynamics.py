@@ -189,7 +189,8 @@ def _spd2_determinant(a: float, b: float, c: float) -> float:
     # lambda_min as det / lambda_max: 0.5 (tr - disc) would cancel near the limit
     det = a * c - b * b
     lam_max = 0.5 * (a + c + math.sqrt(max((a - c) ** 2 + 4.0 * b * b, 0.0)))
-    _check_conditioning(det / lam_max, lam_max)
+    # an inertia that underflows to zero is singular, not a division by zero
+    _check_conditioning(det / lam_max if lam_max else 0.0, lam_max)
     return det
 
 
@@ -254,8 +255,11 @@ class TwoLinkArm(RobotModel):
         # lambda_min is concave, lambda_max convex and their ratio
         # quasi-convex: the worst conditioning of any q is at cos q2 = +1 or
         # -1, and checking both bounds it everywhere.
-        for q2 in (0.0, math.pi):
-            _spd2_determinant(*self.kernel((0.0, q2))[2:5])
+        try:
+            for q2 in (0.0, math.pi):
+                _spd2_determinant(*self.kernel((0.0, q2))[2:5])
+        except OverflowError:
+            raise ValueError("arm parameters overflow the inertia terms") from None
 
     def inertia(self, q) -> np.ndarray:
         return self.inertia_stack([self._check_joint_vector(q, "q").tolist()])[0]

@@ -12,7 +12,7 @@ In 'hysteresis' mode the down threshold is lowered to (r-1) v_bar - eta so a
 fresh up-jump is never undone without the estimate first returning to the
 entry level.
 
-The functions below take the estimate norm ||xhat2|| as a float.
+The functions below take the estimate norm ||xhat2|| (some also an array).
 """
 from __future__ import annotations
 
@@ -81,14 +81,14 @@ class JumpEvent(NamedTuple):
     step: int
 
 
-def jump_up_set(config: HybridConfig, r: int, nrm: float) -> bool:
-    """True iff the estimate norm lies in the up-jump set of mode r."""
+def jump_up_set(config: HybridConfig, r: int, nrm):
+    """True iff nrm lies in the up-jump set of mode r; elementwise for an array of norms."""
     return nrm >= config.thresholds(r)[0]
 
 
-def jump_down_set(config: HybridConfig, r: int, nrm: float) -> bool:
-    """True iff the estimate norm lies in the down-jump set of mode r;
-    always false at the floor mode."""
+def jump_down_set(config: HybridConfig, r: int, nrm):
+    """True iff nrm lies in the down-jump set of mode r; always false at the
+    floor mode; elementwise for an array of norms."""
     return nrm <= config.thresholds(r)[1]
 
 

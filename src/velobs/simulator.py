@@ -15,14 +15,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
 from .dynamics import INJECT, RobotModel
 from .equations import define, joints, names, rename, source
-from .hybrid_logic import (GainSchedule, HybridConfig, JumpEvent, initialize_logic,
-                           step_logic, velocity_sandwich)
+from .hybrid_logic import (MAX_INIT_JUMPS, GainSchedule, HybridConfig, JumpEvent,
+                           initialize_logic, step_logic, velocity_sandwich)
 from .observers import ESTIMATE, FULL, REBASE, REDUCED, GainDesign, check_gain, compute_k0
 
 OBSERVER_MODES = ("reduced", "full", "both")
@@ -115,8 +116,10 @@ class Scenario:
                     "use observer_mode 'reduced' or 'both'")
             if self.hybrid.eta != self.eta:
                 raise ScenarioError("hybrid config eta must match scenario eta")
-            if self.r_guess < self.hybrid.r_min:
-                raise ScenarioError("r_guess must not be below r_min")
+            # every mode a run can reach stays a whole float in the r column
+            top = 2**53 - MAX_INIT_JUMPS - MAX_SAMPLES
+            if not self.hybrid.r_min <= self.r_guess <= top:
+                raise ScenarioError(f"r_guess must lie between r_min and {top}")
             if self.k0_override is not None:
                 raise ScenarioError("k0_override applies to the constant gain mode only")
         if self.k0_override is not None:
@@ -239,8 +242,9 @@ class Trajectory:
         # are not in the file
         steps = np.flatnonzero(np.diff(r)) + 1
         norms = map(math.hypot, est[steps, 0].tolist(), est[steps, 1].tolist())
-        events = list(map(JumpEvent, t[steps].tolist(), r[steps - 1].tolist(),
-                          r[steps].tolist(), norms, steps.tolist()))
+        # tuple.__new__ skips the Python-level __new__ of JumpEvent per event
+        events = list(map(tuple.__new__, repeat(JumpEvent), zip(
+            t[steps].tolist(), r[steps - 1].tolist(), r[steps].tolist(), norms, steps.tolist())))
         return cls(
             t=t, x1=data[:, 1:3], x2=data[:, 3:5],
             xhat2_reduced=est, eps_norm=data[:, 7], v_lyap=data[:, 8],

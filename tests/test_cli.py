@@ -1,11 +1,20 @@
 """End-to-end command-line tests, all in process through main()."""
 from __future__ import annotations
 
+import argparse
+import contextlib
 import dataclasses
+import io
+import random
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from velobs import cli
 from velobs.cli import (
@@ -69,6 +78,9 @@ t_final = 0.2
 """
 
 
+ARM_OVERFLOW = "invalid scenario file {path}: arm parameters overflow the inertia terms"
+
+
 @pytest.fixture()
 def quick_ini(tmp_path):
     path = tmp_path / "quick.ini"
@@ -123,19 +135,26 @@ def test_nan_design_constant_is_a_config_error(tmp_path, capsys, key):
     assert err.startswith(f"error: {key}") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("ini", [
-    pytest.param(QUICK_INI.replace("v_max = 1.5", "v_max = 1e308"), id="constant"),
+@pytest.mark.parametrize("ini, message", [
+    pytest.param(QUICK_INI.replace("v_max = 1.5", "v_max = 1e308"), "designed gain k0",
+                 id="constant"),
     pytest.param(SCHEDULED_INI.replace("v_bar = 1.5", "v_bar = 1e308")
-                 .replace("r_guess = 1", "r_guess = 5"), id="scheduled"),
+                 .replace("r_guess = 1", "r_guess = 5"), "designed gain k0", id="scheduled"),
+    # a float ** that overflows raises OverflowError where * would give inf
+    pytest.param("[model]\nm1 = 1e308\n" + QUICK_INI, ARM_OVERFLOW, id="arm_mass"),
+    pytest.param("[model]\nl2 = 1e200\n" + QUICK_INI, ARM_OVERFLOW, id="arm_length"),
+    # a mode too large for a float, and so for its band speed
+    pytest.param(SCHEDULED_INI.replace("r_guess = 1", "r_guess = 1" + "0" * 400),
+                 "r_guess must lie between r_min and 9007199252739992", id="huge_mode"),
 ])
-def test_an_overflowing_designed_gain_is_a_config_error(tmp_path, capsys, ini):
+def test_an_overflowing_designed_gain_is_a_config_error(tmp_path, capsys, ini, message):
     # numpy's overflow warning is an error under this suite, so it must not
     # be raised on the way
     path = tmp_path / "huge.ini"
     path.write_text(ini)
     assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: designed gain k0") and err.count("\n") == 1
+    assert err.startswith(f"error: {message.format(path=path)}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -398,6 +417,43 @@ def test_argparse_errors_and_help(capsys):
     capsys.readouterr()
 
 
+def check_parser_reuse(tmp_path, quick_ini) -> None:
+    """main shares one parser between calls, and no call sees another's arguments."""
+    assert cli.build_parser() is cli.build_parser()
+    out = ["--out", str(tmp_path)]
+    assert main(["run", str(quick_ini), *out]) == EXIT_OK
+    report = tmp_path / "check_report.txt"
+    check = ["check", str(tmp_path / "quick.csv"), "--scenario", str(quick_ini)]
+    assert main([*check, "--report-file", str(report)]) == EXIT_OK
+    report.unlink()
+    assert main(check) == EXIT_OK
+    assert not report.exists()
+    assert main(["run", "example1", "--t-final", "0.05", *out]) == EXIT_OK
+    assert main(["run", str(quick_ini), *out]) == EXIT_OK
+    assert len(Trajectory.from_csv(tmp_path / "quick.csv").t) == 201
+    assert main(["run"]) == EXIT_CONFIG
+    assert main(["list"]) == EXIT_OK
+    # a namespace holds the arguments of its own subcommand only, not the
+    # --out of the runs before it
+    args = cli.build_parser().parse_args(check)
+    assert sorted(vars(args)) == ["command", "csv", "dt", "func", "gain", "jump_semantics",
+                                  "observer", "report_file", "scenario", "t_final"]
+
+
+def test_parser_reuse_carries_no_state(tmp_path, quick_ini, capsys):
+    check_parser_reuse(tmp_path, quick_ini)
+
+
+def test_a_shared_namespace_is_caught(tmp_path, quick_ini, capsys, monkeypatch):
+    parser = cli.build_parser.__wrapped__()
+    shared = argparse.Namespace()
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv=None: parse_args(argv, shared))
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    with pytest.raises(AssertionError):
+        check_parser_reuse(tmp_path, quick_ini)
+
+
 def test_scenario_file_model_section(tmp_path):
     path = tmp_path / "light.ini"
     path.write_text("[model]\nm2 = 5.0\nl2 = 0.8\n" + QUICK_INI)
@@ -428,6 +484,9 @@ def test_a_scenario_file_keeps_the_defaults_it_leaves_out(tmp_path):
     # a [DEFAULT] key is read in every section
     pytest.param("[DEFAULT]\neta = 2\n[observer]\nmode = reduced\n[model]\nm1 = 3\n",
                  "unknown key 'eta' in section [model]", id="default_key"),
+    # with no other section, no section reads it
+    pytest.param("[DEFAULT]\nt_final = 0.5\nm2 = 5\n",
+                 "unknown key 't_final' in section [DEFAULT]", id="default_key_alone"),
 ])
 def test_an_unknown_key_or_section_is_a_one_line_config_error(tmp_path, capsys, text,
                                                                message):
@@ -450,3 +509,67 @@ def test_every_documented_key_is_accepted(tmp_path):
     sc = load_scenario_file(path)
     assert sc.model.params == TwoLinkParams(9.0, 19.0, 1.1, 1.4, 0.2, 0.1, 9.8)
     assert (sc.r_guess, sc.hybrid.semantics, sc.t_final) == (2, "hysteresis", 0.5)
+
+
+# Values a scenario file may hold at any key: numbers at the edges of float
+# range, huge integers, a negative number, and text that is no number or name.
+EDGE_VALUES = ["nan", "inf", "-inf", "-0", "1e308", "1e200", "1e-320",
+               "123456789012345678901234567890", "1" + "0" * 400, "-3", "x", "", "fuzzy"]
+# Valid values by key; a key not named here takes FUZZ_NUMBERS.  The arm is
+# the unit arm but for its faults, so that few arms need a gain design.  Each
+# accepted (dt, t_final) pair, edge values included, asks for at most 101
+# samples.
+FUZZ_VALID = {**{key: ["1"] for key in cli.SCENARIO_KEYS["model"]},
+              "type": ["open_loop_1", "open_loop_2", "pd", "constant"],
+              "mode": ["reduced", "full", "both"], "gain": ["constant", "scheduled"],
+              "semantics": ["paper", "hysteresis"], "r_min": ["0", "1", "3"],
+              "r_guess": ["1", "4"], "dt": ["1e-3", "0.01"], "t_final": ["0.1", "0.02"]}
+FUZZ_NUMBERS = ["1", "0.5", "20"]
+FUZZ_VECTORS = ("q0", "dq0", "dq0_hat", "kp", "kd", "setpoint", "tau")
+# The faults a key may get, most of them edge values, and the share of keys
+# that get one, drawn per file so that some files have none.
+FAULTS = ("edge",) * 6 + ("length", "drop", "twice", "section")
+FAULT_RATES = (0.0, 0.05, 0.1, 0.2)
+
+
+def scenario_text(rnd: random.Random) -> str:
+    """A scenario file that sets every key of SCENARIO_KEYS, each to a valid
+    value or with one fault: a value from EDGE_VALUES, a vector of the wrong
+    length, the key left out or written twice, or its whole section left out.
+    dt and t_final are always set once."""
+    rate = rnd.choice(FAULT_RATES)
+    lines = []
+    for section, keys in cli.SCENARIO_KEYS.items():
+        kinds = {key: rnd.choice(FAULTS) if rnd.random() < rate else None for key in keys}
+        if section == "simulation":
+            kinds = {key: kind and "edge" for key, kind in kinds.items()}
+        if "section" in kinds.values():
+            continue
+        lines.append(f"[{section}]")
+        for key, kind in kinds.items():
+            width = 2 if key in FUZZ_VECTORS else 1
+            if kind == "length":
+                width = rnd.choice([1, 3]) if width == 2 else 2
+            values = [rnd.choice(FUZZ_VALID.get(key, FUZZ_NUMBERS)) for _ in range(width)]
+            if kind == "edge":
+                values[rnd.randrange(width)] = rnd.choice(EDGE_VALUES)
+            lines += [f"{key} = {' '.join(values)}"] * {"drop": 0, "twice": 2}.get(kind, 1)
+    return "\n".join(lines) + "\n"
+
+
+# Hypothesis draws the seed of each file: drawn key by key through its
+# strategies, a file costs more than its run.
+@settings(database=None, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**64))
+def test_every_scenario_file_runs_or_exits_with_one_line(seed):
+    text = scenario_text(random.Random(seed))
+    note(text)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        path = Path(out) / "fuzz.ini"
+        path.write_text(text)
+        code = main(["run", str(path), "--out", out])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SIMULATION, EXIT_CHECKS)
+    assert err.getvalue().count("\n") <= 1

@@ -277,6 +277,13 @@ def test_construction_check_examples():
     with pytest.raises(SingularInertiaError, match="numerically singular"):
         TwoLinkArm(TwoLinkParams(m1=1.0, m2=1e-13))
     TwoLinkArm(TwoLinkParams(m1=1.0, m2=1e-11))
+    # an inertia that underflows to the zero matrix is singular too
+    with pytest.raises(SingularInertiaError, match=r"eigs 0, 0\)"):
+        TwoLinkArm(TwoLinkParams(l1=1e-320, l2=1e-320))
+    # terms that overflow a float ** are refused as the parameters' error
+    for big in (dict(m1=1e308), dict(l2=1e200)):
+        with pytest.raises(ValueError, match="arm parameters overflow the inertia terms"):
+            TwoLinkArm(TwoLinkParams(**big))
     # the kernel itself checks nothing: it evaluates a singular arm's terms
     kernel = unchecked_kernel(TwoLinkParams(m1=1.0, m2=1e-13))
     assert check_fails(kernel, 0.0) and len(kernel((0.0, 0.0))) == 9

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import velobs
-from velobs import dynamics, simulator
+from velobs import dynamics, hybrid_logic, simulator
 from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                                 PdConfig, PdGravity)
 from velobs.dynamics import SingleLinkModel, TwoLinkArm
@@ -91,6 +91,14 @@ def test_validation_rejects_bad_scenarios(arm):
     make_scenario(arm, dt=1.0, t_final=float(steps)).validate()
     with pytest.raises(ScenarioError, match="samples"):
         make_scenario(arm, dt=1.0, t_final=float(steps + 1)).validate()
+    # the highest starting mode: past it, a mode the run reaches could leave
+    # the whole floats of the r column
+    top = 2**53 - hybrid_logic.MAX_INIT_JUMPS - simulator.MAX_SAMPLES
+    scheduled = dict(gain_mode="scheduled", v_max=None, hybrid=hybrid)
+    make_scenario(arm, r_guess=top, **scheduled).validate()
+    for r_guess in (top + 1, 10**400):
+        with pytest.raises(ScenarioError, match=f"between r_min and {top}"):
+            make_scenario(arm, r_guess=r_guess, **scheduled).validate()
 
 
 def test_open_loop_law_needs_two_joints(single):
