@@ -151,7 +151,8 @@ def scenario_checks(traj: Trajectory, design: GainDesign,
                     lyapunov: LyapunovCheck | None = None) -> dict[str, bool]:
     """Pass/fail gates; builtin scenario names add their specific claims.
 
-    `lyapunov` as in report_lines.
+    `lyapunov` is the active observer's check_lyapunov_decrease when the
+    caller has it already (report_lines does); it is computed when missing.
     """
     checks: dict[str, bool] = {}
     sc = traj.scenario
@@ -193,19 +194,15 @@ def scenario_checks(traj: Trajectory, design: GainDesign,
     return checks
 
 
-def report_lines(traj: Trajectory, design: GainDesign,
-                 checks: dict[str, bool] | None = None,
-                 lyapunov: LyapunovCheck | None = None) -> list[str]:
+def report_lines(traj: Trajectory, design: GainDesign) -> list[str]:
     """Render the full diagnostic report as key: value lines.
 
-    `checks` is scenario_checks(traj, design) and `lyapunov` the active
-    observer's check_lyapunov_decrease, when the caller has them already
-    (see diagnose); each is computed when missing.
+    The active observer's Lyapunov scan runs once, for its report lines and
+    for scenario_checks.  The last line, "overall: pass" or "overall: fail",
+    is the verdict of every check.
     """
-    if lyapunov is None:
-        lyapunov = check_lyapunov_decrease(traj, design)
-    if checks is None:
-        checks = scenario_checks(traj, design, lyapunov)
+    lyapunov = check_lyapunov_decrease(traj, design)
+    checks = scenario_checks(traj, design, lyapunov)
     sc = traj.scenario
     lines = []
     if sc is not None:
@@ -248,10 +245,3 @@ def report_lines(traj: Trajectory, design: GainDesign,
         lines.append(f"check_{key}: {'pass' if ok else 'fail'}")
     lines.append(f"overall: {'pass' if all(checks.values()) else 'fail'}")
     return lines
-
-
-def diagnose(traj: Trajectory, design: GainDesign) -> tuple[list[str], bool]:
-    """The report lines and whether every check passed, from one Lyapunov scan."""
-    lyapunov = check_lyapunov_decrease(traj, design)
-    checks = scenario_checks(traj, design, lyapunov)
-    return report_lines(traj, design, checks, lyapunov), all(checks.values())

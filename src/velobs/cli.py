@@ -16,14 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import diagnose
+from .analysis import report_lines
 from .controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                           PdConfig, PdGravity)
 from .dynamics import SingularInertiaError, TwoLinkArm, TwoLinkParams
 from .hybrid_logic import HybridConfig
 from .observers import compute_k0
-from .simulator import (Scenario, ScenarioError, SimulationBlowUp, Trajectory,
-                        builtin_scenarios, simulate)
+from .simulator import (BUILTIN_NAMES, GAIN_MODES, OBSERVER_MODES, Scenario,
+                        ScenarioError, SimulationBlowUp, Trajectory, builtin_scenarios,
+                        simulate)
 
 OUT_ENV_VAR = "VELOBS_OUT"
 
@@ -31,6 +32,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SIMULATION = 2
 EXIT_CHECKS = 3
+# The exit code of a report (`run --report`, `sweep`, `check`): its last line.
+EXIT_OF_VERDICT = {"overall: pass": EXIT_OK, "overall: fail": EXIT_CHECKS}
 
 # The keys a scenario file may hold, by section; anything else is refused.
 SCENARIO_KEYS = {
@@ -70,18 +73,18 @@ def load_scenario_file(path) -> Scenario:
         # with no other section, a [DEFAULT] key is read by none
         for key in parser.defaults() if not parser.sections() else ():
             raise ValueError(f"unknown key {key!r} in section [{parser.default_section}]")
+        # each section in SCENARIO_KEYS order, {} where the file has none
+        msec, isec, csec, osec, hsec, ssec = (
+            parser[name] if parser.has_section(name) else {} for name in SCENARIO_KEYS)
         # a key the file leaves out keeps the TwoLinkParams default
-        msec = parser["model"] if parser.has_section("model") else {}
         model = TwoLinkArm(TwoLinkParams(**{
             "gravity_accel" if key == "gravity" else key: float(msec[key])
             for key in SCENARIO_KEYS["model"] if key in msec}))
 
-        isec = parser["initial"] if parser.has_section("initial") else {}
         q0 = _parse_vec(isec.get("q0", "0 0"), 2)
         v0 = _parse_vec(isec.get("dq0", "0 0"), 2)
         est0 = _parse_vec(isec.get("dq0_hat", "0 0"), 2)
 
-        csec = parser["controller"] if parser.has_section("controller") else {}
         ctype = csec.get("type", "constant")
         if ctype == "open_loop_1":
             controller = OpenLoopBounded()
@@ -96,7 +99,6 @@ def load_scenario_file(path) -> Scenario:
         else:
             raise ScenarioError(f"unknown controller type {ctype!r}")
 
-        osec = parser["observer"] if parser.has_section("observer") else {}
         eta = float(osec.get("eta", 1.0))
         gain_mode = osec.get("gain", "constant")
         v_max = float(osec["v_max"]) if "v_max" in osec else None
@@ -104,7 +106,6 @@ def load_scenario_file(path) -> Scenario:
         hybrid = None
         r_guess = 0
         if parser.has_section("hybrid"):
-            hsec = parser["hybrid"]
             semantics = _SEMANTICS_ALIASES.get(hsec.get("semantics", "paper"))
             if semantics is None:
                 raise ScenarioError("semantics must be 'paper' or 'hysteresis'")
@@ -113,7 +114,6 @@ def load_scenario_file(path) -> Scenario:
                 semantics=semantics, r_min=int(hsec.get("r_min", 1)))
             r_guess = int(hsec.get("r_guess", max(hybrid.r_min, 1)))
 
-        ssec = parser["simulation"] if parser.has_section("simulation") else {}
         horizon = {key: float(ssec[key]) for key in SCENARIO_KEYS["simulation"] if key in ssec}
         return Scenario(
             name=path.stem, model=model, q0=q0, v0=v0, xhat2_0=est0,
@@ -129,33 +129,30 @@ def load_scenario_file(path) -> Scenario:
 
 def resolve_scenario(token: str) -> Scenario:
     """Accept a builtin scenario name or a path to a scenario file."""
-    builtins = builtin_scenarios()
-    if token in builtins:
-        return builtins[token]
+    if token in BUILTIN_NAMES:
+        return builtin_scenarios()[token]
     if os.path.exists(token):
         return load_scenario_file(token)
     raise ScenarioError(
-        f"unknown scenario {token!r}; builtins are {sorted(builtins)}")
+        f"unknown scenario {token!r}; builtins are {list(BUILTIN_NAMES)}")
 
 
 def apply_overrides(sc: Scenario, args) -> Scenario:
-    if getattr(args, "dt", None) is not None:
+    """sc with the dt, t_final, observer, gain and jump_semantics of args
+    that are not None.  A constant gain is designed at sc.design_speed()."""
+    if args.dt is not None:
         sc = replace(sc, dt=args.dt)
-    if getattr(args, "t_final", None) is not None:
+    if args.t_final is not None:
         sc = replace(sc, t_final=args.t_final)
-    if getattr(args, "observer", None) is not None:
+    if args.observer is not None:
         sc = replace(sc, observer_mode=args.observer)
-    if getattr(args, "gain", None) is not None and args.gain != sc.gain_mode:
-        if args.gain == "constant":
-            sc = replace(sc, gain_mode="constant", v_max=sc.design_speed())
-        else:
-            hybrid = sc.hybrid
-            if hybrid is None:
-                hybrid = HybridConfig(v_bar=sc.v_max if sc.v_max else 1.5,
-                                      eta=sc.eta, r_min=1)
-            sc = replace(sc, gain_mode="scheduled", hybrid=hybrid,
-                         r_guess=max(sc.r_guess, hybrid.r_min))
-    if getattr(args, "jump_semantics", None) is not None:
+    if args.gain == "constant":
+        sc = replace(sc, gain_mode="constant")
+    elif args.gain == "scheduled" and sc.gain_mode != "scheduled":
+        hybrid = sc.hybrid or HybridConfig(v_bar=sc.v_max or 1.5, eta=sc.eta, r_min=1)
+        sc = replace(sc, gain_mode="scheduled", hybrid=hybrid,
+                     r_guess=max(sc.r_guess, hybrid.r_min))
+    if args.jump_semantics is not None:
         if sc.hybrid is None:
             raise ScenarioError("--jump-semantics requires a scheduled scenario")
         sc = replace(sc, hybrid=replace(
@@ -175,14 +172,13 @@ def _run_one(sc: Scenario, out_dir: Path, want_report: bool) -> int:
     csv_path = out_dir / f"{sc.name}.csv"
     traj.to_csv(csv_path)
     print(f"wrote {csv_path}")
-    if want_report:
-        lines, passed = diagnose(traj, traj.design)
-        rep_path = out_dir / f"{sc.name}_report.txt"
-        rep_path.write_text("\n".join(lines) + "\n")
-        print(f"wrote {rep_path}")
-        if not passed:
-            return EXIT_CHECKS
-    return EXIT_OK
+    if not want_report:
+        return EXIT_OK
+    lines = report_lines(traj, traj.design)
+    rep_path = out_dir / f"{sc.name}_report.txt"
+    rep_path.write_text("\n".join(lines) + "\n")
+    print(f"wrote {rep_path}")
+    return EXIT_OF_VERDICT[lines[-1]]
 
 
 def cmd_run(args) -> int:
@@ -191,7 +187,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_list(args) -> int:
-    names = sorted(builtin_scenarios())
+    names = list(BUILTIN_NAMES)
     if args.config_dir:
         cfg_dir = Path(args.config_dir)
         if not cfg_dir.is_dir():
@@ -219,7 +215,7 @@ def sweep_workers(jobs: int, n_tasks: int) -> int:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ScenarioError("--jobs must be at least 1")
-    tokens = args.scenarios or sorted(builtin_scenarios())
+    tokens = args.scenarios or list(BUILTIN_NAMES)
     out_dir = str(_out_dir(args))
     overrides = {"dt": args.dt, "t_final": args.t_final, "observer": args.observer,
                  "gain": args.gain, "jump_semantics": args.jump_semantics}
@@ -246,14 +242,12 @@ def cmd_check(args) -> int:
         # the file's estimate column is the active observer's
         traj.xhat2_full, traj.xhat2_reduced = traj.xhat2_reduced, None
     design = compute_k0(sc.model, sc.eta, sc.design_speed())
-    lines, passed = diagnose(traj, design)
+    lines = report_lines(traj, design)
     text = "\n".join(lines)
     print(text)
     if args.report_file:
         Path(args.report_file).write_text(text + "\n")
-    if not passed:
-        return EXIT_CHECKS
-    return EXIT_OK
+    return EXIT_OF_VERDICT[lines[-1]]
 
 
 @functools.cache
@@ -266,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--dt", type=float, default=None)
         p.add_argument("--t-final", dest="t_final", type=float, default=None)
-        p.add_argument("--observer", choices=("reduced", "full", "both"), default=None)
-        p.add_argument("--gain", choices=("constant", "scheduled"), default=None)
+        p.add_argument("--observer", choices=OBSERVER_MODES, default=None)
+        p.add_argument("--gain", choices=GAIN_MODES, default=None)
         p.add_argument("--jump-semantics", dest="jump_semantics",
                        choices=("paper", "hysteresis"), default=None)
 

@@ -179,7 +179,8 @@ UNIT_CORIOLIS_GAIN = 1.6444905289849119
 
 
 def _check_conditioning(lam_min: float, lam_max: float) -> None:
-    if lam_min <= 0.0 or lam_max > INERTIA_COND_LIMIT * lam_min:
+    # written to fail on NaN: terms that overflow to inf give lam_min = nan
+    if not (lam_min > 0.0 and lam_max <= INERTIA_COND_LIMIT * lam_min):
         raise SingularInertiaError(
             f"inertia matrix is numerically singular (eigs {lam_min:g}, {lam_max:g})")
 

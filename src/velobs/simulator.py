@@ -28,6 +28,8 @@ from .observers import ESTIMATE, FULL, REBASE, REDUCED, GainDesign, check_gain, 
 
 OBSERVER_MODES = ("reduced", "full", "both")
 GAIN_MODES = ("constant", "scheduled")
+# The keys of builtin_scenarios(), sorted, known without building the scenarios.
+BUILTIN_NAMES = ("example1", "example2", "example3")
 
 # Abort threshold for any integrated state component.
 BLOWUP_LIMIT = 1e6
@@ -102,12 +104,7 @@ class Scenario:
                 f"t_final / dt asks for more than the {MAX_SAMPLES} samples a run may hold")
         if not (self.eta > 0.0 and math.isfinite(self.eta)):
             raise ScenarioError("eta must be positive and finite")
-        if self.gain_mode == "constant":
-            if self.v_max is None:
-                raise ScenarioError("constant gain mode requires v_max")
-            if not (self.v_max >= 0.0 and math.isfinite(self.v_max)):
-                raise ScenarioError("v_max must be nonnegative and finite")
-        else:
+        if self.gain_mode == "scheduled":
             if self.hybrid is None:
                 raise ScenarioError("scheduled gain mode requires a hybrid config")
             if self.observer_mode == "full":
@@ -116,12 +113,18 @@ class Scenario:
                     "use observer_mode 'reduced' or 'both'")
             if self.hybrid.eta != self.eta:
                 raise ScenarioError("hybrid config eta must match scenario eta")
-            # every mode a run can reach stays a whole float in the r column
+            if self.k0_override is not None:
+                raise ScenarioError("k0_override applies to the constant gain mode only")
+        # the starting band, where the run or the design speed reads it: every
+        # mode a run can reach stays a whole float in the r column
+        if self.hybrid is not None and (self.gain_mode == "scheduled" or self.v_max is None):
             top = 2**53 - MAX_INIT_JUMPS - MAX_SAMPLES
             if not self.hybrid.r_min <= self.r_guess <= top:
                 raise ScenarioError(f"r_guess must lie between r_min and {top}")
-            if self.k0_override is not None:
-                raise ScenarioError("k0_override applies to the constant gain mode only")
+        elif self.v_max is None:    # a constant gain with no band to design for
+            raise ScenarioError("constant gain mode requires v_max")
+        if self.gain_mode == "constant" and not 0.0 <= self.design_speed() < math.inf:
+            raise ScenarioError("v_max must be nonnegative and finite")
         if self.k0_override is not None:
             try:
                 check_gain(self.k0_override, "k0_override")

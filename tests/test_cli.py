@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, note, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from velobs import cli
@@ -26,7 +26,8 @@ from velobs.cli import (
     main,
 )
 from velobs.dynamics import TwoLinkParams
-from velobs.simulator import Scenario, Trajectory
+from velobs.simulator import (BUILTIN_NAMES, GAIN_MODES, OBSERVER_MODES, Scenario,
+                              Trajectory, builtin_scenarios, simulate)
 
 QUICK_INI = """\
 [initial]
@@ -79,6 +80,7 @@ t_final = 0.2
 
 
 ARM_OVERFLOW = "invalid scenario file {path}: arm parameters overflow the inertia terms"
+ARM_NAN = "invalid scenario file {path}: inertia matrix is numerically singular (eigs nan"
 
 
 @pytest.fixture()
@@ -143,6 +145,8 @@ def test_nan_design_constant_is_a_config_error(tmp_path, capsys, key):
     # a float ** that overflows raises OverflowError where * would give inf
     pytest.param("[model]\nm1 = 1e308\n" + QUICK_INI, ARM_OVERFLOW, id="arm_mass"),
     pytest.param("[model]\nl2 = 1e200\n" + QUICK_INI, ARM_OVERFLOW, id="arm_length"),
+    # a product that overflows gives inf terms, and lambda_min = nan
+    pytest.param("[model]\nm2 = 1e308\n" + QUICK_INI, ARM_NAN, id="arm_product"),
     # a mode too large for a float, and so for its band speed
     pytest.param(SCHEDULED_INI.replace("r_guess = 1", "r_guess = 1" + "0" * 400),
                  "r_guess must lie between r_min and 9007199252739992", id="huge_mode"),
@@ -224,6 +228,63 @@ def test_run_unknown_scenario(tmp_path, capsys):
     code = main(["run", "nosuch", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "unknown scenario" in capsys.readouterr().err
+
+
+def test_resolving_a_file_builds_no_builtin(quick_ini, monkeypatch):
+    built = []
+    post_init = Scenario.__post_init__
+
+    def counted(sc):
+        built.append(sc.name)
+        post_init(sc)
+
+    monkeypatch.setattr(Scenario, "__post_init__", counted)
+    assert cli.resolve_scenario(str(quick_ini)).name == "quick"
+    assert built == ["quick"]
+    assert cli.resolve_scenario("example2").name == "example2"
+    assert "example2" in built
+    # the names are known without building the scenarios, in list order
+    assert BUILTIN_NAMES == tuple(builtin_scenarios()) == tuple(sorted(BUILTIN_NAMES))
+
+
+@pytest.mark.parametrize("name", ["example2", "example3"])
+def test_a_constant_gain_override_designs_at_the_design_speed(tmp_path, name):
+    # --gain constant runs the scenario given v_max = design_speed(), byte for byte
+    flag, given = tmp_path / "flag", tmp_path / "given"
+    code = main(["run", name, "--out", str(flag), "--report", "--gain", "constant",
+                 "--t-final", "2"])
+    sc = builtin_scenarios()[name]
+    given.mkdir()
+    assert cli._run_one(dataclasses.replace(sc, gain_mode="constant", t_final=2.0,
+                                            v_max=sc.design_speed()), given, True) == code
+    for file in (f"{name}.csv", f"{name}_report.txt"):
+        assert (flag / file).read_bytes() == (given / file).read_bytes()
+
+
+@pytest.mark.parametrize("r_min, r_guess", [(0, 0), (1, 1), (1, 3)])
+def test_a_constant_gain_file_with_a_band_designs_at_its_top(tmp_path, r_min, r_guess):
+    path = tmp_path / "band.ini"
+    path.write_text(QUICK_INI.replace("v_max = 1.5\n", "")
+                    + f"[hybrid]\nv_bar = 2.5\nr_min = {r_min}\nr_guess = {r_guess}\n")
+    assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    assert simulate(load_scenario_file(path)).design.v_max == 2.5 * max(r_guess, 1)
+
+
+@pytest.mark.parametrize("hybrid", [
+    pytest.param("r_guess = 1" + "0" * 400, id="huge_mode"),
+    pytest.param("r_guess = -3", id="negative_mode"),
+    pytest.param("r_min = 3\nr_guess = 1", id="below_floor"),
+    pytest.param("r_guess = 9007199254740993", id="past_top"),
+    pytest.param("v_bar = 1e308\nsemantics = hysteresis", id="wide_band")])
+def test_a_constant_gain_file_with_v_max_ignores_its_band(tmp_path, hybrid):
+    plain, banded = tmp_path / "plain", tmp_path / "banded"
+    for out, text in ((plain, QUICK_INI), (banded, QUICK_INI + f"[hybrid]\n{hybrid}\n")):
+        out.mkdir()
+        (out / "quick.ini").write_text(text)
+    codes = [main(["run", str(out / "quick.ini"), "--out", str(out), "--report"])
+             for out in (plain, banded)]
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert (plain / "quick.csv").read_bytes() == (banded / "quick.csv").read_bytes()
 
 
 def test_run_scenario_file_and_determinism(tmp_path, quick_ini):
@@ -513,12 +574,15 @@ def test_every_documented_key_is_accepted(tmp_path):
 
 # Values a scenario file may hold at any key: numbers at the edges of float
 # range, huge integers, a negative number, and text that is no number or name.
-EDGE_VALUES = ["nan", "inf", "-inf", "-0", "1e308", "1e200", "1e-320",
-               "123456789012345678901234567890", "1" + "0" * 400, "-3", "x", "", "fuzzy"]
+NUMBER_EDGES = ["nan", "inf", "-inf", "-0", "1e308", "1e200", "1e-320",
+                "123456789012345678901234567890", "1" + "0" * 400, "-3"]
+EDGE_VALUES = NUMBER_EDGES + ["x", "", "fuzzy"]
+# A byte that is not UTF-8, written through surrogateescape.
+NON_UTF8 = "\udcff"
 # Valid values by key; a key not named here takes FUZZ_NUMBERS.  The arm is
 # the unit arm but for its faults, so that few arms need a gain design.  Each
-# accepted (dt, t_final) pair, edge values included, asks for at most 101
-# samples.
+# accepted (dt, t_final) pair, edge values and overrides included, asks for
+# at most 101 samples.
 FUZZ_VALID = {**{key: ["1"] for key in cli.SCENARIO_KEYS["model"]},
               "type": ["open_loop_1", "open_loop_2", "pd", "constant"],
               "mode": ["reduced", "full", "both"], "gain": ["constant", "scheduled"],
@@ -528,14 +592,23 @@ FUZZ_NUMBERS = ["1", "0.5", "20"]
 FUZZ_VECTORS = ("q0", "dq0", "dq0_hat", "kp", "kd", "setpoint", "tau")
 # The faults a key may get, most of them edge values, and the share of keys
 # that get one, drawn per file so that some files have none.
-FAULTS = ("edge",) * 6 + ("length", "drop", "twice", "section")
+FAULTS = ("edge",) * 6 + ("length", "drop", "twice", "section", "header", "bytes")
 FAULT_RATES = (0.0, 0.05, 0.1, 0.2)
+# The overrides a run may get, each drawn with probability OVERRIDE_RATE.
+# Half the --dt and --t-final values are valid, half edge values that parse
+# as floats, so that argparse takes them.
+OVERRIDES = {"--gain": GAIN_MODES, "--observer": OBSERVER_MODES,
+             "--jump-semantics": ("paper", "hysteresis"),
+             "--dt": FUZZ_VALID["dt"] * 5 + NUMBER_EDGES,
+             "--t-final": FUZZ_VALID["t_final"] * 5 + NUMBER_EDGES}
+OVERRIDE_RATE = 0.3
 
 
 def scenario_text(rnd: random.Random) -> str:
     """A scenario file that sets every key of SCENARIO_KEYS, each to a valid
     value or with one fault: a value from EDGE_VALUES, a vector of the wrong
-    length, the key left out or written twice, or its whole section left out.
+    length, the key left out or written twice, a byte that is not UTF-8 in
+    its value, or its whole section or the section's header line left out.
     dt and t_final are always set once."""
     rate = rnd.choice(FAULT_RATES)
     lines = []
@@ -545,7 +618,8 @@ def scenario_text(rnd: random.Random) -> str:
             kinds = {key: kind and "edge" for key, kind in kinds.items()}
         if "section" in kinds.values():
             continue
-        lines.append(f"[{section}]")
+        if "header" not in kinds.values():
+            lines.append(f"[{section}]")
         for key, kind in kinds.items():
             width = 2 if key in FUZZ_VECTORS else 1
             if kind == "length":
@@ -553,23 +627,39 @@ def scenario_text(rnd: random.Random) -> str:
             values = [rnd.choice(FUZZ_VALID.get(key, FUZZ_NUMBERS)) for _ in range(width)]
             if kind == "edge":
                 values[rnd.randrange(width)] = rnd.choice(EDGE_VALUES)
+            if kind == "bytes":
+                values[rnd.randrange(width)] += NON_UTF8
             lines += [f"{key} = {' '.join(values)}"] * {"drop": 0, "twice": 2}.get(kind, 1)
     return "\n".join(lines) + "\n"
 
 
-# Hypothesis draws the seed of each file: drawn key by key through its
-# strategies, a file costs more than its run.
+def override_args(rnd: random.Random) -> list[str]:
+    """Command-line overrides for a run, each drawn from OVERRIDES or left
+    out; given as --flag=value, so that a value such as -inf is no flag."""
+    return [f"{flag}={rnd.choice(values)}" for flag, values in OVERRIDES.items()
+            if rnd.random() < OVERRIDE_RATE]
+
+
+# Hypothesis draws the seed of each file and its overrides: drawn key by key
+# through its strategies, a file costs more than its run.
 @settings(database=None, deadline=None, max_examples=300)
-@given(seed=st.integers(0, 2**64))
-def test_every_scenario_file_runs_or_exits_with_one_line(seed):
-    text = scenario_text(random.Random(seed))
-    note(text)
+@given(case=st.integers(0, 2**64))
+# a scheduled file whose starting mode no float holds, run with a constant
+# gain designed at that mode's band speed
+@example(case=(SCHEDULED_INI.replace("r_guess = 1", "r_guess = 1" + "0" * 400),
+               ["--gain=constant"]))
+def test_every_scenario_file_runs_or_exits_with_one_line(case):
+    if isinstance(case, int):
+        rnd = random.Random(case)
+        case = scenario_text(rnd), override_args(rnd)
+    text, args = case
+    note(f"{text}\n{args}")
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), \
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("error")
         path = Path(out) / "fuzz.ini"
-        path.write_text(text)
-        code = main(["run", str(path), "--out", out])
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        code = main(["run", str(path), "--out", out, *args])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SIMULATION, EXIT_CHECKS)
     assert err.getvalue().count("\n") <= 1

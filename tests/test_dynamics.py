@@ -284,6 +284,9 @@ def test_construction_check_examples():
     for big in (dict(m1=1e308), dict(l2=1e200)):
         with pytest.raises(ValueError, match="arm parameters overflow the inertia terms"):
             TwoLinkArm(TwoLinkParams(**big))
+    # terms that overflow a product give lambda_min = nan, refused as singular
+    with pytest.raises(SingularInertiaError, match=r"numerically singular \(eigs nan, nan\)"):
+        TwoLinkArm(TwoLinkParams(m2=1e308))
     # the kernel itself checks nothing: it evaluates a singular arm's terms
     kernel = unchecked_kernel(TwoLinkParams(m1=1.0, m2=1e-13))
     assert check_fails(kernel, 0.0) and len(kernel((0.0, 0.0))) == 9

@@ -54,6 +54,10 @@ def test_validation_rejects_bad_scenarios(arm):
         dict(eta=np.nan),
         dict(eta=np.inf),
         dict(v_max=None),
+        # a constant gain with no v_max is designed at its starting band,
+        # which must be one that a scheduled run could start in
+        dict(v_max=None, hybrid=hybrid, r_guess=0),
+        dict(v_max=None, hybrid=hybrid, r_guess=10**400),
         dict(v_max=-1.0),
         dict(v_max=np.nan),
         dict(v_max=np.inf),
@@ -87,6 +91,9 @@ def test_validation_rejects_bad_scenarios(arm):
         with pytest.raises(ValueError):
             HybridConfig(v_bar=v_bar, eta=eta)
     make_scenario(arm).validate()
+    make_scenario(arm, v_max=None, hybrid=hybrid, r_guess=3).validate()
+    # with v_max given, the band is not read
+    make_scenario(arm, hybrid=hybrid, r_guess=10**400).validate()
     steps = simulator.MAX_SAMPLES - 1
     make_scenario(arm, dt=1.0, t_final=float(steps)).validate()
     with pytest.raises(ScenarioError, match="samples"):
