@@ -20,7 +20,7 @@ from .analysis import report_lines
 from .controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                           PdConfig, PdGravity)
 from .dynamics import SingularInertiaError, TwoLinkArm, TwoLinkParams
-from .hybrid_logic import HybridConfig
+from .hybrid_logic import SEMANTICS, HybridConfig
 from .observers import compute_k0
 from .simulator import (BUILTIN_NAMES, GAIN_MODES, OBSERVER_MODES, Scenario,
                         ScenarioError, SimulationBlowUp, Trajectory, builtin_scenarios,
@@ -35,25 +35,58 @@ EXIT_CHECKS = 3
 # The exit code of a report (`run --report`, `sweep`, `check`): its last line.
 EXIT_OF_VERDICT = {"overall: pass": EXIT_OK, "overall: fail": EXIT_CHECKS}
 
-# The keys a scenario file may hold, by section; anything else is refused.
+
+def _parse_vec(text: str) -> np.ndarray:
+    vals = np.array([float(x) for x in text.replace(",", " ").split()])
+    if vals.shape != (2,):
+        raise ScenarioError(f"expected 2 values, got {vals.shape[0]}")
+    return vals
+
+
+def _parse_semantics(text: str) -> str:
+    if text not in ("paper", *SEMANTICS):
+        raise ScenarioError("semantics must be 'paper' or 'hysteresis'")
+    return "paper_faithful" if text == "paper" else text
+
+
+# Each controller type's law, and the [controller] keys it is built from.
+CONTROLLER_TYPES = {
+    "open_loop_1": (OpenLoopBounded, ()), "open_loop_2": (OpenLoopUnbounded, ()),
+    "pd": (lambda kp, kd, x_ref: PdGravity(PdConfig(kp, kd, x_ref)), ("kp", "kd", "setpoint")),
+    "constant": (ConstantTorque, ("tau",))}
+# The keys a scenario file may hold, by section, with parser and default: the
+# text read where a file leaves the key out, None if it is optional, or ... if
+# it must be given.  [model] lists the TwoLinkParams fields and defaults.
 SCENARIO_KEYS = {
-    "model": ("m1", "m2", "l1", "l2", "f1", "f2", "gravity"),
-    "initial": ("q0", "dq0", "dq0_hat"),
-    "controller": ("type", "kp", "kd", "setpoint", "tau"),
-    "observer": ("eta", "mode", "gain", "v_max"),
-    "hybrid": ("v_bar", "r_min", "r_guess", "semantics"),
-    "simulation": ("dt", "t_final"),
+    "model": {"m1": (float, "10.0"), "m2": (float, "20.0"), "l1": (float, "1.0"),
+              "l2": (float, "1.5"), "f1": (float, "0.1"), "f2": (float, "0.3"),
+              "gravity": (float, "9.81")},
+    "initial": dict.fromkeys(("q0", "dq0", "dq0_hat"), (_parse_vec, "0 0")),
+    "controller": {"type": (str, "constant"), "kp": (_parse_vec, ...), "kd": (_parse_vec, ...),
+                   "setpoint": (_parse_vec, ...), "tau": (_parse_vec, "0 0")},
+    "observer": {"eta": (float, "1.0"), "mode": (str, "reduced"), "gain": (str, "constant"),
+                 "v_max": (float, None)},
+    "hybrid": {"v_bar": (float, "1.5"), "r_min": (int, "1"), "r_guess": (int, None),
+               "semantics": (_parse_semantics, "paper")},
+    "simulation": {"dt": (float, "1e-3"), "t_final": (float, "10.0")},
 }
 
-_SEMANTICS_ALIASES = {"paper": "paper_faithful", "paper_faithful": "paper_faithful",
-                      "hysteresis": "hysteresis"}
+
+def _read(sections, section: str, key: str):
+    """A key's value in a file's sections (its ConfigParser, or {}), or its default."""
+    parse, default = SCENARIO_KEYS[section][key]
+    values = sections[section] if section in sections else {}
+    text = values[key] if default is ... else values.get(key, default)
+    return None if text is None else parse(text)
 
 
-def _parse_vec(text: str, n: int | None = None) -> np.ndarray:
-    vals = np.array([float(x) for x in text.replace(",", " ").split()])
-    if n is not None and vals.shape != (n,):
-        raise ScenarioError(f"expected {n} values, got {vals.shape[0]}")
-    return vals
+def _band(sections, eta: float, v_bar: float | None = None) -> tuple[HybridConfig, int]:
+    """The band of a file's [hybrid] (v_bar wide if that is given) and its first mode."""
+    read = functools.partial(_read, sections, "hybrid")
+    hybrid = HybridConfig(semantics=read("semantics"), v_bar=v_bar or read("v_bar"),
+                          eta=eta, r_min=read("r_min"))
+    r_guess = read("r_guess")
+    return hybrid, max(hybrid.r_min, 1) if r_guess is None else r_guess
 
 
 def load_scenario_file(path) -> Scenario:
@@ -73,53 +106,20 @@ def load_scenario_file(path) -> Scenario:
         # with no other section, a [DEFAULT] key is read by none
         for key in parser.defaults() if not parser.sections() else ():
             raise ValueError(f"unknown key {key!r} in section [{parser.default_section}]")
-        # each section in SCENARIO_KEYS order, {} where the file has none
-        msec, isec, csec, osec, hsec, ssec = (
-            parser[name] if parser.has_section(name) else {} for name in SCENARIO_KEYS)
-        # a key the file leaves out keeps the TwoLinkParams default
-        model = TwoLinkArm(TwoLinkParams(**{
-            "gravity_accel" if key == "gravity" else key: float(msec[key])
-            for key in SCENARIO_KEYS["model"] if key in msec}))
-
-        q0 = _parse_vec(isec.get("q0", "0 0"), 2)
-        v0 = _parse_vec(isec.get("dq0", "0 0"), 2)
-        est0 = _parse_vec(isec.get("dq0_hat", "0 0"), 2)
-
-        ctype = csec.get("type", "constant")
-        if ctype == "open_loop_1":
-            controller = OpenLoopBounded()
-        elif ctype == "open_loop_2":
-            controller = OpenLoopUnbounded()
-        elif ctype == "pd":
-            controller = PdGravity(PdConfig(
-                kp=_parse_vec(csec["kp"], 2), kd=_parse_vec(csec["kd"], 2),
-                x_ref=_parse_vec(csec["setpoint"], 2)))
-        elif ctype == "constant":
-            controller = ConstantTorque(_parse_vec(csec.get("tau", "0 0"), 2))
-        else:
+        read = functools.partial(_read, parser)
+        model = TwoLinkArm(TwoLinkParams(*(read("model", key) for key in SCENARIO_KEYS["model"])))
+        q0, v0, est0 = (read("initial", key) for key in SCENARIO_KEYS["initial"])
+        ctype = read("controller", "type")
+        if ctype not in CONTROLLER_TYPES:
             raise ScenarioError(f"unknown controller type {ctype!r}")
-
-        eta = float(osec.get("eta", 1.0))
-        gain_mode = osec.get("gain", "constant")
-        v_max = float(osec["v_max"]) if "v_max" in osec else None
-
-        hybrid = None
-        r_guess = 0
-        if parser.has_section("hybrid"):
-            semantics = _SEMANTICS_ALIASES.get(hsec.get("semantics", "paper"))
-            if semantics is None:
-                raise ScenarioError("semantics must be 'paper' or 'hysteresis'")
-            hybrid = HybridConfig(
-                v_bar=float(hsec.get("v_bar", 1.5)), eta=eta,
-                semantics=semantics, r_min=int(hsec.get("r_min", 1)))
-            r_guess = int(hsec.get("r_guess", max(hybrid.r_min, 1)))
-
-        horizon = {key: float(ssec[key]) for key in SCENARIO_KEYS["simulation"] if key in ssec}
+        law, law_keys = CONTROLLER_TYPES[ctype]
+        controller = law(*[read("controller", key) for key in law_keys])
+        eta, gain_mode, v_max = (read("observer", key) for key in ("eta", "gain", "v_max"))
+        hybrid, r_guess = _band(parser, eta) if parser.has_section("hybrid") else (None, 0)
         return Scenario(
-            name=path.stem, model=model, q0=q0, v0=v0, xhat2_0=est0,
-            controller=controller,
-            observer_mode=osec.get("mode", "reduced"), gain_mode=gain_mode,
-            eta=eta, v_max=v_max, hybrid=hybrid, r_guess=r_guess, **horizon)
+            path.stem, model, q0, v0, est0, controller, gain_mode=gain_mode, eta=eta,
+            v_max=v_max, hybrid=hybrid, r_guess=r_guess, dt=read("simulation", "dt"),
+            t_final=read("simulation", "t_final"), observer_mode=read("observer", "mode"))
     except (KeyError, ValueError, SingularInertiaError, configparser.Error) as exc:
         if isinstance(exc, ScenarioError):
             raise
@@ -149,14 +149,14 @@ def apply_overrides(sc: Scenario, args) -> Scenario:
     if args.gain == "constant":
         sc = replace(sc, gain_mode="constant")
     elif args.gain == "scheduled" and sc.gain_mode != "scheduled":
-        hybrid = sc.hybrid or HybridConfig(v_bar=sc.v_max or 1.5, eta=sc.eta, r_min=1)
+        hybrid = sc.hybrid or _band({}, sc.eta, sc.v_max)[0]
         sc = replace(sc, gain_mode="scheduled", hybrid=hybrid,
                      r_guess=max(sc.r_guess, hybrid.r_min))
     if args.jump_semantics is not None:
         if sc.hybrid is None:
             raise ScenarioError("--jump-semantics requires a scheduled scenario")
         sc = replace(sc, hybrid=replace(
-            sc.hybrid, semantics=_SEMANTICS_ALIASES[args.jump_semantics]))
+            sc.hybrid, semantics=_parse_semantics(args.jump_semantics)))
     return sc
 
 
@@ -200,8 +200,8 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _sweep_task(token: str, overrides: dict, out_dir: str) -> int:
-    sc = apply_overrides(resolve_scenario(token), argparse.Namespace(**overrides))
+def _sweep_task(token: str, args: argparse.Namespace, out_dir: str) -> int:
+    sc = apply_overrides(resolve_scenario(token), args)
     sub = Path(out_dir) / sc.name
     sub.mkdir(parents=True, exist_ok=True)
     return _run_one(sc, sub, True)
@@ -217,17 +217,15 @@ def cmd_sweep(args) -> int:
         raise ScenarioError("--jobs must be at least 1")
     tokens = args.scenarios or list(BUILTIN_NAMES)
     out_dir = str(_out_dir(args))
-    overrides = {"dt": args.dt, "t_final": args.t_final, "observer": args.observer,
-                 "gain": args.gain, "jump_semantics": args.jump_semantics}
     # every scenario runs to its own exit code, its error (if any) on stderr
     workers = sweep_workers(args.jobs, len(tokens))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_exit_code, _sweep_task, tok, overrides, out_dir)
+            futures = [pool.submit(_exit_code, _sweep_task, tok, args, out_dir)
                        for tok in tokens]
             codes = [fut.result() for fut in futures]
     else:
-        codes = [_exit_code(_sweep_task, tok, overrides, out_dir) for tok in tokens]
+        codes = [_exit_code(_sweep_task, tok, args, out_dir) for tok in tokens]
     for tok, code in zip(tokens, codes):
         print(f"{tok}: exit {code}")
     return max(codes)
@@ -250,9 +248,14 @@ def cmd_check(args) -> int:
     return EXIT_OF_VERDICT[lines[-1]]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, as every refused input gets
+        raise ScenarioError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="velobs",
         description="Simulate reduced-order velocity observers on manipulator scenarios.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -298,11 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
+    def command() -> int:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    return _exit_code(args.func, args)
+        return args.func(args)
+    return _exit_code(command)
 
 
 def _exit_code(func, *args) -> int:
@@ -315,6 +317,8 @@ def _exit_code(func, *args) -> int:
     except SimulationBlowUp as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
+    except SystemExit as exc:  # argparse exits after --help
+        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
 
 
 def main_entry() -> None:

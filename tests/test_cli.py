@@ -261,6 +261,36 @@ def test_a_constant_gain_override_designs_at_the_design_speed(tmp_path, name):
         assert (flag / file).read_bytes() == (given / file).read_bytes()
 
 
+def test_a_scheduled_gain_override_runs_the_band_of_an_empty_hybrid(tmp_path):
+    # the fallback band is the table's [hybrid] defaults, byte for byte
+    bare = QUICK_INI.replace("v_max = 1.5\n", "")
+    flag, given = tmp_path / "flag.ini", tmp_path / "given.ini"
+    flag.write_text(bare)
+    given.write_text(bare.replace("gain = constant", "gain = scheduled") + "[hybrid]\n")
+    codes = [main(["run", str(path), "--out", str(tmp_path), "--report", *args])
+             for path, args in ((flag, ["--gain", "scheduled"]), (given, []))]
+    assert codes[0] == codes[1]
+    assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
+    reports = [[line for line in (tmp_path / f"{name}_report.txt").read_text().splitlines()
+                if not line.startswith("scenario:")] for name in ("flag", "given")]
+    assert reports[0] == reports[1]
+
+
+def test_the_table_defaults_are_the_dataclass_defaults():
+    def default(section, key):
+        parse, text = cli.SCENARIO_KEYS[section][key]
+        return parse(text)
+
+    assert [default("model", key) for key in cli.SCENARIO_KEYS["model"]] \
+        == [field.default for field in dataclasses.fields(TwoLinkParams)]
+    fields = {field.name: field.default for field in dataclasses.fields(Scenario)}
+    for name, section, key in (("eta", "observer", "eta"),
+                               ("observer_mode", "observer", "mode"),
+                               ("gain_mode", "observer", "gain"),
+                               ("dt", "simulation", "dt"), ("t_final", "simulation", "t_final")):
+        assert default(section, key) == fields[name], name
+
+
 @pytest.mark.parametrize("r_min, r_guess", [(0, 0), (1, 1), (1, 3)])
 def test_a_constant_gain_file_with_a_band_designs_at_its_top(tmp_path, r_min, r_guess):
     path = tmp_path / "band.ini"
@@ -471,11 +501,27 @@ def test_check_of_a_non_finite_csv_is_a_config_error(tmp_path, quick_ini, capsys
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# Each usage error, and the one line it prints
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["run"], "the following arguments are required: scenario"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["run", "example1", "--dt", "x"], "argument --dt: invalid float value: 'x'"),
+    # a value that starts with - is taken for a flag; --dt=-inf is the value
+    (["run", "example1", "--dt", "-inf"], "argument --dt: expected one argument"),
+    (["sweep", "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+]
+
+
 def test_argparse_errors_and_help(capsys):
-    assert main([]) == EXIT_CONFIG
+    for argv, message in USAGE_ERRORS:
+        assert main(argv) == EXIT_CONFIG, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}"), argv
+        assert err.count("\n") == 1, err
     assert main(["--help"]) == EXIT_OK
-    assert main(["run"]) == EXIT_CONFIG
-    capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: velobs") and err == ""
 
 
 def check_parser_reuse(tmp_path, quick_ini) -> None:
@@ -572,6 +618,18 @@ def test_every_documented_key_is_accepted(tmp_path):
     assert (sc.r_guess, sc.hybrid.semantics, sc.t_final) == (2, "hysteresis", 0.5)
 
 
+def test_the_readme_lists_every_scenario_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Scenario files", 1)[1].split("```ini\n", 1)[1].split("```")[0]
+    listed = {}
+    for line in block.splitlines():
+        if header := re.match(r"\[(\w+)\]", line):
+            section = listed.setdefault(header[1], [])
+        elif key := re.match(r"(?:# )?(\w+) = ", line):  # a commented key too
+            section.append(key[1])
+    assert listed == {name: list(keys) for name, keys in cli.SCENARIO_KEYS.items()}
+
+
 # Values a scenario file may hold at any key: numbers at the edges of float
 # range, huge integers, a negative number, and text that is no number or name.
 NUMBER_EDGES = ["nan", "inf", "-inf", "-0", "1e308", "1e200", "1e-320",
@@ -584,24 +642,25 @@ NON_UTF8 = "\udcff"
 # accepted (dt, t_final) pair, edge values and overrides included, asks for
 # at most 101 samples.
 FUZZ_VALID = {**{key: ["1"] for key in cli.SCENARIO_KEYS["model"]},
-              "type": ["open_loop_1", "open_loop_2", "pd", "constant"],
+              "type": list(cli.CONTROLLER_TYPES),
               "mode": ["reduced", "full", "both"], "gain": ["constant", "scheduled"],
               "semantics": ["paper", "hysteresis"], "r_min": ["0", "1", "3"],
               "r_guess": ["1", "4"], "dt": ["1e-3", "0.01"], "t_final": ["0.1", "0.02"]}
 FUZZ_NUMBERS = ["1", "0.5", "20"]
-FUZZ_VECTORS = ("q0", "dq0", "dq0_hat", "kp", "kd", "setpoint", "tau")
 # The faults a key may get, most of them edge values, and the share of keys
 # that get one, drawn per file so that some files have none.
 FAULTS = ("edge",) * 6 + ("length", "drop", "twice", "section", "header", "bytes")
 FAULT_RATES = (0.0, 0.05, 0.1, 0.2)
 # The overrides a run may get, each drawn with probability OVERRIDE_RATE.
 # Half the --dt and --t-final values are valid, half edge values that parse
-# as floats, so that argparse takes them.
+# as floats.  Written --flag value, as half the runs write them, -inf is
+# taken for a flag, and the pools also hold a non-number.
 OVERRIDES = {"--gain": GAIN_MODES, "--observer": OBSERVER_MODES,
              "--jump-semantics": ("paper", "hysteresis"),
              "--dt": FUZZ_VALID["dt"] * 5 + NUMBER_EDGES,
              "--t-final": FUZZ_VALID["t_final"] * 5 + NUMBER_EDGES}
 OVERRIDE_RATE = 0.3
+NON_NUMBER = "x"
 
 
 def scenario_text(rnd: random.Random) -> str:
@@ -621,7 +680,7 @@ def scenario_text(rnd: random.Random) -> str:
         if "header" not in kinds.values():
             lines.append(f"[{section}]")
         for key, kind in kinds.items():
-            width = 2 if key in FUZZ_VECTORS else 1
+            width = 2 if keys[key][0] is cli._parse_vec else 1
             if kind == "length":
                 width = rnd.choice([1, 3]) if width == 2 else 2
             values = [rnd.choice(FUZZ_VALID.get(key, FUZZ_NUMBERS)) for _ in range(width)]
@@ -635,9 +694,16 @@ def scenario_text(rnd: random.Random) -> str:
 
 def override_args(rnd: random.Random) -> list[str]:
     """Command-line overrides for a run, each drawn from OVERRIDES or left
-    out; given as --flag=value, so that a value such as -inf is no flag."""
-    return [f"{flag}={rnd.choice(values)}" for flag, values in OVERRIDES.items()
-            if rnd.random() < OVERRIDE_RATE]
+    out; given as --flag=value, or (half the runs) as --flag value."""
+    spaced = rnd.random() < 0.5
+    args = []
+    for flag, values in OVERRIDES.items():
+        if rnd.random() < OVERRIDE_RATE:
+            if spaced and flag in ("--dt", "--t-final"):
+                values = [*values, NON_NUMBER]
+            value = rnd.choice(values)
+            args += [flag, value] if spaced else [f"{flag}={value}"]
+    return args
 
 
 # Hypothesis draws the seed of each file and its overrides: drawn key by key
