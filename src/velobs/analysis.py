@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid_logic import flow_interval, jump_down_set, jump_up_set
+from .hybrid_logic import flow_interval
 from .observers import GainDesign
 from .simulator import Trajectory
 
@@ -76,15 +76,14 @@ def settling_time(traj: Trajectory, which: str = "active", *,
     return float(traj.t[last + 1])
 
 
-def observed_decay_rate(traj: Trajectory, which: str = "active", *,
-                        threshold: float = SETTLING_THRESHOLD) -> float | None:
+def observed_decay_rate(traj: Trajectory, which: str = "active") -> float | None:
     """Least-squares exponential rate of the error decay (informational).
 
     Fitted on log ||eps|| from the start of the run until the error first
     drops below the settling threshold.
     """
     eps = traj.eps_norm if which == "active" else traj.eps_norm_for(which)
-    below = np.nonzero(eps < threshold)[0]
+    below = np.nonzero(eps < SETTLING_THRESHOLD)[0]
     end = int(below[0]) + 1 if below.size else len(eps)
     window = slice(0, max(end, 3))
     vals = eps[window]
@@ -115,7 +114,8 @@ def illegal_jumps(traj: Trajectory) -> list:
     """Jump events whose recorded estimate norm is outside the matching jump set.
 
     A jump of more than one mode, or out of a mode below r_min, is illegal.
-    Each source mode's jump sets are applied once, to its events' norms.
+    Each source mode's thresholds are compared once with its events' norms:
+    an up-jump needs nrm >= up, a down-jump nrm <= down.
     """
     sc = traj.scenario
     events = traj.jump_events
@@ -127,11 +127,11 @@ def illegal_jumps(traj: Trajectory) -> list:
     modes, first = np.unique(old_r[order], return_index=True)
     for r, at in zip(modes.tolist(), np.split(order, first[1:])):
         try:
-            up = jump_up_set(sc.hybrid, r, nrm[at])
-            down = jump_down_set(sc.hybrid, r, nrm[at])
+            up, down = sc.hybrid.thresholds(r)
         except ValueError:      # a mode below r_min has no jump sets
             continue
-        ok[at] = ((new_r[at] == r + 1) & up) | ((new_r[at] == r - 1) & down)
+        ok[at] = (((new_r[at] == r + 1) & (nrm[at] >= up))
+                  | ((new_r[at] == r - 1) & (nrm[at] <= down)))
     return [events[i] for i in np.flatnonzero(~ok).tolist()]
 
 
@@ -141,9 +141,9 @@ def chatter_score(traj: Trajectory) -> int:
     return int(np.count_nonzero(np.diff(steps) <= CHATTER_WINDOW))
 
 
-def ultimate_r_constant(traj: Trajectory, *, fraction: float = 0.2) -> bool:
-    """True iff the logic index is constant over the final fraction of the run."""
-    tail = traj.r[int(math.ceil((1.0 - fraction) * (len(traj.r) - 1))):]
+def ultimate_r_constant(traj: Trajectory) -> bool:
+    """True iff the logic index is constant over the final fifth of the run."""
+    tail = traj.r[int(math.ceil(0.8 * (len(traj.r) - 1))):]
     return bool(np.all(tail == tail[-1]))
 
 
@@ -179,7 +179,7 @@ def scenario_checks(traj: Trajectory, design: GainDesign,
                     st_red is not None and st_full is not None
                     and st_red < st_full)
     elif name == "example2":
-        checks["velocity_exceeds_design_bound"] = bool(np.max(speed) > 1.5)
+        checks["velocity_exceeds_design_bound"] = bool(np.max(speed) > design.v_max)
         checks["observer_settles"] = st_active is not None
         checks["r_increases"] = bool(np.max(traj.r) > traj.r[0])
     elif name == "example3":

@@ -90,8 +90,11 @@ def _band(sections, eta: float, v_bar: float | None = None) -> tuple[HybridConfi
 
 
 def load_scenario_file(path) -> Scenario:
-    """Build a scenario from a flat INI-style config file."""
+    """Build a scenario from a flat INI-style config file, named by its stem."""
     path = Path(path)
+    # scenario_checks holds a builtin's name to that builtin's claims
+    if path.stem in BUILTIN_NAMES:
+        raise ScenarioError(f"scenario file {path} has the name of a builtin; rename it")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         if not parser.read(str(path)):
@@ -216,6 +219,11 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ScenarioError("--jobs must be at least 1")
     tokens = args.scenarios or list(BUILTIN_NAMES)
+    # each run writes to the subdirectory of its name: a builtin's token, a file's stem
+    names = [Path(tok).stem for tok in tokens]
+    for name in names:
+        if names.count(name) > 1:
+            raise ScenarioError(f"two scenarios are named {name!r}, with one output directory")
     out_dir = str(_out_dir(args))
     # every scenario runs to its own exit code, its error (if any) on stderr
     workers = sweep_workers(args.jobs, len(tokens))

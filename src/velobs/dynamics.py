@@ -42,7 +42,7 @@ from .equations import compiled, define, joints, names
 INERTIA_COND_LIMIT = 1e12
 
 # Distinct models whose design tables are kept (about 50 KB each at the
-# default 2048 grid points).
+# arm's 2048 grid points).
 DESIGN_TABLES_CACHE = 16
 
 
@@ -221,9 +221,9 @@ class TwoLinkArm(RobotModel):
     """Planar two-link arm in a vertical plane with viscous joint friction."""
 
     params: TwoLinkParams = field(default_factory=TwoLinkParams)
-    grid_points: int = 2048
 
     n = 2
+    GRID_POINTS = 2048      # rows of the gain-design grid, q2 in [-pi, pi]
 
     @cached_property
     def coupling(self) -> float:
@@ -320,7 +320,7 @@ class TwoLinkArm(RobotModel):
     def design_grid(self) -> np.ndarray:
         # M, c0 and g depend on q2 only up to the q1 terms of gravity, and the
         # extremal searches only involve M and c0, so a 1-D sweep suffices.
-        q2 = np.linspace(-np.pi, np.pi, self.grid_points)
+        q2 = np.linspace(-np.pi, np.pi, self.GRID_POINTS)
         return np.column_stack([np.zeros_like(q2), q2])
 
 
@@ -412,7 +412,7 @@ def grid_tables(model: RobotModel) -> GridTables:
 @lru_cache(maxsize=DESIGN_TABLES_CACHE)
 def _design_tables(model: RobotModel) -> GridTables:
     # Models are frozen dataclasses compared by value, so equal models (same
-    # class, parameters and grid size) share one build; read-only, since
+    # class and parameters) share one build; read-only, since
     # every caller gets the same arrays.
     tables = grid_tables(model)
     for table in tables:

@@ -81,36 +81,14 @@ class JumpEvent(NamedTuple):
     step: int
 
 
-def jump_up_set(config: HybridConfig, r: int, nrm):
-    """True iff nrm lies in the up-jump set of mode r; elementwise for an array of norms."""
-    return nrm >= config.thresholds(r)[0]
-
-
-def jump_down_set(config: HybridConfig, r: int, nrm):
-    """True iff nrm lies in the down-jump set of mode r; always false at the
-    floor mode; elementwise for an array of norms."""
-    return nrm <= config.thresholds(r)[1]
-
-
-def flow_set(config: HybridConfig, r: int, nrm: float) -> bool:
-    """True iff the estimate norm lies in the flow set of mode r.
-
-    The flow set is the closure of the complement of the jump sets, the
-    closed annulus flow_interval(config, r) in estimate norm.  Boundary
-    points belong to both the flow set and the adjacent jump set.
-    """
-    interval = flow_interval(config, r)
-    if interval is None:
-        return False
-    lo, hi = interval
-    return lo <= nrm <= hi
-
-
 def flow_interval(config: HybridConfig, r: int) -> tuple[float, float] | None:
-    """Norm interval of the flow annulus of mode r, or None when it is empty.
+    """Norm interval of the flow set of mode r, or None when it is empty.
 
-    An empty interval means the jump sets cover the whole space in mode r,
-    which happens with v_bar < 2 eta in paper_faithful semantics.
+    The flow set is the closure of the complement of the jump sets of
+    thresholds(r): the closed annulus max(down, 0) <= nrm <= up, whose
+    boundary points belong also to the adjacent jump set.  An empty interval
+    means the jump sets cover the whole space in mode r, which happens with
+    v_bar < 2 eta in paper_faithful semantics.
     """
     up, down = config.thresholds(r)
     lo = max(down, 0.0)
@@ -138,8 +116,8 @@ class LogicState(NamedTuple):
 
     r: int
     k_r: float
-    up: float       # jump_up_set is nrm >= up
-    down: float     # jump_down_set is nrm <= down; -inf at the floor mode
+    up: float       # the up-jump set is nrm >= up
+    down: float     # the down-jump set is nrm <= down; -inf at the floor mode
 
 
 def enter_mode(schedule: GainSchedule, r: int) -> LogicState:

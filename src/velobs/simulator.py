@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Callable
 
@@ -415,30 +415,19 @@ def simulate(scenario: Scenario) -> Trajectory:
 
 
 def builtin_scenarios() -> dict[str, Scenario]:
-    """The three reference scenarios on the default two-link arm."""
+    """The three reference scenarios on the default two-link arm: example1 in
+    full, each of the others by what it changes in the one before."""
     from .dynamics import TwoLinkArm
     from .controllers import OpenLoopBounded, OpenLoopUnbounded, PdConfig, PdGravity
 
-    arm = TwoLinkArm()
-    q0 = np.array([-2.0 * np.pi / 3.0, np.pi / 10.0])
-    v0 = np.array([-0.5, 1.0])
-    est0 = np.zeros(2)
-    hybrid = HybridConfig(v_bar=1.5, eta=1.0, semantics="paper_faithful", r_min=1)
-    pd = PdConfig(kp=[40.0, 20.0], kd=[60.0, 30.0],
-                  x_ref=[np.pi / 4.0, -np.pi / 3.0])
-    return {
-        "example1": Scenario(
-            name="example1", model=arm, q0=q0, v0=v0, xhat2_0=est0,
-            controller=OpenLoopBounded(), observer_mode="both",
-            gain_mode="constant", eta=1.0, v_max=1.5, dt=1e-3, t_final=20.0),
-        "example2": Scenario(
-            name="example2", model=arm, q0=q0, v0=v0, xhat2_0=est0,
-            controller=OpenLoopUnbounded(), observer_mode="reduced",
-            gain_mode="scheduled", eta=1.0, hybrid=hybrid, r_guess=1,
-            dt=1e-3, t_final=20.0),
-        "example3": Scenario(
-            name="example3", model=arm, q0=q0, v0=v0, xhat2_0=est0,
-            controller=PdGravity(pd), observer_mode="reduced",
-            gain_mode="scheduled", eta=1.0, hybrid=hybrid, r_guess=1,
-            dt=1e-3, t_final=20.0),
-    }
+    example1 = Scenario(
+        name="example1", model=TwoLinkArm(), q0=np.array([-2.0 * np.pi / 3.0, np.pi / 10.0]),
+        v0=np.array([-0.5, 1.0]), xhat2_0=np.zeros(2), controller=OpenLoopBounded(),
+        observer_mode="both", v_max=1.5, t_final=20.0)
+    example2 = replace(
+        example1, name="example2", controller=OpenLoopUnbounded(), observer_mode="reduced",
+        gain_mode="scheduled", v_max=None, hybrid=HybridConfig(v_bar=1.5, eta=1.0, r_min=1),
+        r_guess=1)
+    example3 = replace(example2, name="example3", controller=PdGravity(PdConfig(
+        kp=[40.0, 20.0], kd=[60.0, 30.0], x_ref=[np.pi / 4.0, -np.pi / 3.0])))
+    return {sc.name: sc for sc in (example1, example2, example3)}

@@ -190,10 +190,12 @@ def test_ultimate_r_constant_tail():
     drift = synthetic(np.zeros(10))
     drift.r[-1] = 3
     assert not ultimate_r_constant(drift)
+    # the tail is the final fifth: samples ceil(0.8 * 9) = 8 and 9
     late_settle = synthetic(np.zeros(10))
     late_settle.r[:9] = 5
     assert not ultimate_r_constant(late_settle)
-    assert ultimate_r_constant(late_settle, fraction=0.1)
+    late_settle.r[8] = 0
+    assert ultimate_r_constant(late_settle)
 
 
 def test_compare_observers_shapes(example1_traj, example2_traj):

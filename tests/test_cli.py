@@ -247,6 +247,26 @@ def test_resolving_a_file_builds_no_builtin(quick_ini, monkeypatch):
     assert BUILTIN_NAMES == tuple(builtin_scenarios()) == tuple(sorted(BUILTIN_NAMES))
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_a_file_named_as_a_builtin_is_refused(tmp_path, capsys, name):
+    # its report would hold it to the builtin's claims: as example3 this
+    # constant-torque file has no PD setpoint, as example2 no rising mode
+    out = tmp_path / "out"
+    plain = tmp_path / "plain.ini"
+    plain.write_text(QUICK_INI)
+    assert main(["run", str(plain), "--report", "--out", str(out)]) == EXIT_OK
+    path = tmp_path / f"{name}.ini"
+    path.write_text(QUICK_INI)
+    capsys.readouterr()
+    for argv in (["run", str(path), "--report", "--out", str(out)],
+                 ["sweep", str(path), "--out", str(out)],
+                 ["check", str(out / "plain.csv"), "--scenario", str(path)]):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: scenario file {path} has the name of a builtin; rename it\n")
+    assert sorted(p.name for p in out.iterdir()) == ["plain.csv", "plain_report.txt"]
+
+
 @pytest.mark.parametrize("name", ["example2", "example3"])
 def test_a_constant_gain_override_designs_at_the_design_speed(tmp_path, name):
     # --gain constant runs the scenario given v_max = design_speed(), byte for byte
@@ -458,6 +478,23 @@ def test_sweep_reports_every_scenario(tmp_path, capsys):
         assert (tmp_path / name / f"{name}_report.txt").is_file()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_refuses_two_scenarios_of_one_name(tmp_path, capsys, jobs):
+    # both would write out/x/, the second run over the first
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.ini").write_text(QUICK_INI)
+    out = tmp_path / "out"
+    for tokens in ([str(tmp_path / "a" / "x.ini"), str(tmp_path / "b" / "x.ini")],
+                   ["example1", "example2", "example1"]):
+        name = Path(tokens[0]).stem
+        assert main(["sweep", *tokens, "--out", str(out), "--jobs", jobs]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"error: two scenarios are named {name!r}, with one output directory\n")
+        assert not out.exists()
+    assert main(["sweep", str(tmp_path / "a" / "x.ini"), "--out", str(out)]) == EXIT_OK
+
+
 def test_sweep_jobs_are_checked_and_clamped(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--out", str(tmp_path), "--jobs", "0"]) == EXIT_CONFIG
     assert "--jobs" in capsys.readouterr().err
@@ -661,6 +698,10 @@ OVERRIDES = {"--gain": GAIN_MODES, "--observer": OBSERVER_MODES,
              "--t-final": FUZZ_VALID["t_final"] * 5 + NUMBER_EDGES}
 OVERRIDE_RATE = 0.3
 NON_NUMBER = "x"
+# A file is named after a builtin, which the loader refuses whatever the file
+# holds, at this rate, else FUZZ_STEM; half the runs ask for the report.
+BUILTIN_STEM_RATE = 0.25
+FUZZ_STEM = "fuzz"
 
 
 def scenario_text(rnd: random.Random) -> str:
@@ -706,25 +747,29 @@ def override_args(rnd: random.Random) -> list[str]:
     return args
 
 
-# Hypothesis draws the seed of each file and its overrides: drawn key by key
-# through its strategies, a file costs more than its run.
-@settings(database=None, deadline=None, max_examples=300)
+# Hypothesis draws the seed of each file, its name and its arguments: drawn
+# key by key through its strategies, a file costs more than its run.
+@settings(database=None, deadline=None, max_examples=400)
 @given(case=st.integers(0, 2**64))
 # a scheduled file whose starting mode no float holds, run with a constant
 # gain designed at that mode's band speed
 @example(case=(SCHEDULED_INI.replace("r_guess = 1", "r_guess = 1" + "0" * 400),
-               ["--gain=constant"]))
+               ["--gain=constant"], FUZZ_STEM))
+# a file named after the builtin whose claims read a PD law and a band
+@example(case=(QUICK_INI, ["--report"], "example3"))
 def test_every_scenario_file_runs_or_exits_with_one_line(case):
     if isinstance(case, int):
         rnd = random.Random(case)
-        case = scenario_text(rnd), override_args(rnd)
-    text, args = case
-    note(f"{text}\n{args}")
+        stem = rnd.choice(BUILTIN_NAMES) if rnd.random() < BUILTIN_STEM_RATE else FUZZ_STEM
+        report = ["--report"] * (rnd.random() < 0.5)
+        case = scenario_text(rnd), override_args(rnd) + report, stem
+    text, args, stem = case
+    note(f"{stem}.ini:\n{text}\n{args}")
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), \
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("error")
-        path = Path(out) / "fuzz.ini"
+        path = Path(out) / f"{stem}.ini"
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         code = main(["run", str(path), "--out", out, *args])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SIMULATION, EXIT_CHECKS)

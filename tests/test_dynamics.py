@@ -229,7 +229,6 @@ def unchecked_kernel(params: TwoLinkParams):
     """The kernel of an arm with these parameters, built without its check."""
     arm = object.__new__(TwoLinkArm)
     object.__setattr__(arm, "params", params)
-    object.__setattr__(arm, "grid_points", 2048)
     return arm.kernel
 
 
@@ -368,7 +367,7 @@ def test_spectral_bounds_match_oracle(arm, oracle):
 
 def test_grid_tables_shapes(arm):
     tables = grid_tables(arm)
-    assert tables.lam_min.shape == (arm.grid_points,)
+    assert tables.lam_min.shape == (TwoLinkArm.GRID_POINTS,)
     assert np.all(tables.lam_min > 0.0)
     assert np.all(tables.lam_max >= tables.lam_min)
     assert np.all(tables.c0 >= 0.0)
@@ -398,10 +397,9 @@ class OneUlpArm(TwoLinkArm):
 
 def design_models():
     arms = st.builds(
-        lambda m1, m2, l1, l2, points: TwoLinkArm(TwoLinkParams(m1=m1, m2=m2, l1=l1, l2=l2),
-                                                  grid_points=points),
+        lambda m1, m2, l1, l2: TwoLinkArm(TwoLinkParams(m1=m1, m2=m2, l1=l1, l2=l2)),
         log_uniform(-2.0, 2.0), log_uniform(-2.0, 2.0), log_uniform(-1.0, 1.0),
-        log_uniform(-1.0, 1.0), st.integers(1, 700))
+        log_uniform(-1.0, 1.0))
     singles = st.builds(SingleLinkModel, log_uniform(-3.0, 3.0), st.floats(0.0, 10.0))
     return st.one_of(arms, singles)
 
@@ -417,8 +415,15 @@ def test_a_one_ulp_inertia_entry_is_caught(arm):
     assert not same_bits(grid_tables(OneUlpArm()), reference_tables(arm))
 
 
+class FineArm(TwoLinkArm):
+    """The arm with a design grid twice as fine."""
+
+    GRID_POINTS = 2 * TwoLinkArm.GRID_POINTS
+
+
 def test_grid_refinement_is_converged(arm):
-    fine = TwoLinkArm(grid_points=4096)
+    fine = FineArm()
+    assert len(fine.design_grid()) == 4096
     lo, hi = spectral_bounds(arm)
     lo_f, hi_f = spectral_bounds(fine)
     assert abs(lo_f - lo) / lo < 1e-3

@@ -14,10 +14,7 @@ from velobs.hybrid_logic import (
     compute_kr,
     enter_mode,
     flow_interval,
-    flow_set,
     initialize_logic,
-    jump_down_set,
-    jump_up_set,
     step_logic,
     velocity_sandwich,
 )
@@ -53,34 +50,36 @@ def test_band_speed_is_elementwise():
 
 
 def test_jump_set_membership():
-    cfg = make_config()
-    assert jump_up_set(cfg, 2, 5.2)
-    assert jump_up_set(cfg, 2, 5.0)      # boundary included
-    assert not jump_up_set(cfg, 2, 4.5)
-    assert jump_down_set(cfg, 2, 3.9)
+    # the up-jump set of mode r is nrm >= up, its down-jump set nrm <= down
+    up, down = make_config().thresholds(2)
+    assert 5.2 >= up
+    assert 5.0 >= up                     # boundary included
+    assert not 4.5 >= up
+    assert 3.9 <= down
     hyst = make_config(semantics="hysteresis")
-    assert not jump_down_set(hyst, 2, 3.9)
+    assert not 3.9 <= hyst.thresholds(2)[1]
 
 
 def test_down_jump_disabled_at_floor():
     cfg = make_config(r_min=1)
+    down = cfg.thresholds(1)[1]
     for nrm in (0.0, 1e300, math.inf, math.nan):
-        assert not jump_down_set(cfg, 1, nrm)
+        assert not nrm <= down
     with pytest.raises(ValueError):
-        jump_down_set(cfg, 0, 0.0)
-    with pytest.raises(ValueError):
-        jump_up_set(cfg, 0, 0.0)
+        cfg.thresholds(0)
 
 
 def test_flow_set_is_closed_annulus():
     cfg = make_config()
-    assert flow_interval(cfg, 2) == (4.0, 5.0)
+    lo, hi = flow_interval(cfg, 2)
+    assert (lo, hi) == (4.0, 5.0)
     for nrm, inside in [(4.0, True), (4.5, True), (5.0, True),
                         (3.9, False), (5.2, False)]:
-        assert flow_set(cfg, 2, nrm) is inside
-    # boundary points are shared with the adjacent jump sets
-    assert jump_down_set(cfg, 2, 4.0)
-    assert jump_up_set(cfg, 2, 5.0)
+        assert (lo <= nrm <= hi) is inside
+    # boundary points are shared with the adjacent jump sets: the ends of
+    # the interval are the thresholds
+    up, down = cfg.thresholds(2)
+    assert (lo, hi) == (down, up)
 
 
 def test_floor_mode_flow_interval_can_be_empty():
@@ -201,8 +200,8 @@ def test_step_logic_up_wins_when_sets_overlap(arm):
     # narrow band: norm 0.7 is in both jump sets of mode 1
     cfg = HybridConfig(v_bar=1.5, eta=1.0)
     schedule = GainSchedule(arm, cfg)
-    assert jump_up_set(cfg, 1, 0.7)
-    assert jump_down_set(cfg, 1, 0.7)
+    up, down = cfg.thresholds(1)
+    assert up <= 0.7 <= down
     state = enter_mode(schedule, 1)
     assert step_logic(schedule, state, 0.7).r == 2
 

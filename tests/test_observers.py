@@ -52,7 +52,7 @@ def test_frozen_design_constants(arm, design15):
 
 
 def test_design_matches_independent_oracle(arm, design15, oracle):
-    lo, hi, k0 = oracle.design_constants(1.0, 1.5, arm.grid_points)
+    lo, hi, k0 = oracle.design_constants(1.0, 1.5, arm.GRID_POINTS)
     assert math.isclose(design15.lambda1, lo, rel_tol=1e-12)
     assert math.isclose(design15.lambda2, hi, rel_tol=1e-12)
     # the oracle's unit-circle sweep is sampled, so only ~1e-9 agreement

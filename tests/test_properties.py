@@ -1,12 +1,13 @@
 """Property tests of the jump rule, the logic step and the scheduled gain over
 random configurations, and of whole runs over random short scenarios.
 
-Each property is written out here from the thresholds alone, so that it is
-independent of the library's jump-set functions; the sabotage controls show
-that a strict inequality at a threshold would be caught.
+Each property is written out here from the band formula alone, so that it is
+independent of the library's thresholds and compares; the sabotage controls
+show that a strict inequality at a threshold would be caught.
 """
 from __future__ import annotations
 
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -14,22 +15,23 @@ import dataclasses
 import math
 import random
 import re
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from velobs import analysis, simulator
+from velobs import simulator
 from velobs.analysis import CHATTER_WINDOW, chatter_score, illegal_jumps
 from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                                 PdConfig, PdGravity)
 from velobs.dynamics import SingleLinkModel, TwoLinkArm, TwoLinkParams
 from velobs.hybrid_logic import (SEMANTICS, GainSchedule, HybridConfig, JumpEvent,
-                                 compute_kr, enter_mode, flow_interval, flow_set,
-                                 initialize_logic, jump_down_set, jump_up_set, step_logic)
+                                 compute_kr, enter_mode, flow_interval, initialize_logic,
+                                 step_logic)
 from velobs.observers import compute_k0, full_rate, reduced_rate
-from velobs.simulator import OBSERVER_MODES, Scenario, SimulationBlowUp, simulate
+from velobs.simulator import OBSERVER_MODES, Scenario, SimulationBlowUp, Trajectory, simulate
 
 ARM = TwoLinkArm()
 PROPERTY = settings(database=None, deadline=None, max_examples=200)
@@ -121,8 +123,11 @@ def check_step(step, cfg, r, nrm) -> None:
     assert new == (want, compute_kr(ARM, cfg, want), up_thr(cfg, want), down)
 
 
-def check_flow_set(flow, cfg, r, nrm) -> None:
-    assert flow(cfg, r, nrm) == in_annulus(cfg, r, nrm)
+def check_flow_set(interval, cfg, r, nrm) -> None:
+    """The flow set of mode r, the closed interval(cfg, r) (None when it is
+    empty), holds nrm exactly when the closed annulus does."""
+    span = interval(cfg, r)
+    assert (span is not None and span[0] <= nrm <= span[1]) == in_annulus(cfg, r, nrm)
 
 
 def chatter(events) -> int:
@@ -140,7 +145,7 @@ def check_audit(cfg, events) -> None:
 @PROPERTY
 @given(mode_and_norm())
 def test_flow_set_is_the_closed_annulus(case):
-    check_flow_set(flow_set, *case)
+    check_flow_set(flow_interval, *case)
 
 
 @settings(database=None, deadline=None, max_examples=100)
@@ -156,8 +161,8 @@ def test_illegal_jumps_flags_exactly_the_events_outside_their_jump_set(case):
 
 
 @PROPERTY
-@given(configs, st.one_of(st.integers(0, 8), st.integers(0, 10**9)), st.floats(0.0, 600.0))
-def test_the_thresholds_are_the_band_formula(cfg, r, free):
+@given(configs, st.one_of(st.integers(0, 8), st.integers(0, 10**9)))
+def test_the_thresholds_are_the_band_formula(cfg, r):
     if r < cfg.r_min:
         with pytest.raises(ValueError, match="lowest admissible mode"):
             cfg.thresholds(r)
@@ -166,9 +171,6 @@ def test_the_thresholds_are_the_band_formula(cfg, r, free):
     assert cfg.thresholds(r) == (up, down)
     state = enter_mode(GainSchedule(ARM, cfg), r)
     assert (state.r, state.up, state.down) == (r, up, down)
-    for nrm in (up, down, free):
-        assert jump_up_set(cfg, r, nrm) is (nrm >= up)
-        assert jump_down_set(cfg, r, nrm) is (nrm <= down)
     lo = max(down, 0.0)
     assert flow_interval(cfg, r) == ((lo, up) if lo <= up else None)
 
@@ -179,23 +181,33 @@ def test_scheduled_gain_is_the_grid_gain_at_the_band_speed(cfg, r):
     assert compute_kr(ARM, cfg, r) == compute_k0(ARM, cfg.eta, r * cfg.v_bar).k0
 
 
-def test_a_strict_threshold_is_caught(monkeypatch):
+class StrictUp(HybridConfig):
+    """A band whose up threshold is one ulp higher: an up-jump set nrm > up."""
+
+    def thresholds(self, r):
+        up, down = super().thresholds(r)
+        return math.nextafter(up, math.inf), down
+
+
+def test_a_strict_threshold_is_caught():
     cfg = HybridConfig(v_bar=3.0, eta=1.0)
 
-    def strict_flow_set(cfg, r, nrm):
-        interval = flow_interval(cfg, r)
-        return interval is not None and interval[0] < nrm < interval[1]
+    def open_interval(cfg, r):
+        """The flow interval with each end moved one ulp inward."""
+        lo, hi = flow_interval(cfg, r)
+        return math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)
 
     for nrm in (down_thr(cfg, 2), up_thr(cfg, 2)):
-        check_flow_set(flow_set, cfg, 2, nrm)
+        check_flow_set(flow_interval, cfg, 2, nrm)
         with pytest.raises(AssertionError):
-            check_flow_set(strict_flow_set, cfg, 2, nrm)
+            check_flow_set(open_interval, cfg, 2, nrm)
 
     on_threshold = [JumpEvent(0.1, 2, 3, up_thr(cfg, 2), 100)]
     check_audit(cfg, on_threshold)
-    monkeypatch.setattr(analysis, "jump_up_set", lambda cfg, r, nrm: nrm > up_thr(cfg, r))
+    # the audit reads the band's thresholds, so the strict band flags the
+    # event that up_thr, the band formula, holds legal
     with pytest.raises(AssertionError):
-        check_audit(cfg, on_threshold)
+        check_audit(StrictUp(v_bar=3.0, eta=1.0), on_threshold)
 
     def strict_step(schedule, state, nrm):
         if nrm > state.up:
@@ -335,7 +347,7 @@ def short_scenarios(draw):
         model = TwoLinkArm(TwoLinkParams(
             m1=draw(st.floats(5.0, 20.0)), m2=draw(st.floats(5.0, 25.0)),
             l1=draw(st.floats(0.8, 1.6)), l2=draw(st.floats(0.8, 1.6)),
-            f1=draw(st.floats(0.0, 1.0)), f2=draw(st.floats(0.0, 1.0))), grid_points=64)
+            f1=draw(st.floats(0.0, 1.0)), f2=draw(st.floats(0.0, 1.0))))
         n = 2
         controller = draw(st.sampled_from(["open_loop_1", "open_loop_2", "constant", "pd"]))
     else:
@@ -430,9 +442,39 @@ def test_a_run_is_the_reference_rk4_loop(sc, block_rows, blow_up):
     check_blocks(sc, block_rows)
 
 
+@settings(database=None, deadline=None, max_examples=60)
+@given(short_scenarios())
+def test_the_speed_bracket_holds_wherever_the_error_is_inside_eta(sc):
+    traj = simulate(sc)
+    inside = traj.eps_norm <= sc.eta
+    speed = np.linalg.norm(traj.x2, axis=1)[inside]
+    assert np.all(traj.lower[inside] <= speed + 1e-12)
+    assert np.all(speed <= traj.upper[inside] + 1e-12)
+
+
+@settings(database=None, deadline=None, max_examples=40)
+@given(short_scenarios().filter(lambda sc: sc.model.n == 2))
+def test_a_two_joint_run_reads_back_from_its_csv_bit_for_bit(sc):
+    traj = simulate(sc)
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "run.csv"
+        traj.to_csv(path)
+        back = Trajectory.from_csv(path)
+    for column in ("t", "x1", "x2", "xhat2", "eps_norm", "v_lyap", "r", "k_gain", "tau",
+                   "lower", "upper"):
+        got, want = getattr(back, column), getattr(traj, column)
+        assert got.dtype == want.dtype and same_bits(got, want), column
+    # the flow jumps, each read from its mode change between two rows: the
+    # row's time and estimate norm, bit for bit
+    flow = [ev for ev in traj.jump_events if ev.step > 0]
+    assert back.jump_events == [
+        (traj.t[ev.step], ev.old_r, ev.new_r, math.hypot(*traj.xhat2[ev.step]), ev.step)
+        for ev in flow]
+
+
 def test_a_reordered_final_stage_is_caught():
     hybrid = HybridConfig(v_bar=0.5, eta=1.0, r_min=1)
-    sc = Scenario(name="prop", model=TwoLinkArm(grid_points=64), q0=np.array([0.3, -0.8]),
+    sc = Scenario(name="prop", model=ARM, q0=np.array([0.3, -0.8]),
                   v0=np.array([2.0, 0.5]), xhat2_0=np.array([1.5, 0.1]),
                   controller=OpenLoopUnbounded(), observer_mode="both",
                   gain_mode="scheduled", eta=1.0, hybrid=hybrid, r_guess=2,
@@ -514,7 +556,7 @@ def shapes(draw):
         model = TwoLinkArm(TwoLinkParams(
             m1=draw(st.floats(0.5, 30.0)), m2=draw(st.floats(0.5, 30.0)),
             l1=draw(st.floats(0.3, 2.0)), l2=draw(st.floats(0.3, 2.0)),
-            f1=draw(st.floats(0.0, 1.0)), f2=draw(st.floats(0.0, 1.0))), grid_points=64)
+            f1=draw(st.floats(0.0, 1.0)), f2=draw(st.floats(0.0, 1.0))))
         laws = ["open_loop_1", "open_loop_2", "constant", "pd"]
     else:
         model = SingleLinkModel(draw(st.floats(0.1, 10.0)), draw(st.floats(0.0, 2.0)))

@@ -443,10 +443,10 @@ def test_one_table_build_per_scheduled_simulate(monkeypatch):
     assert len(builds) == 1
     simulate(sc)              # the same model keeps its tables
     assert len(builds) == 1
-    # an arm with equal parameters shares them; another grid size does not
+    # an arm with equal parameters shares them; another parameter does not
     simulate(dataclasses.replace(sc, model=TwoLinkArm(dynamics.TwoLinkParams())))
     assert len(builds) == 1
-    simulate(dataclasses.replace(sc, model=TwoLinkArm(grid_points=1024)))
+    simulate(dataclasses.replace(sc, model=TwoLinkArm(dynamics.TwoLinkParams(f1=0.2))))
     assert len(builds) == 2
 
 
