@@ -12,7 +12,7 @@ from .controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
 from .simulator import (Scenario, ScenarioError, SimulationBlowUp, Trajectory,
                         builtin_scenarios, simulate)
 from .analysis import (LyapunovCheck, chatter_score, check_lyapunov_decrease,
-                       illegal_jumps, report_lines, sandwich_violations,
+                       illegal_jumps, report_lines, report_values, sandwich_violations,
                        scenario_checks, settling_time, ultimate_r_constant)
 
 __version__ = "0.1.0"

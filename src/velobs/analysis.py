@@ -136,8 +136,9 @@ def illegal_jumps(traj: Trajectory) -> list:
 
 
 def chatter_score(traj: Trajectory) -> int:
-    """Number of jumps landing within CHATTER_WINDOW steps of the previous jump."""
-    steps = np.array([ev.step for ev in traj.jump_events])
+    """Number of flow jumps (step > 0: a CSV holds no time-zero jump)
+    landing within CHATTER_WINDOW steps of the previous flow jump."""
+    steps = np.array([ev.step for ev in traj.jump_events if ev.step > 0])
     return int(np.count_nonzero(np.diff(steps) <= CHATTER_WINDOW))
 
 
@@ -147,100 +148,109 @@ def ultimate_r_constant(traj: Trajectory) -> bool:
     return bool(np.all(tail == tail[-1]))
 
 
+def report_values(traj: Trajectory, design: GainDesign) -> dict[str, object]:
+    """Every value of the report, unformatted and in report order, each
+    computed once: the active observer's Lyapunov scan among them."""
+    sc = traj.scenario
+    values: dict[str, object] = {}
+    if sc is not None:
+        values["scenario"] = sc.name
+        values["observer_mode"] = sc.observer_mode
+        values["gain_mode"] = sc.gain_mode
+        if sc.hybrid is not None:
+            values["jump_semantics"] = sc.hybrid.semantics
+            values["v_bar"] = float(sc.hybrid.v_bar)
+            values["r_min"] = sc.hybrid.r_min
+            values["empty_flow_annulus"] = flow_interval(sc.hybrid, sc.hybrid.r_min + 1) is None
+        values["dt"] = float(sc.dt)
+        values["t_final"] = float(sc.t_final)
+    values["samples"] = len(traj.t)
+    values["eta"] = float(design.eta)
+    values["k0_design"] = design.k0
+    values["lambda1"] = design.lambda1
+    values["lambda2"] = design.lambda2
+    values["region_radius"] = design.region_radius
+    values["max_speed"] = float(np.max(np.linalg.norm(traj.x2, axis=1)))
+    for which, est in (("reduced", traj.xhat2_reduced), ("full", traj.xhat2_full)):
+        if est is None:
+            continue
+        values[f"{which}_settling_time"] = settling_time(traj, which)
+        if which == traj.active:
+            lyapunov = check_lyapunov_decrease(traj, design)
+            values[f"{which}_max_lyapunov_increase"] = lyapunov.max_increase
+            values[f"{which}_lyapunov_violations"] = len(lyapunov.violations)
+        rate = observed_decay_rate(traj, which)
+        if rate is not None:
+            values[f"{which}_observed_rate"] = rate
+    values["sandwich_violations"] = sandwich_violations(traj, design.eta)
+    values["jump_count"] = sum(ev.step > 0 for ev in traj.jump_events)
+    values["chatter_score"] = chatter_score(traj)
+    values["final_r"] = int(traj.r[-1])
+    values["ultimate_r_constant"] = ultimate_r_constant(traj)
+    return values
+
+
 def scenario_checks(traj: Trajectory, design: GainDesign,
-                    lyapunov: LyapunovCheck | None = None) -> dict[str, bool]:
+                    values: dict[str, object] | None = None) -> dict[str, bool]:
     """Pass/fail gates; builtin scenario names add their specific claims.
 
-    `lyapunov` is the active observer's check_lyapunov_decrease when the
-    caller has it already (report_lines does); it is computed when missing.
+    `values` is the report_values of traj when the caller has them already
+    (report_lines does); they are computed when missing.
     """
+    values = report_values(traj, design) if values is None else values
     checks: dict[str, bool] = {}
     sc = traj.scenario
     name = sc.name if sc is not None else ""
-    eta = design.eta
-    checks["sandwich_holds_after_entry"] = sandwich_violations(traj, eta) == 0
+    checks["sandwich_holds_after_entry"] = values["sandwich_violations"] == 0
     if sc is not None and sc.gain_mode == "scheduled":
         checks["jumps_legal"] = not illegal_jumps(traj)
-    speed = np.linalg.norm(traj.x2, axis=1)
-    st_active = settling_time(traj)
+    settles = values[f"{traj.active}_settling_time"] is not None
     if name == "example1":
-        chk = check_lyapunov_decrease(traj, design) if lyapunov is None else lyapunov
-        checks["lyapunov_decrease"] = chk.ok
-        checks["velocity_within_bound"] = bool(np.max(speed) <= design.v_max)
+        checks["lyapunov_decrease"] = values[f"{traj.active}_lyapunov_violations"] == 0
+        checks["velocity_within_bound"] = bool(values["max_speed"] <= design.v_max)
         # observer-comparison claims need per-observer histories; a CSV
         # reload carries only the active estimate, so omit what is absent
         if traj.xhat2_reduced is not None:
-            st_red = settling_time(traj, "reduced")
+            st_red = values["reduced_settling_time"]
             checks["reduced_settles"] = st_red is not None
             if traj.xhat2_full is not None:
-                st_full = settling_time(traj, "full")
+                st_full = values["full_settling_time"]
                 checks["full_settles"] = st_full is not None
                 checks["reduced_faster_than_full"] = (
                     st_red is not None and st_full is not None
                     and st_red < st_full)
     elif name == "example2":
-        checks["velocity_exceeds_design_bound"] = bool(np.max(speed) > design.v_max)
-        checks["observer_settles"] = st_active is not None
+        checks["velocity_exceeds_design_bound"] = bool(values["max_speed"] > design.v_max)
+        checks["observer_settles"] = settles
         checks["r_increases"] = bool(np.max(traj.r) > traj.r[0])
     elif name == "example3":
         ref = sc.controller.config.x_ref
         checks["position_converges"] = bool(
             np.linalg.norm(traj.x1[-1] - ref) < 0.01)
-        checks["observer_settles"] = st_active is not None
+        checks["observer_settles"] = settles
         checks["r_settles_at_floor"] = (
-            ultimate_r_constant(traj) and int(traj.r[-1]) == sc.hybrid.r_min)
+            values["ultimate_r_constant"] and values["final_r"] == sc.hybrid.r_min)
     else:
-        checks["observer_settles"] = st_active is not None
+        checks["observer_settles"] = settles
     return checks
 
 
 def report_lines(traj: Trajectory, design: GainDesign) -> list[str]:
     """Render the full diagnostic report as key: value lines.
 
-    The active observer's Lyapunov scan runs once, for its report lines and
-    for scenario_checks.  The last line, "overall: pass" or "overall: fail",
-    is the verdict of every check.
+    The report_values are computed once, for their lines and for
+    scenario_checks.  The last line, "overall: pass" or "overall: fail", is
+    the verdict of every check.
     """
-    lyapunov = check_lyapunov_decrease(traj, design)
-    checks = scenario_checks(traj, design, lyapunov)
-    sc = traj.scenario
+    values = report_values(traj, design)
+    checks = scenario_checks(traj, design, values)
     lines = []
-    if sc is not None:
-        lines.append(f"scenario: {sc.name}")
-        lines.append(f"observer_mode: {sc.observer_mode}")
-        lines.append(f"gain_mode: {sc.gain_mode}")
-        if sc.hybrid is not None:
-            lines.append(f"jump_semantics: {sc.hybrid.semantics}")
-            lines.append(f"v_bar: {sc.hybrid.v_bar:g}")
-            lines.append(f"r_min: {sc.hybrid.r_min}")
-            empty = flow_interval(sc.hybrid, sc.hybrid.r_min + 1) is None
-            lines.append(f"empty_flow_annulus: {str(empty).lower()}")
-        lines.append(f"dt: {sc.dt:g}")
-        lines.append(f"t_final: {sc.t_final:g}")
-    lines.append(f"samples: {len(traj.t)}")
-    lines.append(f"eta: {design.eta:g}")
-    lines.append(f"k0_design: {design.k0:.6g}")
-    lines.append(f"lambda1: {design.lambda1:.6g}")
-    lines.append(f"lambda2: {design.lambda2:.6g}")
-    lines.append(f"region_radius: {design.region_radius:.6g}")
-    lines.append(f"max_speed: {float(np.max(np.linalg.norm(traj.x2, axis=1))):.6g}")
-    for which, est in (("reduced", traj.xhat2_reduced), ("full", traj.xhat2_full)):
-        if est is None:
-            continue
-        p = f"{which}_"
-        st = settling_time(traj, which)
-        lines.append(f"{p}settling_time: {'none' if st is None else f'{st:.6g}'}")
-        if which == traj.active:
-            lines.append(f"{p}max_lyapunov_increase: {lyapunov.max_increase:.6g}")
-            lines.append(f"{p}lyapunov_violations: {len(lyapunov.violations)}")
-        rate = observed_decay_rate(traj, which)
-        if rate is not None:
-            lines.append(f"{p}observed_rate: {rate:.6g}")
-    lines.append(f"sandwich_violations: {sandwich_violations(traj, design.eta)}")
-    lines.append(f"jump_count: {len(traj.jump_events)}")
-    lines.append(f"chatter_score: {chatter_score(traj)}")
-    lines.append(f"final_r: {int(traj.r[-1])}")
-    lines.append(f"ultimate_r_constant: {str(ultimate_r_constant(traj)).lower()}")
+    for key, value in values.items():
+        if isinstance(value, float):
+            value = f"{value:.6g}"
+        elif value is None or isinstance(value, bool):
+            value = str(value).lower()      # none, true, false
+        lines.append(f"{key}: {value}")
     for key, ok in checks.items():
         lines.append(f"check_{key}: {'pass' if ok else 'fail'}")
     lines.append(f"overall: {'pass' if all(checks.values()) else 'fail'}")

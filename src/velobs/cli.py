@@ -196,7 +196,8 @@ def cmd_list(args) -> int:
         if not cfg_dir.is_dir():
             raise FileNotFoundError(f"config dir {cfg_dir} does not exist")
         for p in sorted(cfg_dir.iterdir()):
-            if p.suffix in (".ini", ".cfg") and p.is_file():
+            # a file named as a builtin is refused by run, so it is not listed
+            if p.suffix in (".ini", ".cfg") and p.is_file() and p.stem not in BUILTIN_NAMES:
                 names.append(f"{p.stem} ({p})")
     for name in names:
         print(name)

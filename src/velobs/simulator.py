@@ -264,19 +264,19 @@ WITHIN_LIMIT = "-{limit} <= {x} <= {limit}"
 
 @functools.cache
 def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
-    """factory(*model._constants, *law._constants, kd, kp, dt) for one scenario
-    shape, built on first use.  It returns, for the packed state s (x1, x2,
-    then z and (x1_hat, x2_hat) as the mode has them) and the reduced gain k,
-    pack(x1, x2, xhat2, k), the packed state, and
-    run(i, stop, s, k, r, last, logic, schedule, step_logic, events), which
-    integrates samples i to stop - 1 from s, evaluating no stage past the
-    sample `last`.  run returns the block's state tuples and sample rows
-    (eps_norm, V, r, k, |xhat2|, |xhat2|, tau, then the reduced observer's
-    xhat2 when the mode has it), then s, k, r and logic for the next block;
-    s is None after a step that left the blow-up limit or raised a math
-    error.  With a logic state each step calls step_logic(schedule, logic,
-    |xhat2|); a jump appends its JumpEvent to events and re-bases z.  Both
-    inline the equation text, bit for bit the composition of the
+    """factory(*model._constants, *law._constants, kd, kp, dt, schedule,
+    step_logic, events) for one scenario shape, built on first use.  It
+    returns pack(x1, x2, xhat2, k), the packed state s (x1, x2, then z and
+    (x1_hat, x2_hat) as the mode has them) at the reduced gain k, and
+    run(i, stop, s, last, logic), which integrates samples i to stop - 1 from
+    s and the logic state (whose k_r and r it runs at; kd and 0 without one),
+    evaluating no stage past the sample `last`.  run returns the block's state
+    tuples and sample rows (eps_norm, V, r, k, |xhat2|, tau, then the reduced
+    observer's xhat2 when the mode has it), then s and the logic state for the
+    next block; s is None after a step that left the blow-up limit or raised
+    a math error.  With a logic state each step calls step_logic(schedule,
+    logic, |xhat2|); a jump appends its JumpEvent to events and re-bases z.
+    Both inline the equation text, bit for bit the composition of the
     per-equation functions."""
     n = model_cls.n
     red, full = mode in ("reduced", "both"), mode in ("full", "both")
@@ -315,7 +315,7 @@ def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
 
     record = [*text(ERROR, xh=fed), *text(model_cls.ENERGY, w="eps", energy="V"),
               f"nrm = hypot({names(fed + '{i}', n=n)})",
-              f"put((hypot({names('eps{i}', n=n)}), V, r, k, nrm, nrm, "
+              f"put((hypot({names('eps{i}', n=n)}), V, r, k, nrm, "
               f"{names('tau{i}', n=n)}{names('est{i}', n=n) if red else ''}))"]
     # stages 2, 3 and 4 name their states and rates with _b, _c and _d
     final = [f"{x}{{i}} + sixth * ({d}{{i}} + 2.0 * {d}_b{{i}} + 2.0 * {d}_c{{i}} + {d}_d{{i}})"
@@ -325,10 +325,10 @@ def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
     # the step's sample at t, its RK4 step, the blow-up check, then the logic
     loop = ["t = i * dt", "keep(s)", *body, *record, "if i == last:", "    break",
             "try:", *indent([*steps, f"s = ({names(*final, n=n)})"]),
-            "except (ValueError, ArithmeticError):", "    return srows, erows, None, k, r, logic",
+            "except (ValueError, ArithmeticError):", "    return srows, erows, None, logic",
             f"{state} = s",
             f"if not ({within}):",
-            "    return srows, erows, None, k, r, logic"]
+            "    return srows, erows, None, logic"]
     if red:
         loop += ["if logic is not None:", *indent([
             *text(ESTIMATE), f"nrm = hypot({names('est{i}', n=n)})",
@@ -341,11 +341,13 @@ def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
              *source("pack", "q, v, est, k", [*unpack, *(text(REBASE) * red),
                                                *text("ph{i} = q{i}\nvh{i} = est{i}") * full],
                      state),
-             *source("run", "i, stop, s, k, r, last, logic, schedule, step_logic, events",
+             *source("run", "i, stop, s, last, logic",
                      ["srows, erows = [], []", "keep, put = srows.append, erows.append",
+                      "k, r = (kd, 0) if logic is None else (logic.k_r, logic.r)",
                       f"{state} = s", "for i in range(i, stop):", *indent(loop)],
-                     "srows, erows, s, k, r, logic")]
-    params = names(*model_cls.CONSTANTS, *law_cls.CONSTANTS, "kd", "kp", "dt", n=n)
+                     "srows, erows, s, logic")]
+    params = names(*model_cls.CONSTANTS, *law_cls.CONSTANTS, "kd", "kp", "dt", "schedule",
+                   "step_logic", "events", n=n)
     return define("factory", params, n, {}, lines, "pack, run", JumpEvent=JumpEvent)
 
 
@@ -363,7 +365,8 @@ def simulate(scenario: Scenario) -> Trajectory:
     # Spectral constants and the constant-mode gain; in scheduled mode the
     # design speed bound of the starting band keeps the record meaningful.
     design = compute_k0(model, eta, scenario.design_speed())
-
+    kd = scenario.k0_override if scenario.k0_override is not None else design.k0
+    kp = kd * kd
     schedule = None
     logic = None
     events: list[JumpEvent] = []
@@ -371,43 +374,36 @@ def simulate(scenario: Scenario) -> Trajectory:
         schedule = GainSchedule(model, scenario.hybrid)
         logic = initialize_logic(schedule, math.hypot(*scenario.xhat2_0.tolist()),
                                  scenario.r_guess, events)
-        k = logic.k_r
-        r_rec = logic.r
-        kd = design.k0
-    else:
-        k = kd = scenario.k0_override if scenario.k0_override is not None else design.k0
-        r_rec = 0
-    kp = kd * kd
 
     factory = flat_rhs(type(model), type(law), scenario.observer_mode)
-    pack, run = factory(*model._constants, *law._constants, kd, kp, dt)
-    s = pack(scenario.q0.tolist(), scenario.v0.tolist(), scenario.xhat2_0.tolist(), k)
+    pack, run = factory(*model._constants, *law._constants, kd, kp, dt, schedule, step_logic,
+                        events)
+    s = pack(scenario.q0.tolist(), scenario.v0.tolist(), scenario.xhat2_0.tolist(),
+             kd if logic is None else logic.k_r)
 
     n_samples = scenario.sample_count()
     states = np.empty((n_samples, len(s)))
-    # per-sample columns: eps_norm, V, r, k_r, lower, upper, tau, then the
-    # reduced observer's estimate
-    extra = np.empty((n_samples, 6 + n + n * use_red))
+    # per-sample columns: eps_norm, V, r, k_r, the estimate norm, tau, then
+    # the reduced observer's estimate
+    extra = np.empty((n_samples, 5 + n + n * use_red))
     # run integrates a block of samples and returns its rows, which are
-    # copied into the arrays per block.  Both bracket columns record the
-    # estimate norm; velocity_sandwich maps them to the bracket after the loop.
+    # copied into the arrays per block
     for start in range(0, n_samples, CSV_BLOCK_ROWS):
         stop = min(start + CSV_BLOCK_ROWS, n_samples)
-        srows, erows, s, k, r_rec, logic = run(start, stop, s, k, r_rec, n_samples - 1,
-                                               logic, schedule, step_logic, events)
+        srows, erows, s, logic = run(start, stop, s, n_samples - 1, logic)
         if s is None:
             t = (start + len(srows) - 1) * dt
             raise SimulationBlowUp(
                 f"state component left |x| <= {BLOWUP_LIMIT:g} at t = {t + dt:.6g}")
         states[start:stop] = srows
         extra[start:stop] = erows
-    extra[:, 4], extra[:, 5] = velocity_sandwich(eta, extra[:, 4])
+    lower, upper = velocity_sandwich(eta, extra[:, 4])
 
     return Trajectory(
         t=np.arange(n_samples) * dt, x1=states[:, :n], x2=states[:, n:2 * n],
         eps_norm=extra[:, 0], v_lyap=extra[:, 1], r=extra[:, 2].astype(int),
-        k_gain=extra[:, 3], tau=extra[:, 6:6 + n], lower=extra[:, 4], upper=extra[:, 5],
-        xhat2_reduced=extra[:, 6 + n:] if use_red else None,
+        k_gain=extra[:, 3], tau=extra[:, 5:5 + n], lower=lower, upper=upper,
+        xhat2_reduced=extra[:, 5 + n:] if use_red else None,
         # the full observer's x2_hat is packed last
         xhat2_full=states[:, -n:] if use_full else None,
         z=states[:, 2 * n:3 * n] if use_red else None,

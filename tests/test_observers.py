@@ -8,6 +8,7 @@ import pytest
 
 from velobs.controllers import ConstantTorque
 from velobs.dynamics import SingleLinkModel, TwoLinkArm, inertia_solver
+from velobs.hybrid_logic import LogicState
 from velobs.observers import (
     K_MIN,
     compute_k0,
@@ -27,17 +28,20 @@ REGION_RADIUS = 0.13667045197664296
 
 def test_estimate_is_affine_in_output():
     # the ESTIMATE text xhat2 = z + k0 y, as a compiled run records it in the
-    # sample row and hands its norm to the switching logic after the step
-    _, run = flat_rhs(TwoLinkArm, ConstantTorque, "reduced")(
-        *TwoLinkArm()._constants, 0.0, 0.0, 1.0, 1.0, 1e-3)
-    s = (0.5, 0.25, 0.0, 0.0, 1.0, -2.0)
+    # sample row and hands its norm to the switching logic after the step;
+    # the gain is the logic state's
     norms = []
 
     def logic_step(schedule, logic, nrm):
         norms.append(nrm)
         return logic
 
-    _, (row,), s1, _, _, _ = run(0, 1, s, 3.0, 0, 1, "logic", None, logic_step, [])
+    _, run = flat_rhs(TwoLinkArm, ConstantTorque, "reduced")(
+        *TwoLinkArm()._constants, 0.0, 0.0, 1.0, 1.0, 1e-3, None, logic_step, [])
+    s = (0.5, 0.25, 0.0, 0.0, 1.0, -2.0)
+    logic = LogicState(0, 3.0, math.inf, -math.inf)
+    _, (row,), s1, same = run(0, 1, s, 1, logic)
+    assert same is logic and row[2:4] == (0, 3.0)
     assert row[-2:] == (2.5, -1.25) and row[4] == math.hypot(2.5, -1.25)
     assert norms == [math.hypot(3.0 * s1[0] + s1[4], 3.0 * s1[1] + s1[5])]
 

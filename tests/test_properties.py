@@ -29,7 +29,7 @@ from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbound
 from velobs.dynamics import SingleLinkModel, TwoLinkArm, TwoLinkParams
 from velobs.hybrid_logic import (SEMANTICS, GainSchedule, HybridConfig, JumpEvent,
                                  compute_kr, enter_mode, flow_interval, initialize_logic,
-                                 step_logic)
+                                 step_logic, velocity_sandwich)
 from velobs.observers import compute_k0, full_rate, reduced_rate
 from velobs.simulator import OBSERVER_MODES, Scenario, SimulationBlowUp, Trajectory, simulate
 
@@ -443,6 +443,35 @@ def test_a_run_is_the_reference_rk4_loop(sc, block_rows, blow_up):
 
 
 @settings(database=None, deadline=None, max_examples=60)
+@given(short_scenarios().filter(lambda sc: sc.observer_mode == "reduced"), st.data())
+def test_a_block_restarts_from_any_recorded_row(sc, data):
+    # a row's packed state and the logic state of its mode are all a block
+    # needs: from row i, run gives rows i and i + 1 and the jump between them
+    traj = simulate(sc)
+    i = data.draw(st.integers(0, len(traj.t) - 2))
+    model, law = sc.model, sc.controller
+    schedule = GainSchedule(model, sc.hybrid) if sc.gain_mode == "scheduled" else None
+    events = []
+    _, run = simulator.flat_rhs(type(model), type(law), "reduced")(
+        *model._constants, *law._constants, traj.design.k0, traj.design.k0 ** 2, sc.dt,
+        schedule, step_logic, events)
+    rows = slice(i, i + 2)
+    s = tuple(np.concatenate([traj.x1[i], traj.x2[i], traj.z[i]]).tolist())
+    logic = None if schedule is None else enter_mode(schedule, int(traj.r[i]))
+    srows, erows, _, _ = run(i, i + 2, s, i + 1, logic)
+    srows, erows = np.array(srows), np.array(erows)
+    n = model.n
+    lower, upper = velocity_sandwich(sc.eta, erows[:, 4])
+    pairs = [(srows, np.hstack([traj.x1[rows], traj.x2[rows], traj.z[rows]])),
+             (erows[:, :4], np.column_stack([traj.eps_norm[rows], traj.v_lyap[rows],
+                                             traj.r[rows], traj.k_gain[rows]])),
+             (lower, traj.lower[rows]), (upper, traj.upper[rows]),
+             (erows[:, 5:5 + n], traj.tau[rows]), (erows[:, 5 + n:], traj.xhat2_reduced[rows])]
+    assert all(same_bits(got, want) for got, want in pairs)
+    assert events == [ev for ev in traj.jump_events if ev.step == i + 1]
+
+
+@settings(database=None, deadline=None, max_examples=60)
 @given(short_scenarios())
 def test_the_speed_bracket_holds_wherever_the_error_is_inside_eta(sc):
     traj = simulate(sc)
@@ -496,34 +525,46 @@ def test_a_reordered_final_stage_is_caught():
 def compiled_matches_composition(model_cls, model, law, mode, i, s, k, kd, kp, r, k_new, dt):
     """flat_rhs of this shape, bound to these numbers, equals the composition
     of the per-equation functions bit for bit: one run step from sample i
-    (stop = i + 1) with its sample row, the last sample's row alone, and with
-    a logic state, the estimate norm handed to step_logic and the jump's
-    event and re-based z."""
-    pack, run = simulator.flat_rhs(model_cls, type(law), mode)(
-        *model._constants, *law._constants, kd, kp, dt)
+    (stop = i + 1) with its sample row, at the gain k and mode r of a logic
+    state that does not jump, the last sample's row alone, and with no logic
+    state, the last row at kd and mode 0; and when the logic jumps, the
+    estimate norm handed to step_logic, the jump's event and re-based z, and
+    the next block's row at the new gain and mode."""
+    events = []
 
-    def rhs(t, s):
+    def bind(step_logic):
+        return simulator.flat_rhs(model_cls, type(law), mode)(
+            *model._constants, *law._constants, kd, kp, dt, "schedule", step_logic, events)
+
+    def rhs(t, s, k=k):
         return composed_rhs(model, law, mode, kd, kp, t, s, k)
 
+    def row_at(k, r):
+        _, tau, est, terms = rhs(t, s, k)
+        eps = sub(v, est)
+        nrm = math.hypot(*est)
+        return (math.hypot(*eps), model.energy(terms, eps), r, k, nrm, *tau,
+                *est * (mode != "full"))
+
+    pack, run = bind(lambda schedule, logic, nrm: logic)
     t = i * dt
-    d1, tau, est, terms = rhs(t, s)
+    d1, _, est, _ = rhs(t, s)
     n = model.n
     q, v = s[:n], s[n:2 * n]
-    eps = sub(v, est)
-    nrm = math.hypot(*est)
-    row = (math.hypot(*eps), model.energy(terms, eps), r, k, nrm, nrm, *tau,
-           *est * (mode != "full"))
+    row = row_at(k, r)
     # the initial state: z from the estimate as simulate packed it before
     z0 = tuple((np.array(est) - k * np.array(q)).tolist())
     packed = q + v + z0 * (mode != "full") + (q + est) * (mode != "reduced")
     s1 = zip_step(rhs, t, s, dt, d1)
     # a step that leaves the blow-up limit ends the block with no next state
     blown = not all(-simulator.BLOWUP_LIMIT <= x <= simulator.BLOWUP_LIMIT for x in s1)
-    srows, (got_row,), got_s1, *ends = run(i, i + 1, s, k, r, i + 1, None, None, None, None)
-    _, (last_row,), same, *last_ends = run(i, i + 1, s, k, r, i, None, None, None, None)
-    got = [pack(q, v, est, k), *srows, got_row, last_row, same]
-    want = [packed, s, row, row, s]
-    exact = ends == last_ends == [k, r, None] and len(srows) == 1
+    logic = SimpleNamespace(r=r, k_r=k)
+    srows, (got_row,), got_s1, *ends = run(i, i + 1, s, i + 1, logic)
+    _, (last_row,), same, *last_ends = run(i, i + 1, s, i, logic)
+    _, (kd_row,), _, none = run(i, i + 1, s, i, None)
+    got = [pack(q, v, est, k), *srows, got_row, last_row, same, kd_row]
+    want = [packed, s, row, row, s, row_at(kd, 0)]
+    exact = ends == last_ends == [logic] and none is None and len(srows) == 1 and not events
     if blown:
         exact = exact and got_s1 is None
     else:
@@ -531,21 +572,24 @@ def compiled_matches_composition(model_cls, model, law, mode, i, s, k, kd, kp, r
         want.append(s1)
     if mode != "full" and not blown:    # a blow-up ends the block before the logic step
         # a logic step that jumps to a mode with gain k_new
-        seen, events = [], []
-        logic, stepped = SimpleNamespace(r=r), SimpleNamespace(r=r + 1, k_r=k_new)
+        seen = []
+        stepped = SimpleNamespace(r=r + 1, k_r=k_new)
 
         def jump(schedule, logic, nrm):
             seen.append((schedule, logic, nrm))
             return stepped
 
-        *_, s2, k2, r2, logic2 = run(i, i + 1, s, k, r, i + 1, logic, "schedule", jump, events)
+        *_, s2, logic2 = bind(jump)[1](i, i + 1, s, i + 1, logic)
+        # the next block starts at the new gain and mode
+        _, (next_row,), *_ = run(i + 1, i + 2, s2, i + 1, logic2)
         q1 = s1[:n]
         est1 = axpy(k, q1, s1[2 * n:3 * n])
         nrm1 = math.hypot(*est1)
         got.append(s2)
         want.append(s1[:2 * n] + axpy(-k_new, q1, est1) + s1[3 * n:])
-        exact = exact and seen == [("schedule", logic, nrm1)] and (k2, r2, logic2) == (
-            k_new, r + 1, stepped) and events == [JumpEvent(t + dt, r, r + 1, nrm1, i + 1)]
+        exact = exact and seen == [("schedule", logic, nrm1)] and logic2 is stepped and (
+            next_row[2:4] == (r + 1, k_new)) and events == [
+                JumpEvent(t + dt, r, r + 1, nrm1, i + 1)]
     return exact and all(same_bits(g, w) for g, w in zip(got, want))
 
 

@@ -221,13 +221,30 @@ def test_blow_up_detection(arm):
         simulate(sc)
 
 
+def test_a_wrapper_bound_as_step_logic_sees_every_step(arm, monkeypatch):
+    # the simulator's module-level step_logic is the one a run calls, as a
+    # tracer that rebinds it by name relies on: once per step
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return hybrid_logic.step_logic(*args)
+
+    monkeypatch.setattr(simulator, "step_logic", counted)
+    sc = make_scenario(arm, gain_mode="scheduled", v_max=None, xhat2_0=np.array([2.0, 0.5]),
+                       hybrid=HybridConfig(v_bar=1.5, eta=1.0, r_min=1), r_guess=1)
+    traj = simulate(sc)
+    assert len(calls) == len(traj.t) - 1 == 50
+    assert [ev for ev in traj.jump_events if ev.step > 0]
+
+
 def test_blow_up_check_catches_a_trailing_nan(arm, monkeypatch):
     # NaN full-observer gains, bound into the compiled RHS through its
     # factory, turn the observer states, last in the packed state, NaN while
     # the plant ahead of them stays finite.
     flat_rhs = simulator.flat_rhs
     monkeypatch.setattr(simulator, "flat_rhs", lambda *shape: lambda *numbers: flat_rhs(
-        *shape)(*numbers[:-3], math.nan, math.nan, numbers[-1]))
+        *shape)(*numbers[:-6], math.nan, math.nan, *numbers[-4:]))
     sc = make_scenario(arm, observer_mode="full", t_final=0.01)
     with pytest.raises(SimulationBlowUp, match=r"at t = 0\.001$"):
         simulate(sc)
@@ -246,14 +263,15 @@ def test_blow_up_check_catches_a_trailing_nan(arm, monkeypatch):
 def test_the_last_sample_evaluates_no_later_stage(arm):
     # from this state the velocity overflows within the step, and a later
     # stage takes the cosine of an infinite angle: a blow-up (no state); the
-    # last sample's row needs neither
+    # last sample's row needs neither; with no logic state the row is at the
+    # factory's kd and mode 0
     _, run = simulator.flat_rhs(TwoLinkArm, ConstantTorque, "reduced")(
-        *arm._constants, 0.0, 0.0, 1.0, 1.0, 1e-3)
+        *arm._constants, 0.0, 0.0, 1.0, 1.0, 1e-3, None, None, None)
     s = (0.0, 1.0, 1e308, 1e308, 0.0, 0.0)
-    srows, erows, blown, *_ = run(0, 1, s, 1.0, 0, 1, None, None, None, None)
-    assert blown is None and srows == [s] and len(erows) == 1
-    srows, (row,), same, k, r, _ = run(0, 1, s, 1.0, 0, 0, None, None, None, None)
-    assert srows == [s] and same == s and row[2:4] == (0, 1.0) == (r, k)
+    srows, erows, blown, logic = run(0, 1, s, 1, None)
+    assert blown is None and logic is None and srows == [s] and len(erows) == 1
+    srows, (row,), same, logic = run(0, 1, s, 0, None)
+    assert srows == [s] and same == s and logic is None and row[2:4] == (0, 1.0)
 
 
 def test_single_link_and_full_only_runs(single):
