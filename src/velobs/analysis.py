@@ -43,7 +43,7 @@ def check_lyapunov_decrease(traj: Trajectory, design: GainDesign) -> LyapunovChe
     grow by more than LYAPUNOV_TOL * (1 + V).
     """
     radius = design.region_radius
-    speed = np.linalg.norm(traj.x2, axis=1)
+    speed = traj.speed
     if traj.scenario is not None and traj.scenario.gain_mode == "scheduled":
         bound = traj.scenario.hybrid.band_speed(traj.r)
     else:
@@ -66,7 +66,7 @@ def settling_time(traj: Trajectory, which: str = "active", *,
     Returns 0.0 when the error is below threshold for the whole run and None
     when it is not below threshold at the end.
     """
-    eps = traj.eps_norm if which == "active" else traj.eps_norm_for(which)
+    eps = traj.eps_norm_for(which)
     above = np.nonzero(eps >= threshold)[0]
     if above.size == 0:
         return 0.0
@@ -80,17 +80,20 @@ def observed_decay_rate(traj: Trajectory, which: str = "active") -> float | None
     """Least-squares exponential rate of the error decay (informational).
 
     Fitted on log ||eps|| from the start of the run until the error first
-    drops below the settling threshold.
+    drops below the settling threshold, in closed form over the centred
+    times; None when it is not finite (times whose squares underflow).
     """
-    eps = traj.eps_norm if which == "active" else traj.eps_norm_for(which)
+    eps = traj.eps_norm_for(which)
     below = np.nonzero(eps < SETTLING_THRESHOLD)[0]
     end = int(below[0]) + 1 if below.size else len(eps)
     window = slice(0, max(end, 3))
     vals = eps[window]
     if np.any(vals <= 0.0):
         return None
-    slope = np.polyfit(traj.t[window], np.log(vals), 1)[0]
-    return -float(slope)
+    t = traj.t[window] - traj.t[window].mean()
+    spread = float(t @ t)
+    rate = -float(t @ np.log(vals)) / spread if spread > 0.0 else math.nan
+    return rate if math.isfinite(rate) else None
 
 
 def first_entry_index(traj: Trajectory, eta: float) -> int | None:
@@ -104,7 +107,7 @@ def sandwich_violations(traj: Trajectory, eta: float) -> int:
     start = first_entry_index(traj, eta)
     if start is None:
         return 0
-    speed = np.linalg.norm(traj.x2[start:], axis=1)
+    speed = traj.speed[start:]
     slack = 1e-12
     bad = (speed < traj.lower[start:] - slack) | (speed > traj.upper[start:] + slack)
     return int(np.count_nonzero(bad))
@@ -170,7 +173,7 @@ def report_values(traj: Trajectory, design: GainDesign) -> dict[str, object]:
     values["lambda1"] = design.lambda1
     values["lambda2"] = design.lambda2
     values["region_radius"] = design.region_radius
-    values["max_speed"] = float(np.max(np.linalg.norm(traj.x2, axis=1)))
+    values["max_speed"] = float(np.max(traj.speed))
     for which, est in (("reduced", traj.xhat2_reduced), ("full", traj.xhat2_full)):
         if est is None:
             continue

@@ -180,6 +180,11 @@ class Trajectory:
         """The observer the scalar columns follow: reduced when present, else full."""
         return "reduced" if self.xhat2_reduced is not None else "full"
 
+    @functools.cached_property
+    def speed(self) -> np.ndarray:
+        """True speed |x2| at each sample, computed on first use."""
+        return np.linalg.norm(self.x2, axis=1)
+
     @property
     def xhat2(self) -> np.ndarray:
         """Estimate of the active observer (reduced when present)."""
@@ -189,7 +194,9 @@ class Trajectory:
         return est
 
     def eps_norm_for(self, which: str) -> np.ndarray:
-        """Velocity-error norm history of the requested observer."""
+        """Velocity-error norm history of an observer: the active one's is eps_norm."""
+        if which in ("active", self.active):
+            return self.eps_norm
         est = {"reduced": self.xhat2_reduced, "full": self.xhat2_full}[which]
         if est is None:
             raise ValueError(f"trajectory has no {which} observer")
@@ -239,20 +246,21 @@ class Trajectory:
         r = r.astype(int)
         t = data[:, 0]
         est = data[:, 5:7]
-        # the logic jumps at most once per step, so changes between rows
-        # recover the flow-phase events, with the norm simulate records;
-        # time-zero initialization jumps happen before the first sample and
-        # are not in the file
-        steps = np.flatnonzero(np.diff(r)) + 1
-        norms = map(math.hypot, est[steps, 0].tolist(), est[steps, 1].tolist())
-        # tuple.__new__ skips the Python-level __new__ of JumpEvent per event
-        events = list(map(tuple.__new__, repeat(JumpEvent), zip(
-            t[steps].tolist(), r[steps - 1].tolist(), r[steps].tolist(), norms, steps.tolist())))
         return cls(
             t=t, x1=data[:, 1:3], x2=data[:, 3:5],
             xhat2_reduced=est, eps_norm=data[:, 7], v_lyap=data[:, 8],
             r=r, k_gain=data[:, 10], tau=data[:, 11:13],
-            lower=data[:, 13], upper=data[:, 14], jump_events=events)
+            lower=data[:, 13], upper=data[:, 14], jump_events=flow_events(t, r, est))
+
+
+def flow_events(t: np.ndarray, r: np.ndarray, est: np.ndarray) -> list[JumpEvent]:
+    """A run's flow jumps, one per change of the mode column r (the logic jumps
+    at most once per step), at its row's time t and norm of the estimate est."""
+    steps = np.flatnonzero(np.diff(r)) + 1
+    norms = map(math.hypot, *est[steps].T.tolist())
+    # tuple.__new__ skips the Python-level __new__ of JumpEvent per event
+    return list(map(tuple.__new__, repeat(JumpEvent), zip(
+        t[steps].tolist(), r[steps - 1].tolist(), r[steps].tolist(), norms, steps.tolist())))
 
 
 # The velocity-estimation error of the fed-back estimate xh.
@@ -265,7 +273,7 @@ WITHIN_LIMIT = "-{limit} <= {x} <= {limit}"
 @functools.cache
 def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
     """factory(*model._constants, *law._constants, kd, kp, dt, schedule,
-    step_logic, events) for one scenario shape, built on first use.  It
+    step_logic) for one scenario shape, built on first use.  It
     returns pack(x1, x2, xhat2, k), the packed state s (x1, x2, then z and
     (x1_hat, x2_hat) as the mode has them) at the reduced gain k, and
     run(i, stop, s, last, logic), which integrates samples i to stop - 1 from
@@ -275,7 +283,7 @@ def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
     observer's xhat2 when the mode has it), then s and the logic state for the
     next block; s is None after a step that left the blow-up limit or raised
     a math error.  With a logic state each step calls step_logic(schedule,
-    logic, |xhat2|); a jump appends its JumpEvent to events and re-bases z.
+    logic, |xhat2|); a jump re-bases z, and the r column records it.
     Both inline the equation text, bit for bit the composition of the
     per-equation functions."""
     n = model_cls.n
@@ -333,7 +341,6 @@ def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
         loop += ["if logic is not None:", *indent([
             *text(ESTIMATE), f"nrm = hypot({names('est{i}', n=n)})",
             "stepped = step_logic(schedule, logic, nrm)", "if stepped is not logic:",
-            "    events.append(JumpEvent(t + dt, logic.r, stepped.r, nrm, i + 1))",
             "    k = stepped.k_r", "    r = stepped.r", "    logic = stepped",
             *indent([*text(REBASE), f"s = {state}"])])]
     unpack = [f"({names(v + '{i}', n=n)}) = {v}" for v in ("q", "v", "est")]
@@ -347,8 +354,8 @@ def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
                       f"{state} = s", "for i in range(i, stop):", *indent(loop)],
                      "srows, erows, s, logic")]
     params = names(*model_cls.CONSTANTS, *law_cls.CONSTANTS, "kd", "kp", "dt", "schedule",
-                   "step_logic", "events", n=n)
-    return define("factory", params, n, {}, lines, "pack, run", JumpEvent=JumpEvent)
+                   "step_logic", n=n)
+    return define("factory", params, n, {}, lines, "pack, run")
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -376,8 +383,7 @@ def simulate(scenario: Scenario) -> Trajectory:
                                  scenario.r_guess, events)
 
     factory = flat_rhs(type(model), type(law), scenario.observer_mode)
-    pack, run = factory(*model._constants, *law._constants, kd, kp, dt, schedule, step_logic,
-                        events)
+    pack, run = factory(*model._constants, *law._constants, kd, kp, dt, schedule, step_logic)
     s = pack(scenario.q0.tolist(), scenario.v0.tolist(), scenario.xhat2_0.tolist(),
              kd if logic is None else logic.k_r)
 
@@ -398,10 +404,13 @@ def simulate(scenario: Scenario) -> Trajectory:
         states[start:stop] = srows
         extra[start:stop] = erows
     lower, upper = velocity_sandwich(eta, extra[:, 4])
+    t, r = np.arange(n_samples) * dt, extra[:, 2].astype(int)
+    if use_red:     # the reduced estimate's norm schedules the gain
+        events += flow_events(t, r, extra[:, 5 + n:])
 
     return Trajectory(
-        t=np.arange(n_samples) * dt, x1=states[:, :n], x2=states[:, n:2 * n],
-        eps_norm=extra[:, 0], v_lyap=extra[:, 1], r=extra[:, 2].astype(int),
+        t=t, x1=states[:, :n], x2=states[:, n:2 * n],
+        eps_norm=extra[:, 0], v_lyap=extra[:, 1], r=r,
         k_gain=extra[:, 3], tau=extra[:, 5:5 + n], lower=lower, upper=upper,
         xhat2_reduced=extra[:, 5 + n:] if use_red else None,
         # the full observer's x2_hat is packed last

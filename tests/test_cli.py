@@ -549,6 +549,27 @@ def test_check_of_a_non_finite_csv_is_a_config_error(tmp_path, quick_ini, capsys
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("dt", ["1e-200", "1e-320"])
+def test_a_run_over_tiny_times_reports_without_a_decay_rate(tmp_path, capfd, dt):
+    # two samples dt apart: the centred times' squares underflow, so the
+    # decay fit has no finite rate and its line is left out of the report;
+    # capfd sees text that a linear-algebra library writes to fd 1 as well
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[initial]\ndq0 = 1 0.5\n[observer]\nv_max = 1.5\n")
+    overrides = [f"--dt={dt}", f"--t-final={dt}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ran = main(["run", str(ini), "--out", str(tmp_path), "--report", *overrides])
+        out, err = capfd.readouterr()
+        checked = main(["check", str(tmp_path / "tiny.csv"), "--scenario", str(ini),
+                        *overrides])
+    report = (tmp_path / "tiny_report.txt").read_text()
+    assert ran == EXIT_CHECKS and err == "" and out == (
+        f"wrote {tmp_path / 'tiny.csv'}\nwrote {tmp_path / 'tiny_report.txt'}\n")
+    assert "samples: 2\n" in report and "observed_rate" not in report
+    assert checked == EXIT_CHECKS and capfd.readouterr() == (report, "")
+
+
 @st.composite
 def short_scenario_files(draw) -> str:
     """A short scenario file on the default arm: a constant gain with any

@@ -37,7 +37,7 @@ def test_estimate_is_affine_in_output():
         return logic
 
     _, run = flat_rhs(TwoLinkArm, ConstantTorque, "reduced")(
-        *TwoLinkArm()._constants, 0.0, 0.0, 1.0, 1.0, 1e-3, None, logic_step, [])
+        *TwoLinkArm()._constants, 0.0, 0.0, 1.0, 1.0, 1e-3, None, logic_step)
     s = (0.5, 0.25, 0.0, 0.0, 1.0, -2.0)
     logic = LogicState(0, 3.0, math.inf, -math.inf)
     _, (row,), s1, same = run(0, 1, s, 1, logic)

@@ -12,9 +12,12 @@ from types import SimpleNamespace
 from unittest import mock
 
 import dataclasses
+import functools
+import importlib.util
 import math
 import random
 import re
+import sys
 import tempfile
 
 import numpy as np
@@ -271,9 +274,10 @@ def reference_run(sc: Scenario, final=zip_final):
     afresh from the thresholds and compute_kr.
 
     Returns the state rows, the per-sample rows (eps_norm, V, r, k_r, lower,
-    upper, tau), the jump events and the blow-up message, None when the run
-    held; after a blow-up the rows end with the sample of the step that left
-    the limit or raised a math error.
+    upper, tau), the jump events (the time-zero walk's, then one per change of
+    the recorded mode, at its row's time and estimate norm) and the blow-up
+    message, None when the run held; after a blow-up the rows end with the
+    sample of the step that left the limit or raised a math error.
     """
     model, n = sc.model, sc.model.n
     use_red = sc.observer_mode in ("reduced", "both")
@@ -303,7 +307,8 @@ def reference_run(sc: Scenario, final=zip_final):
     def rhs(t, s):
         return composed_rhs(model, sc.controller, sc.observer_mode, kd, kp, t, s, k)
 
-    states, extra = [], []
+    states, extra, norms = [], [], []
+    failure = None
     n_samples = sc.sample_count()
     for i in range(n_samples):
         t = i * dt
@@ -311,6 +316,7 @@ def reference_run(sc: Scenario, final=zip_final):
         eps = sub(s[n:n2], est)
         nrm = math.hypot(*est)
         states.append(s)
+        norms.append(nrm)
         extra.append((math.hypot(*eps), model.energy(terms, eps), r, k,
                       max(0.0, nrm - eta), nrm + eta, *tau))
         if i == n_samples - 1:
@@ -321,19 +327,21 @@ def reference_run(sc: Scenario, final=zip_final):
             s = None
         # a NaN fails both compares
         if s is None or not all(-1e6 <= x <= 1e6 for x in s):
-            return (np.array(states), np.array(extra), events,
-                    f"state component left |x| <= 1e+06 at t = {t + dt:.6g}")
+            failure = f"state component left |x| <= 1e+06 at t = {t + dt:.6g}"
+            break
         if scheduled:
             y = s[:n]
             est_new = axpy(k, y, s[n2:n3])
-            nrm = math.hypot(*est_new)
-            r_new = next_mode(cfg, r, nrm)
+            r_new = next_mode(cfg, r, math.hypot(*est_new))
             if r_new != r:
-                events.append(JumpEvent(t + dt, r, r_new, nrm, i + 1))
                 k = compute_kr(model, cfg, r_new)
                 s = s[:n2] + axpy(-k, y, est_new) + s[n3:]
                 r = r_new
-    return np.array(states), np.array(extra), events, None
+    # the flow jumps, read off the rows: one per change of the recorded mode
+    modes = [row[2] for row in extra]
+    events += [JumpEvent(j * dt, modes[j - 1], modes[j], norms[j], j)
+               for j in range(1, len(modes)) if modes[j] != modes[j - 1]]
+    return np.array(states), np.array(extra), events, failure
 
 
 @st.composite
@@ -451,14 +459,13 @@ def test_a_block_restarts_from_any_recorded_row(sc, data):
     i = data.draw(st.integers(0, len(traj.t) - 2))
     model, law = sc.model, sc.controller
     schedule = GainSchedule(model, sc.hybrid) if sc.gain_mode == "scheduled" else None
-    events = []
     _, run = simulator.flat_rhs(type(model), type(law), "reduced")(
         *model._constants, *law._constants, traj.design.k0, traj.design.k0 ** 2, sc.dt,
-        schedule, step_logic, events)
+        schedule, step_logic)
     rows = slice(i, i + 2)
     s = tuple(np.concatenate([traj.x1[i], traj.x2[i], traj.z[i]]).tolist())
     logic = None if schedule is None else enter_mode(schedule, int(traj.r[i]))
-    srows, erows, _, _ = run(i, i + 2, s, i + 1, logic)
+    srows, erows, _, handed = run(i, i + 2, s, i + 1, logic)
     srows, erows = np.array(srows), np.array(erows)
     n = model.n
     lower, upper = velocity_sandwich(sc.eta, erows[:, 4])
@@ -468,7 +475,12 @@ def test_a_block_restarts_from_any_recorded_row(sc, data):
              (lower, traj.lower[rows]), (upper, traj.upper[rows]),
              (erows[:, 5:5 + n], traj.tau[rows]), (erows[:, 5 + n:], traj.xhat2_reduced[rows])]
     assert all(same_bits(got, want) for got, want in pairs)
-    assert events == [ev for ev in traj.jump_events if ev.step == i + 1]
+    # the block hands on row i + 1's logic state, and the run's jump between
+    # the rows, if any, is their change of mode at row i + 1's estimate norm
+    assert handed is (None if schedule is None else enter_mode(schedule, int(traj.r[i + 1])))
+    r0, r1 = erows[:, 2].astype(int).tolist()
+    jumped = [(traj.t[i + 1], r0, r1, math.hypot(*erows[1, 5 + n:]), i + 1)] * (r1 != r0)
+    assert [ev for ev in traj.jump_events if ev.step == i + 1] == jumped
 
 
 @settings(database=None, deadline=None, max_examples=60)
@@ -499,6 +511,52 @@ def test_a_two_joint_run_reads_back_from_its_csv_bit_for_bit(sc):
     assert back.jump_events == [
         (traj.t[ev.step], ev.old_r, ev.new_r, math.hypot(*traj.xhat2[ev.step]), ev.step)
         for ev in flow]
+    # run --report and check audit the same jumps: simulate's own flow events
+    assert back.jump_events == flow
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@functools.cache
+def bench_checks():
+    """perfbench/checks.py, the benchmark's correctness gate, loaded with
+    perfbench/ on sys.path for the sibling reference.py that it imports."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks", BENCH / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.object(sys, "path", [str(BENCH), *sys.path]):
+        spec.loader.exec_module(module)
+    return module
+
+
+def bench_spec(sc: Scenario) -> dict:
+    """The benchmark's spec dict of a scheduled scenario: the keys that
+    check_jumps reads, and for a two-link arm the `arm` that check_columns reads."""
+    hyb = sc.hybrid
+    spec = {"observer": {"eta": sc.eta},
+            "hybrid": {"v_bar": hyb.v_bar, "r_min": hyb.r_min, "r_guess": sc.r_guess,
+                       "semantics": "paper" if hyb.semantics == "paper_faithful" else "hysteresis"}}
+    if sc.model.n == 2:
+        p = sc.model.params
+        spec["arm"] = {"m1": p.m1, "m2": p.m2, "l1": p.l1, "l2": p.l2, "f1": p.f1, "f2": p.f2,
+                       "gravity": p.gravity_accel}
+    return spec
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS)
+@settings(database=None, deadline=None, max_examples=30)
+@given(sc=short_scenarios().filter(lambda sc: sc.gain_mode == "scheduled"))
+def test_a_scheduled_run_passes_the_benchmark_checks(semantics, sc):
+    # the record that simulate keeps passes the checks that make the
+    # benchmark report `correct`: jumps, speed bracket and error columns
+    sc = dataclasses.replace(sc, hybrid=dataclasses.replace(sc.hybrid, semantics=semantics))
+    traj = simulate(sc)
+    checks, spec, est = bench_checks(), bench_spec(sc), traj.xhat2
+    errors = checks.check_jumps(spec, est, traj.r, traj.jump_events)
+    errors += checks.check_sandwich(sc.eta, traj.x2, est, traj.lower, traj.upper)
+    if sc.model.n == 2:
+        errors += checks.check_columns(spec, traj.x1, traj.x2, est, traj.eps_norm, traj.v_lyap)
+    assert errors == []
 
 
 def test_a_reordered_final_stage_is_caught():
@@ -528,13 +586,11 @@ def compiled_matches_composition(model_cls, model, law, mode, i, s, k, kd, kp, r
     (stop = i + 1) with its sample row, at the gain k and mode r of a logic
     state that does not jump, the last sample's row alone, and with no logic
     state, the last row at kd and mode 0; and when the logic jumps, the
-    estimate norm handed to step_logic, the jump's event and re-based z, and
-    the next block's row at the new gain and mode."""
-    events = []
-
+    estimate norm handed to step_logic, the re-based z, and the next block's
+    row at the new gain and mode."""
     def bind(step_logic):
         return simulator.flat_rhs(model_cls, type(law), mode)(
-            *model._constants, *law._constants, kd, kp, dt, "schedule", step_logic, events)
+            *model._constants, *law._constants, kd, kp, dt, "schedule", step_logic)
 
     def rhs(t, s, k=k):
         return composed_rhs(model, law, mode, kd, kp, t, s, k)
@@ -564,7 +620,7 @@ def compiled_matches_composition(model_cls, model, law, mode, i, s, k, kd, kp, r
     _, (kd_row,), _, none = run(i, i + 1, s, i, None)
     got = [pack(q, v, est, k), *srows, got_row, last_row, same, kd_row]
     want = [packed, s, row, row, s, row_at(kd, 0)]
-    exact = ends == last_ends == [logic] and none is None and len(srows) == 1 and not events
+    exact = ends == last_ends == [logic] and none is None and len(srows) == 1
     if blown:
         exact = exact and got_s1 is None
     else:
@@ -588,8 +644,7 @@ def compiled_matches_composition(model_cls, model, law, mode, i, s, k, kd, kp, r
         got.append(s2)
         want.append(s1[:2 * n] + axpy(-k_new, q1, est1) + s1[3 * n:])
         exact = exact and seen == [("schedule", logic, nrm1)] and logic2 is stepped and (
-            next_row[2:4] == (r + 1, k_new)) and events == [
-                JumpEvent(t + dt, r, r + 1, nrm1, i + 1)]
+            next_row[2:4] == (r + 1, k_new))
     return exact and all(same_bits(g, w) for g, w in zip(got, want))
 
 

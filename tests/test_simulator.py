@@ -244,7 +244,7 @@ def test_blow_up_check_catches_a_trailing_nan(arm, monkeypatch):
     # the plant ahead of them stays finite.
     flat_rhs = simulator.flat_rhs
     monkeypatch.setattr(simulator, "flat_rhs", lambda *shape: lambda *numbers: flat_rhs(
-        *shape)(*numbers[:-6], math.nan, math.nan, *numbers[-4:]))
+        *shape)(*numbers[:-5], math.nan, math.nan, *numbers[-3:]))
     sc = make_scenario(arm, observer_mode="full", t_final=0.01)
     with pytest.raises(SimulationBlowUp, match=r"at t = 0\.001$"):
         simulate(sc)
@@ -266,7 +266,7 @@ def test_the_last_sample_evaluates_no_later_stage(arm):
     # last sample's row needs neither; with no logic state the row is at the
     # factory's kd and mode 0
     _, run = simulator.flat_rhs(TwoLinkArm, ConstantTorque, "reduced")(
-        *arm._constants, 0.0, 0.0, 1.0, 1.0, 1e-3, None, None, None)
+        *arm._constants, 0.0, 0.0, 1.0, 1.0, 1e-3, None, None)
     s = (0.0, 1.0, 1e308, 1e308, 0.0, 0.0)
     srows, erows, blown, logic = run(0, 1, s, 1, None)
     assert blown is None and logic is None and srows == [s] and len(erows) == 1
