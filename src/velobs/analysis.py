@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid_logic import flow_interval
+from .hybrid_logic import JumpEvent, flow_interval
 from .observers import GainDesign
-from .simulator import Trajectory
+from .simulator import Trajectory, jump_steps
 
 # Velocity-error settling threshold, rad/s.
 SETTLING_THRESHOLD = 0.01
@@ -80,8 +80,8 @@ def observed_decay_rate(traj: Trajectory, which: str = "active") -> float | None
     """Least-squares exponential rate of the error decay (informational).
 
     Fitted on log ||eps|| from the start of the run until the error first
-    drops below the settling threshold, in closed form over the centred
-    times; None when it is not finite (times whose squares underflow).
+    drops below the settling threshold, in closed form over the centred times
+    and log-norms; None when it is not finite (times whose squares underflow).
     """
     eps = traj.eps_norm_for(which)
     below = np.nonzero(eps < SETTLING_THRESHOLD)[0]
@@ -90,9 +90,9 @@ def observed_decay_rate(traj: Trajectory, which: str = "active") -> float | None
     vals = eps[window]
     if np.any(vals <= 0.0):
         return None
-    t = traj.t[window] - traj.t[window].mean()
+    t, y = (col - col.mean() for col in (traj.t[window], np.log(vals)))
     spread = float(t @ t)
-    rate = -float(t @ np.log(vals)) / spread if spread > 0.0 else math.nan
+    rate = float(-t @ y) / spread if spread > 0.0 else math.nan  # a zero slope is 0, not -0
     return rate if math.isfinite(rate) else None
 
 
@@ -113,36 +113,34 @@ def sandwich_violations(traj: Trajectory, eta: float) -> int:
     return int(np.count_nonzero(bad))
 
 
-def illegal_jumps(traj: Trajectory) -> list:
-    """Jump events whose recorded estimate norm is outside the matching jump set.
+def illegal_jumps(traj: Trajectory) -> list[JumpEvent]:
+    """The jumps outside their jump set, as events: the time-zero walk's, then the rows'.
 
     A jump of more than one mode, or out of a mode below r_min, is illegal.
-    Each source mode's thresholds are compared once with its events' norms:
-    an up-jump needs nrm >= up, a down-jump nrm <= down.
+    Each source mode's thresholds are taken once and compared with its jumps'
+    norms over arrays: an up-jump needs nrm >= up, a down-jump nrm <= down.
     """
     sc = traj.scenario
-    events = traj.jump_events
-    if sc is None or sc.hybrid is None or not events:
+    if sc is None or sc.hybrid is None:
         return []
-    _, old_r, new_r, nrm, _ = map(np.array, zip(*events))
-    ok = np.zeros(len(events), dtype=bool)
-    order = np.argsort(old_r, kind="stable")
-    modes, first = np.unique(old_r[order], return_index=True)
-    for r, at in zip(modes.tolist(), np.split(order, first[1:])):
-        try:
-            up, down = sc.hybrid.thresholds(r)
-        except ValueError:      # a mode below r_min has no jump sets
-            continue
-        ok[at] = (((new_r[at] == r + 1) & (nrm[at] >= up))
-                  | ((new_r[at] == r - 1) & (nrm[at] <= down)))
-    return [events[i] for i in np.flatnonzero(~ok).tolist()]
+    steps = jump_steps(traj.r)
+    # each JumpEvent field over the jumps, the walk's first; a row's norm as in flow_events
+    norms = np.fromiter(map(math.hypot, *traj.xhat2[steps].T.tolist()), float, steps.size)
+    walk = np.array(traj.init_events, dtype=object).reshape(-1, len(JumpEvent._fields)).T
+    jumps = [np.concatenate([w.astype(f.dtype), f]) for w, f in zip(
+        walk, (traj.t[steps], traj.r[steps - 1], traj.r[steps], norms, steps))]
+    _, old_r, new_r, nrm, _ = jumps
+    modes, at = np.unique(old_r, return_inverse=True)
+    # each jump's (up, down), its source mode's; NaN below r_min, where no jump is legal
+    up, down = np.array([sc.hybrid.thresholds(r) if r >= sc.hybrid.r_min else (math.nan,) * 2
+                         for r in modes.tolist()]).reshape(-1, 2)[at].T
+    ok = ((new_r == old_r + 1) & (nrm >= up)) | ((new_r == old_r - 1) & (nrm <= down))
+    return list(map(JumpEvent._make, zip(*(f[~ok].tolist() for f in jumps))))
 
 
 def chatter_score(traj: Trajectory) -> int:
-    """Number of flow jumps (step > 0: a CSV holds no time-zero jump)
-    landing within CHATTER_WINDOW steps of the previous flow jump."""
-    steps = np.array([ev.step for ev in traj.jump_events if ev.step > 0])
-    return int(np.count_nonzero(np.diff(steps) <= CHATTER_WINDOW))
+    """Number of flow jumps landing within CHATTER_WINDOW steps of the previous one."""
+    return int(np.count_nonzero(np.diff(jump_steps(traj.r)) <= CHATTER_WINDOW))
 
 
 def ultimate_r_constant(traj: Trajectory) -> bool:
@@ -186,7 +184,7 @@ def report_values(traj: Trajectory, design: GainDesign) -> dict[str, object]:
         if rate is not None:
             values[f"{which}_observed_rate"] = rate
     values["sandwich_violations"] = sandwich_violations(traj, design.eta)
-    values["jump_count"] = sum(ev.step > 0 for ev in traj.jump_events)
+    values["jump_count"] = jump_steps(traj.r).size
     values["chatter_score"] = chatter_score(traj)
     values["final_r"] = int(traj.r[-1])
     values["ultimate_r_constant"] = ultimate_r_constant(traj)

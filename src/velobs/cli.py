@@ -192,10 +192,9 @@ def cmd_run(args) -> int:
 def cmd_list(args) -> int:
     names = list(BUILTIN_NAMES)
     if args.config_dir:
-        cfg_dir = Path(args.config_dir)
-        if not cfg_dir.is_dir():
-            raise FileNotFoundError(f"config dir {cfg_dir} does not exist")
-        for p in sorted(cfg_dir.iterdir()):
+        if not os.path.isdir(args.config_dir):
+            raise NotADirectoryError(f"config dir {args.config_dir} is not a directory")
+        for p in sorted(Path(args.config_dir).iterdir()):
             # a file named as a builtin is refused by run, so it is not listed
             if p.suffix in (".ini", ".cfg") and p.is_file() and p.stem not in BUILTIN_NAMES:
                 names.append(f"{p.stem} ({p})")

@@ -171,7 +171,7 @@ class Trajectory:
     xhat2_reduced: np.ndarray | None = None
     xhat2_full: np.ndarray | None = None
     z: np.ndarray | None = None
-    jump_events: list[JumpEvent] = field(default_factory=list)
+    init_events: list[JumpEvent] = field(default_factory=list)  # the time-zero walk's
     scenario: Scenario | None = None
     design: GainDesign | None = None
 
@@ -184,6 +184,11 @@ class Trajectory:
     def speed(self) -> np.ndarray:
         """True speed |x2| at each sample, computed on first use."""
         return np.linalg.norm(self.x2, axis=1)
+
+    @functools.cached_property
+    def jump_events(self) -> list[JumpEvent]:
+        """The time-zero walk's events, then flow_events, built on first read."""
+        return self.init_events + flow_events(self.t, self.r, self.xhat2)
 
     @property
     def xhat2(self) -> np.ndarray:
@@ -232,7 +237,7 @@ class Trajectory:
             if tuple(header) != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV header: {header}")
             start = fh.tell()
-            if not fh.readline().strip():
+            if not any(line.partition("#")[0].strip() for line in fh):  # "#" starts a comment
                 raise ValueError("CSV has no data row after its header")
             fh.seek(start)
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
@@ -243,20 +248,21 @@ class Trajectory:
         r = data[:, 9]
         if not np.all((r >= 0) & (r <= 2.0 ** 53) & (r == np.floor(r))):
             raise ValueError("CSV column r holds a value that is not a mode index")
-        r = r.astype(int)
-        t = data[:, 0]
-        est = data[:, 5:7]
         return cls(
-            t=t, x1=data[:, 1:3], x2=data[:, 3:5],
-            xhat2_reduced=est, eps_norm=data[:, 7], v_lyap=data[:, 8],
-            r=r, k_gain=data[:, 10], tau=data[:, 11:13],
-            lower=data[:, 13], upper=data[:, 14], jump_events=flow_events(t, r, est))
+            t=data[:, 0], x1=data[:, 1:3], x2=data[:, 3:5],
+            xhat2_reduced=data[:, 5:7], eps_norm=data[:, 7], v_lyap=data[:, 8],
+            r=r.astype(int), k_gain=data[:, 10], tau=data[:, 11:13],
+            lower=data[:, 13], upper=data[:, 14])
+
+
+def jump_steps(r: np.ndarray) -> np.ndarray:
+    """A run's flow-jump steps: the rows whose mode r is not the row before's (one jump a step)."""
+    return np.flatnonzero(np.diff(r)) + 1
 
 
 def flow_events(t: np.ndarray, r: np.ndarray, est: np.ndarray) -> list[JumpEvent]:
-    """A run's flow jumps, one per change of the mode column r (the logic jumps
-    at most once per step), at its row's time t and norm of the estimate est."""
-    steps = np.flatnonzero(np.diff(r)) + 1
+    """One JumpEvent per jump_steps(r), at the row's time t and math.hypot norm of est."""
+    steps = jump_steps(r)
     norms = map(math.hypot, *est[steps].T.tolist())
     # tuple.__new__ skips the Python-level __new__ of JumpEvent per event
     return list(map(tuple.__new__, repeat(JumpEvent), zip(
@@ -404,19 +410,16 @@ def simulate(scenario: Scenario) -> Trajectory:
         states[start:stop] = srows
         extra[start:stop] = erows
     lower, upper = velocity_sandwich(eta, extra[:, 4])
-    t, r = np.arange(n_samples) * dt, extra[:, 2].astype(int)
-    if use_red:     # the reduced estimate's norm schedules the gain
-        events += flow_events(t, r, extra[:, 5 + n:])
 
     return Trajectory(
-        t=t, x1=states[:, :n], x2=states[:, n:2 * n],
-        eps_norm=extra[:, 0], v_lyap=extra[:, 1], r=r,
+        t=np.arange(n_samples) * dt, x1=states[:, :n], x2=states[:, n:2 * n],
+        eps_norm=extra[:, 0], v_lyap=extra[:, 1], r=extra[:, 2].astype(int),
         k_gain=extra[:, 3], tau=extra[:, 5:5 + n], lower=lower, upper=upper,
         xhat2_reduced=extra[:, 5 + n:] if use_red else None,
         # the full observer's x2_hat is packed last
         xhat2_full=states[:, -n:] if use_full else None,
         z=states[:, 2 * n:3 * n] if use_red else None,
-        jump_events=events, scenario=scenario, design=design)
+        init_events=events, scenario=scenario, design=design)
 
 
 def builtin_scenarios() -> dict[str, Scenario]:

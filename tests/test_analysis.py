@@ -24,7 +24,9 @@ from velobs.simulator import Trajectory, builtin_scenarios, simulate
 
 
 def synthetic(eps, dt=0.1, speed=0.0, v_lyap=None, r=0, scenario=None,
-              events=None, lower=None, upper=None):
+              est=None, init_events=(), lower=None, upper=None):
+    """A trajectory of given error norms; r is a mode or a mode column, and
+    est the estimate rows where they are given."""
     eps = np.asarray(eps, dtype=float)
     n = eps.shape[0]
     x2 = np.zeros((n, 2))
@@ -35,13 +37,14 @@ def synthetic(eps, dt=0.1, speed=0.0, v_lyap=None, r=0, scenario=None,
         x2=x2,
         eps_norm=eps,
         v_lyap=np.zeros(n) if v_lyap is None else np.asarray(v_lyap, float),
-        r=np.full(n, r, dtype=int),
+        r=np.broadcast_to(r, n).astype(int),
         k_gain=np.ones(n),
         tau=np.zeros((n, 2)),
         lower=np.zeros(n) if lower is None else np.asarray(lower, float),
         upper=np.full(n, 1e9) if upper is None else np.asarray(upper, float),
-        xhat2_reduced=x2 - eps[:, None] * np.array([0.0, 1.0]),
-        jump_events=list(events or []),
+        xhat2_reduced=(x2 - eps[:, None] * np.array([0.0, 1.0]) if est is None
+                       else np.asarray(est, float)),
+        init_events=list(init_events),
         scenario=scenario,
     )
 
@@ -164,23 +167,31 @@ def test_illegal_jump_audit(example2_traj):
     assert illegal_jumps(example2_traj) == []
     sc = builtin_scenarios()["example2"]
     up = 1 * sc.hybrid.v_bar - sc.hybrid.eta     # the up threshold of mode 1
-    up_ok = JumpEvent(0.5, 1, 2, up + 0.1, 500)
-    up_bad = JumpEvent(0.6, 1, 2, up - 0.1, 600)
-    skip = JumpEvent(0.7, 1, 3, 99.0, 700)
-    down_bad = JumpEvent(0.8, 1, 0, 0.0, 800)   # below the floor
-    from_below = JumpEvent(0.9, 0, 1, 99.0, 900)  # out of a mode below r_min
-    traj = synthetic(np.zeros(4), scenario=sc,
-                     events=[up_ok, up_bad, skip, down_bad, from_below])
-    assert illegal_jumps(traj) == [up_bad, skip, down_bad, from_below]
+    # each change of the mode column is a jump, at its row's estimate norm
+    r = [1, 2, 2, 1, 2, 1, 3, 1, 0, 1]
+    nrm = [0.0, up + 0.1, 0.0, 0.0, up - 0.1, 0.0, 99.0, 0.0, 0.0, 99.0]
+    est = np.column_stack([nrm, np.zeros(len(r))])
+    walk = [JumpEvent(0.0, 3, 2, 0.0, 0), JumpEvent(0.0, 2, 3, 0.0, 0)]
+    traj = synthetic(np.zeros(len(r)), dt=0.1, r=r, est=est, scenario=sc, init_events=walk)
+    t = traj.t.tolist()
+    assert illegal_jumps(traj) == [
+        walk[1],                            # an up-jump under its threshold
+        JumpEvent(t[4], 1, 2, up - 0.1, 4),  # likewise
+        JumpEvent(t[6], 1, 3, 99.0, 6),      # two modes up
+        JumpEvent(t[7], 3, 1, 0.0, 7),       # two modes down
+        JumpEvent(t[8], 1, 0, 0.0, 8),       # below the floor
+        JumpEvent(t[9], 0, 1, 99.0, 9)]      # out of a mode below r_min
+    assert all(type(v) in (int, float) for ev in illegal_jumps(traj) for v in ev)
     assert illegal_jumps(synthetic(np.zeros(2))) == []
+    assert illegal_jumps(synthetic(np.zeros(2), scenario=sc)) == []
 
 
 def test_chatter_score_counts_close_pairs():
-    events = [JumpEvent(0.0, 1, 2, 1.0, 10),
-              JumpEvent(0.0, 2, 3, 1.0, 15),
-              JumpEvent(0.0, 3, 2, 1.0, 100),
-              JumpEvent(0.0, 2, 3, 1.0, 105)]
-    assert chatter_score(synthetic(np.zeros(3), events=events)) == 2
+    # flow jumps at steps 10, 15, 100 and 105; the time-zero walk is no flow jump
+    r = np.ones(110, dtype=int)
+    r[10:], r[15:], r[100:], r[105:] = 2, 3, 2, 3
+    walk = [JumpEvent(0.0, 0, 1, 1.0, 0)] * 3
+    assert chatter_score(synthetic(np.zeros(110), r=r, init_events=walk)) == 2
     assert chatter_score(synthetic(np.zeros(3))) == 0
 
 

@@ -435,8 +435,9 @@ def test_list_with_config_dir(tmp_path, quick_ini, capsys):
     assert len(out) == 4
     assert out[:3] == ["example1", "example2", "example3"]
     assert out[3].startswith("quick (")
-    assert main(["list", "--config-dir", str(tmp_path / "missing")]) == EXIT_CONFIG
-    capsys.readouterr()
+    for path in (tmp_path / "missing", quick_ini):
+        assert main(["list", "--config-dir", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: config dir {path} is not a directory\n")
 
 
 def test_list_shows_only_files_that_run(tmp_path, quick_ini, capsys):
@@ -568,6 +569,22 @@ def test_a_run_over_tiny_times_reports_without_a_decay_rate(tmp_path, capfd, dt)
         f"wrote {tmp_path / 'tiny.csv'}\nwrote {tmp_path / 'tiny_report.txt'}\n")
     assert "samples: 2\n" in report and "observed_rate" not in report
     assert checked == EXIT_CHECKS and capfd.readouterr() == (report, "")
+
+
+@pytest.mark.parametrize("dt", ["1e-160", "1e-30"])
+def test_equal_error_norms_over_tiny_times_decay_at_rate_zero(tmp_path, capsys, dt):
+    # two samples dt apart with equal error norms: the fitted slope is 0, not
+    # the rounding of the log-norms divided by the tiny spread of the times
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[initial]\ndq0 = 1 0.5\n[observer]\nv_max = 1.5\n")
+    overrides = [f"--dt={dt}", f"--t-final={dt}"]
+    assert main(["run", str(ini), "--out", str(tmp_path), "--report", *overrides]) == EXIT_CHECKS
+    report = (tmp_path / "tiny_report.txt").read_text()
+    assert "samples: 2\n" in report and "reduced_observed_rate: 0\n" in report
+    capsys.readouterr()
+    assert main(["check", str(tmp_path / "tiny.csv"), "--scenario", str(ini),
+                 *overrides]) == EXIT_CHECKS
+    assert capsys.readouterr() == (report, "")
 
 
 @st.composite

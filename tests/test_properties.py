@@ -70,23 +70,45 @@ def mode_and_norm(draw):
 
 
 @st.composite
-def jump_events(draw):
-    """Up to a few hundred events out of a handful of modes, each norm free or
-    on a threshold of its mode, the steps apart by about CHATTER_WINDOW."""
+def mode_rows(draw):
+    """A time-zero walk of a few events and a run's rows: a mode column r of
+    up to a few hundred jumps, about CHATTER_WINDOW steps apart, each one or
+    two modes up or down or to any of a handful of modes (some below r_min),
+    and estimate rows of one or two joints.  A jump row's norm is free or on
+    a threshold of the mode it leaves; the walk's modes and norms are drawn
+    alike, legal or not."""
     cfg = draw(configs)
     modes = draw(st.lists(st.integers(max(cfg.r_min - 2, 0), cfg.r_min + 50),
                           min_size=1, max_size=6, unique=True))
-    pool = {r: [draw(norms(cfg, r)) for _ in range(3)] for r in modes}
-    # the sequence comes from one seeded generator: drawn event by event, a
-    # few hundred events cost hypothesis seconds per property
+    # the rows come from one seeded generator: drawn row by row, a few
+    # hundred jumps cost hypothesis seconds per property
     rnd = random.Random(draw(st.integers(0, 2**32)))
-    events, step = [], 0
-    for _ in range(draw(st.integers(1, 300))):
+    n = rnd.choice([1, 2])
+
+    def norm(r):
+        on = rnd.choice([up_thr(cfg, r), down_thr(cfg, r), rnd.uniform(0.0, 600.0)])
+        return on if on >= 0.0 else rnd.uniform(0.0, 600.0)
+
+    def step(r):
+        return max(rnd.choice([r - 2, r - 1, r + 1, r + 1, r + 2, rnd.choice(modes)]), 0)
+
+    walk = []
+    for _ in range(rnd.randint(0, 3)):
         old_r = rnd.choice(modes)
-        new_r = max(old_r + rnd.choice([-2, -1, 0, 1, 1, 2]), 0)
-        step += rnd.randint(1, 2 * CHATTER_WINDOW + 1)
-        events.append(JumpEvent(0.001 * step, old_r, new_r, rnd.choice(pool[old_r]), step))
-    return cfg, events
+        walk.append(JumpEvent(0.0, old_r, step(old_r), norm(old_r), 0))
+    r = [rnd.choice(modes)]
+    est = [[rnd.uniform(-9.0, 9.0) for _ in range(n)]]
+    for _ in range(draw(st.integers(0, 300))):
+        for _ in range(rnd.randint(0, 2 * CHATTER_WINDOW)):    # rows that do not jump
+            r.append(r[-1])
+            est.append([rnd.uniform(-9.0, 9.0) for _ in range(n)])
+        new_r = step(r[-1])
+        if new_r != r[-1]:
+            # a norm on a threshold is the row's exactly: math.hypot(x, 0) is |x|
+            est.append([norm(r[-1]), 0.0][:n] if rnd.random() < 0.5 else
+                       [rnd.uniform(-9.0, 9.0) for _ in range(n)])
+            r.append(new_r)
+    return cfg, walk, 1e-3 * np.arange(len(r)), np.array(r), np.array(est)
 
 
 def in_annulus(cfg, r, nrm) -> bool:
@@ -139,10 +161,19 @@ def chatter(events) -> int:
     return sum(1 for a, b in zip(steps, steps[1:]) if b - a <= CHATTER_WINDOW)
 
 
-def check_audit(cfg, events) -> None:
-    traj = SimpleNamespace(scenario=SimpleNamespace(hybrid=cfg), jump_events=events)
-    assert illegal_jumps(traj) == [ev for ev in events if not legal(cfg, ev)]
-    assert chatter_score(traj) == chatter(events)
+def row_events(t, r, est) -> list:
+    """The flow jumps, derived row by row: one event per row whose mode is
+    not the row before's, at the row's time and estimate norm."""
+    return [JumpEvent(float(t[j]), int(r[j - 1]), int(r[j]), math.hypot(*est[j].tolist()), j)
+            for j in range(1, len(r)) if r[j] != r[j - 1]]
+
+
+def check_audit(cfg, walk, t, r, est) -> None:
+    traj = SimpleNamespace(scenario=SimpleNamespace(hybrid=cfg), init_events=walk,
+                           t=t, r=r, xhat2=est)
+    flow = row_events(t, r, est)
+    assert illegal_jumps(traj) == [ev for ev in walk + flow if not legal(cfg, ev)]
+    assert chatter_score(traj) == chatter(flow)
 
 
 @PROPERTY
@@ -158,7 +189,7 @@ def test_step_logic_is_the_jump_rule(case):
 
 
 @PROPERTY
-@given(jump_events())
+@given(mode_rows())
 def test_illegal_jumps_flags_exactly_the_events_outside_their_jump_set(case):
     check_audit(*case)
 
@@ -205,12 +236,17 @@ def test_a_strict_threshold_is_caught():
         with pytest.raises(AssertionError):
             check_flow_set(open_interval, cfg, 2, nrm)
 
-    on_threshold = [JumpEvent(0.1, 2, 3, up_thr(cfg, 2), 100)]
-    check_audit(cfg, on_threshold)
-    # the audit reads the band's thresholds, so the strict band flags the
-    # event that up_thr, the band formula, holds legal
-    with pytest.raises(AssertionError):
-        check_audit(StrictUp(v_bar=3.0, eta=1.0), on_threshold)
+    # an up-jump on the threshold: of the rows, at row 100, or of the walk
+    t, est = 1e-3 * np.arange(101), np.zeros((101, 2))
+    est[100, 0] = up_thr(cfg, 2)
+    on_threshold = [([], t, np.array([2] * 100 + [3]), est),
+                    ([JumpEvent(0.0, 2, 3, up_thr(cfg, 2), 0)], t, np.full(101, 3), est)]
+    for case in on_threshold:
+        check_audit(cfg, *case)
+        # the audit reads the band's thresholds, so the strict band flags the
+        # jump that up_thr, the band formula, holds legal
+        with pytest.raises(AssertionError):
+            check_audit(StrictUp(v_bar=3.0, eta=1.0), *case)
 
     def strict_step(schedule, state, nrm):
         if nrm > state.up:

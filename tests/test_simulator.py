@@ -13,6 +13,8 @@ import pytest
 
 import velobs
 from velobs import dynamics, hybrid_logic, simulator
+from velobs.analysis import report_lines
+from velobs.cli import main
 from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                                 PdConfig, PdGravity)
 from velobs.dynamics import SingleLinkModel, TwoLinkArm
@@ -369,6 +371,38 @@ def test_csv_reload_events_are_the_mode_change_rows(example2_traj, tmp_path):
         float(np.linalg.norm(data[i, col:col + 2])) for i in changed]
 
 
+def test_no_run_or_check_builds_flow_events(tmp_path, monkeypatch, capsys):
+    # simulate, from_csv, report_lines and `velobs check` read the jumps off
+    # the mode column as arrays; only a read of jump_events builds events
+    built = simulator.flow_events
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return built(*args)
+
+    monkeypatch.setattr(simulator, "flow_events", counted)
+    traj = simulate(builtin_scenarios()["example2"])
+    path = tmp_path / "example2.csv"
+    traj.to_csv(path)
+    back = Trajectory.from_csv(path)
+    report = report_lines(traj, traj.design)
+    assert main(["check", str(path), "--scenario", "example2"]) == 0
+    assert capsys.readouterr().out == "\n".join(report) + "\n"
+    assert calls == [] and "jump_events" not in vars(traj) and "jump_events" not in vars(back)
+    # a read gives the time-zero walk, then one event per change of r at its
+    # row's time and estimate norm, bit for bit, built once
+    rows = [(float(traj.t[j]), int(traj.r[j - 1]), int(traj.r[j]),
+             math.hypot(*traj.xhat2_reduced[j]), j)
+            for j in range(1, len(traj.t)) if traj.r[j] != traj.r[j - 1]]
+    for run in (traj, back):
+        events = run.jump_events
+        assert events is run.jump_events
+        assert [tuple(map(repr, ev)) for ev in events] == [
+            tuple(map(repr, ev)) for ev in run.init_events + rows]
+    assert len(calls) == 2 and len(rows) == 19957 and traj.init_events == back.init_events == []
+
+
 def test_csv_header_is_checked(arm, tmp_path):
     sc = make_scenario(arm, t_final=0.01)
     path = tmp_path / "run.csv"
@@ -391,10 +425,14 @@ def test_csv_header_is_checked(arm, tmp_path):
              ("non-finite", [header, ",".join(["nan"] * len(fields))] + rest),
              ("mode index", [header, first_with("r", "1.5")] + rest),
              ("mode index", [header, first_with("r", "1e300")] + rest)]
+    cases += [("no data row", [header, "", " "]), ("no data row", [header, "", "# a note"])]
     for message, lines in cases:
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message):
             Trajectory.from_csv(bad)
+    # blank lines are skipped wherever they are, right after the header too
+    bad.write_text("\n".join([header, "", first, "", *rest, ""]) + "\n")
+    assert np.array_equal(Trajectory.from_csv(bad).x1, Trajectory.from_csv(path).x1)
 
 
 def test_builtin_scenario_parameters():
