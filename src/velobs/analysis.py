@@ -8,7 +8,7 @@ import numpy as np
 
 from .hybrid_logic import JumpEvent, flow_interval
 from .observers import GainDesign
-from .simulator import Trajectory, jump_steps
+from .simulator import Trajectory, jump_fields, jump_steps
 
 # Velocity-error settling threshold, rad/s.
 SETTLING_THRESHOLD = 0.01
@@ -123,12 +123,7 @@ def illegal_jumps(traj: Trajectory) -> list[JumpEvent]:
     sc = traj.scenario
     if sc is None or sc.hybrid is None:
         return []
-    steps = jump_steps(traj.r)
-    # each JumpEvent field over the jumps, the walk's first; a row's norm as in flow_events
-    norms = np.fromiter(map(math.hypot, *traj.xhat2[steps].T.tolist()), float, steps.size)
-    walk = np.array(traj.init_events, dtype=object).reshape(-1, len(JumpEvent._fields)).T
-    jumps = [np.concatenate([w.astype(f.dtype), f]) for w, f in zip(
-        walk, (traj.t[steps], traj.r[steps - 1], traj.r[steps], norms, steps))]
+    jumps = jump_fields(traj)
     _, old_r, new_r, nrm, _ = jumps
     modes, at = np.unique(old_r, return_inverse=True)
     # each jump's (up, down), its source mode's; NaN below r_min, where no jump is legal

@@ -164,7 +164,7 @@ def apply_overrides(sc: Scenario, args) -> Scenario:
 
 
 def _out_dir(args) -> Path:
-    out = args.out if getattr(args, "out", None) else os.environ.get(OUT_ENV_VAR, ".")
+    out = args.out or os.environ.get(OUT_ENV_VAR, ".")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path

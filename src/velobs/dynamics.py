@@ -142,11 +142,6 @@ class RobotModel(ABC):
         "energy", "terms, w", n, {"terms": cls.TERMS, "w": ["w{i}"]},
         joints(cls.ENERGY, n), "energy")))
 
-    @property
-    def design_tables(self) -> "GridTables":
-        """grid_tables(self), built once per distinct model (see _design_tables)."""
-        return _design_tables(self)
-
     def inertia_stack(self, rows: list) -> np.ndarray:
         """M(q) for each q of `rows` (sequences of n floats), unchecked, as
         one (len(rows), n, n) array of the kernel's INERTIA terms."""
@@ -410,10 +405,10 @@ def grid_tables(model: RobotModel) -> GridTables:
 
 
 @lru_cache(maxsize=DESIGN_TABLES_CACHE)
-def _design_tables(model: RobotModel) -> GridTables:
-    # Models are frozen dataclasses compared by value, so equal models (same
-    # class and parameters) share one build; read-only, since
-    # every caller gets the same arrays.
+def design_tables(model: RobotModel) -> GridTables:
+    """grid_tables(model), built once per distinct model: models are frozen
+    dataclasses compared by value, so equal models (same class and
+    parameters) share one build, read-only, since every caller gets it."""
     tables = grid_tables(model)
     for table in tables:
         table.flags.writeable = False
@@ -422,7 +417,7 @@ def _design_tables(model: RobotModel) -> GridTables:
 
 def spectral_bounds(model: RobotModel) -> tuple[float, float]:
     """Constants (lambda1, lambda2) with lambda1 ||e||^2 <= e^T M(q) e / 2 <= lambda2 ||e||^2."""
-    tables = model.design_tables
+    tables = design_tables(model)
     lambda1 = 0.5 * float(tables.lam_min.min())
     lambda2 = 0.5 * float(tables.lam_max.max())
     return lambda1, lambda2

@@ -48,15 +48,14 @@ def source(name: str, params: str, lines: list[str], result: str) -> list[str]:
     return [f"def {name}({params}):", *(f"    {line}" for line in [*lines, f"return {result}"])]
 
 
-def define(name: str, params: str, n: int, unpack: dict, lines: list[str], result: str,
-           **scope):
-    """Compile `def name(params)` in NAMESPACE and `scope` and return the
-    function.  Its body first unpacks each `value: spec` of `unpack`
-    (`names(*spec, n=n) = value`) whose names the lines or the result read."""
+def define(name: str, params: str, n: int, unpack: dict, lines: list[str], result: str):
+    """Compile `def name(params)` in NAMESPACE and return the function.  Its
+    body first unpacks each `value: spec` of `unpack` (`names(*spec, n=n) =
+    value`) whose names the lines or the result read."""
     read = set(re.findall(r"\w+", "\n".join([*lines, result]))) if unpack else set()
     head = [f"{names(*spec, n=n)}= {value}" for value, spec in unpack.items()
             if read.intersection(joints("\n".join(spec), n))]
-    scope.update(NAMESPACE)
+    scope = dict(NAMESPACE)
     code = "\n".join(source(name, params, [*head, *lines], result))
     exec(compile(code, f"<{name}>", "exec"), scope)
     return scope[name]

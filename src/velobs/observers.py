@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RobotModel, spectral_bounds
+from .dynamics import RobotModel, design_tables, spectral_bounds
 from .equations import define, joints, names
 
 # Positive floor applied to designed gains (the grid formula can go negative
@@ -94,7 +94,7 @@ def compute_k0(model: RobotModel, eta: float, v_max: float) -> GainDesign:
     of mode r is this gain at v_max = r * v_bar (hybrid_logic.compute_kr).
     """
     _check_design_inputs(eta, v_max)
-    tables = model.design_tables
+    tables = design_tables(model)
     # a speed bound near the float limit overflows here; check_gain refuses
     # the gain that comes out, so numpy's warning would only add noise
     with np.errstate(over="ignore", invalid="ignore"):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import filterfalse, repeat
 from typing import Callable
 
 import numpy as np
@@ -187,8 +187,10 @@ class Trajectory:
 
     @functools.cached_property
     def jump_events(self) -> list[JumpEvent]:
-        """The time-zero walk's events, then flow_events, built on first read."""
-        return self.init_events + flow_events(self.t, self.r, self.xhat2)
+        """The events of jump_fields, built on first read."""
+        # tuple.__new__ skips the Python-level __new__ of JumpEvent per event
+        return list(map(tuple.__new__, repeat(JumpEvent),
+                        zip(*(f.tolist() for f in jump_fields(self)))))
 
     @property
     def xhat2(self) -> np.ndarray:
@@ -240,7 +242,8 @@ class Trajectory:
             if not any(line.partition("#")[0].strip() for line in fh):  # "#" starts a comment
                 raise ValueError("CSV has no data row after its header")
             fh.seek(start)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            # a line of whitespace is blank, as an empty line is to loadtxt
+            data = np.loadtxt(filterfalse(str.isspace, fh), delimiter=",", ndmin=2)
         if data.shape[1] != len(CSV_COLUMNS):
             raise ValueError("unexpected CSV column count")
         if not np.isfinite(data).all():
@@ -260,13 +263,15 @@ def jump_steps(r: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(r)) + 1
 
 
-def flow_events(t: np.ndarray, r: np.ndarray, est: np.ndarray) -> list[JumpEvent]:
-    """One JumpEvent per jump_steps(r), at the row's time t and math.hypot norm of est."""
-    steps = jump_steps(r)
-    norms = map(math.hypot, *est[steps].T.tolist())
-    # tuple.__new__ skips the Python-level __new__ of JumpEvent per event
-    return list(map(tuple.__new__, repeat(JumpEvent), zip(
-        t[steps].tolist(), r[steps - 1].tolist(), r[steps].tolist(), norms, steps.tolist())))
+def jump_fields(traj: Trajectory) -> list[np.ndarray]:
+    """Each JumpEvent field of a run's jumps as an array: the time-zero walk's
+    (init_events), then one per jump_steps(r), at the row's time t and the
+    math.hypot norm of its xhat2.  Reads only t, r, xhat2 and init_events."""
+    steps = jump_steps(traj.r)
+    norms = np.fromiter(map(math.hypot, *traj.xhat2[steps].T.tolist()), float, steps.size)
+    walk = np.array(traj.init_events, dtype=object).reshape(-1, len(JumpEvent._fields)).T
+    return [np.concatenate([w.astype(f.dtype), f]) for w, f in zip(
+        walk, (traj.t[steps], traj.r[steps - 1], traj.r[steps], norms, steps))]
 
 
 # The velocity-estimation error of the fed-back estimate xh.

@@ -120,6 +120,12 @@ def test_checker_skips_inadmissible_samples(design15):
     assert chk.ok
     assert chk.checked_pairs == 0
     assert chk.max_increase == 0.0
+    # the region is open: an error on its edge is outside it, one ulp in is inside
+    radius = design15.region_radius
+    on_edge = synthetic(np.full(10, radius), v_lyap=v)
+    assert check_lyapunov_decrease(on_edge, design15).checked_pairs == 0
+    inside = synthetic(np.full(10, math.nextafter(radius, 0.0)), v_lyap=v)
+    assert len(check_lyapunov_decrease(inside, design15).violations) == 9
 
 
 def test_checker_speed_gate_uses_the_scheduled_band(design15):
@@ -151,6 +157,15 @@ def test_settling_time_sentinels():
 def test_first_entry_index():
     assert first_entry_index(synthetic([2.0, 0.9, 0.5]), 1.0) == 1
     assert first_entry_index(synthetic([2.0, 3.0]), 1.0) is None
+    # the eta ball is closed
+    assert first_entry_index(synthetic([2.0, 1.0, 0.5]), 1.0) == 1
+
+
+def test_the_decay_fit_takes_at_least_three_samples():
+    # below the threshold from the start: the fit is over samples 0 to 2,
+    # which decay at rate 2 exactly, and not over the jump at sample 3
+    eps = [1e-3, 1e-3 * math.exp(-0.2), 1e-3 * math.exp(-0.4), 0.5]
+    assert observed_decay_rate(synthetic(eps, dt=0.1)) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_sandwich_violation_count():
@@ -161,6 +176,12 @@ def test_sandwich_violation_count():
     # entry at index 1; index 2 breaks the lower bound, 3 the upper
     assert sandwich_violations(traj, 1.0) == 2
     assert sandwich_violations(synthetic([5.0, 5.0]), 1.0) == 0
+    # the slack is 1e-12: speed 1 against bounds 1e-11 past it (a violation)
+    # and 5e-13 past it (none)
+    lower = [0.0, 1.0 + 1e-11, 0.0, 1.0 + 5e-13]
+    upper = [1.0 - 1e-11, 9.0, 1.0 - 5e-13, 9.0]
+    assert sandwich_violations(synthetic(np.zeros(4), speed=1.0, lower=lower, upper=upper),
+                               1.0) == 2
 
 
 def test_illegal_jump_audit(example2_traj):
@@ -207,6 +228,12 @@ def test_ultimate_r_constant_tail():
     assert not ultimate_r_constant(late_settle)
     late_settle.r[8] = 0
     assert ultimate_r_constant(late_settle)
+    # of 101 samples, the tail is samples ceil(0.8 * 100) = 80 to 100
+    long_run = synthetic(np.zeros(101))
+    long_run.r[:80] = 5
+    assert ultimate_r_constant(long_run)
+    long_run.r[80] = 5
+    assert not ultimate_r_constant(long_run)
 
 
 def test_compare_observers_shapes(example1_traj, example2_traj):
@@ -228,6 +255,14 @@ def test_scenario_checks_all_pass_on_builtin_runs(example1_traj, example2_traj,
         assert checks, "expected at least one check"
         failed = [k for k, ok in checks.items() if not ok]
         assert not failed, f"{traj.scenario.name}: {failed}"
+
+
+def test_example3_position_tolerance_is_a_hundredth(design15):
+    sc = builtin_scenarios()["example3"]
+    traj = synthetic(np.zeros(5), r=1, scenario=sc)
+    for miss, converges in ((0.015, False), (0.005, True)):
+        traj.x1[-1] = sc.controller.config.x_ref + [miss, 0.0]
+        assert scenario_checks(traj, design15)["position_converges"] is converges
 
 
 def test_scenario_check_keys_match_the_scenario(example1_traj, example2_traj,

@@ -383,6 +383,12 @@ def test_invalid_scenario_files(tmp_path, capsys):
     assert main(["run", str(nan_mass), "--out", str(tmp_path)]) == EXIT_CONFIG
     capsys.readouterr()
 
+    # a directory named like a scenario file
+    adir = tmp_path / "adir.ini"
+    adir.mkdir()
+    assert main(["run", str(adir), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: cannot read scenario file {adir}\n"
+
     # a torque that is not finite at t = 0 is a config error, not a blow-up
     nan_tau = tmp_path / "nan_tau.ini"
     nan_tau.write_text(QUICK_INI.replace("tau = 0 0", "tau = nan 0"))
@@ -536,6 +542,11 @@ def test_check_subcommand_roundtrip(tmp_path, quick_ini, capsys):
     assert main(["check", str(corrupted), "--scenario",
                  str(quick_ini)]) == EXIT_CONFIG
     capsys.readouterr()
+    # the right header over rows of 14 columns
+    header, *rows = csv.read_text().splitlines()
+    corrupted.write_text("\n".join([header] + [row.rpartition(",")[0] for row in rows]) + "\n")
+    assert main(["check", str(corrupted), "--scenario", str(quick_ini)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: unexpected CSV column count\n"
 
 
 def test_check_of_a_non_finite_csv_is_a_config_error(tmp_path, quick_ini, capsys):

@@ -85,6 +85,7 @@ def test_gain_clamped_for_heavily_damped_model():
     model = SingleLinkModel(inertia_value=1.0, damping=1.0)
     assert compute_k0(model, 1.0, 1.5).k0 == K_MIN
     assert compute_k0_conservative(model, 1.0, 1.5).k0 == K_MIN
+    assert K_MIN == 0.01
 
 
 def test_design_input_validation(arm, design15):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import velobs
-from velobs import dynamics, hybrid_logic, simulator
+from velobs import analysis, dynamics, hybrid_logic, simulator
 from velobs.analysis import report_lines
 from velobs.cli import main
 from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
@@ -371,25 +371,30 @@ def test_csv_reload_events_are_the_mode_change_rows(example2_traj, tmp_path):
         float(np.linalg.norm(data[i, col:col + 2])) for i in changed]
 
 
-def test_no_run_or_check_builds_flow_events(tmp_path, monkeypatch, capsys):
-    # simulate, from_csv, report_lines and `velobs check` read the jumps off
-    # the mode column as arrays; only a read of jump_events builds events
-    built = simulator.flow_events
+def test_jump_fields_is_read_once_per_audit_and_once_per_view(tmp_path, monkeypatch, capsys):
+    # simulate, to_csv and from_csv derive no jump; report_lines and `velobs
+    # check` derive them once each, for the audit, and build no event; a read
+    # of jump_events derives them once more and keeps the events
+    derive = simulator.jump_fields
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return built(*args)
+    def counted(traj):
+        calls.append(traj)
+        return derive(traj)
 
-    monkeypatch.setattr(simulator, "flow_events", counted)
+    # wherever it is bound by name, as perfbench's tracer wraps a function
+    monkeypatch.setattr(simulator, "jump_fields", counted)
+    monkeypatch.setattr(analysis, "jump_fields", counted)
     traj = simulate(builtin_scenarios()["example2"])
     path = tmp_path / "example2.csv"
     traj.to_csv(path)
     back = Trajectory.from_csv(path)
+    assert calls == []
     report = report_lines(traj, traj.design)
+    assert calls == [traj]
     assert main(["check", str(path), "--scenario", "example2"]) == 0
     assert capsys.readouterr().out == "\n".join(report) + "\n"
-    assert calls == [] and "jump_events" not in vars(traj) and "jump_events" not in vars(back)
+    assert len(calls) == 2 and "jump_events" not in vars(traj) and "jump_events" not in vars(back)
     # a read gives the time-zero walk, then one event per change of r at its
     # row's time and estimate norm, bit for bit, built once
     rows = [(float(traj.t[j]), int(traj.r[j - 1]), int(traj.r[j]),
@@ -400,7 +405,8 @@ def test_no_run_or_check_builds_flow_events(tmp_path, monkeypatch, capsys):
         assert events is run.jump_events
         assert [tuple(map(repr, ev)) for ev in events] == [
             tuple(map(repr, ev)) for ev in run.init_events + rows]
-    assert len(calls) == 2 and len(rows) == 19957 and traj.init_events == back.init_events == []
+    assert calls[2:] == [traj, back]
+    assert len(rows) == 19957 and traj.init_events == back.init_events == []
 
 
 def test_csv_header_is_checked(arm, tmp_path):
@@ -430,9 +436,11 @@ def test_csv_header_is_checked(arm, tmp_path):
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message):
             Trajectory.from_csv(bad)
-    # blank lines are skipped wherever they are, right after the header too
-    bad.write_text("\n".join([header, "", first, "", *rest, ""]) + "\n")
-    assert np.array_equal(Trajectory.from_csv(bad).x1, Trajectory.from_csv(path).x1)
+    # blank lines are skipped wherever they are, right after the header too,
+    # and a line of whitespace is blank
+    for blank in ("", "  ", "\t \r"):
+        bad.write_text("\n".join([header, blank, first, blank, *rest, blank]) + "\n")
+        assert np.array_equal(Trajectory.from_csv(bad).x1, Trajectory.from_csv(path).x1)
 
 
 def test_builtin_scenario_parameters():
@@ -491,7 +499,7 @@ def test_one_table_build_per_scheduled_simulate(monkeypatch):
     build = dynamics.grid_tables
     monkeypatch.setattr(dynamics, "grid_tables",
                         lambda model: builds.append(model) or build(model))
-    dynamics._design_tables.cache_clear()
+    dynamics.design_tables.cache_clear()
     sc = make_scenario(TwoLinkArm(), gain_mode="scheduled", v_max=None,
                        hybrid=HybridConfig(v_bar=1.5, eta=1.0, r_min=1),
                        r_guess=1, t_final=0.01)
