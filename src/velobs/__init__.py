@@ -5,7 +5,7 @@ from .dynamics import (PlantState, RobotModel, SingleLinkModel, SingularInertiaE
 from .observers import (K_MIN, GainDesign, compute_k0, compute_k0_conservative,
                         convergence_rate)
 from .hybrid_logic import (GainSchedule, HybridConfig, JumpEvent, LogicState,
-                           compute_kr, enter_mode, flow_interval, initialize_logic,
+                           compute_kr, flow_interval, initialize_logic,
                            step_logic, velocity_sandwich)
 from .controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                           PdConfig, PdGravity)

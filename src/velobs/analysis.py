@@ -44,7 +44,7 @@ def check_lyapunov_decrease(traj: Trajectory, design: GainDesign) -> LyapunovChe
     """
     radius = design.region_radius
     speed = traj.speed
-    if traj.scenario is not None and traj.scenario.gain_mode == "scheduled":
+    if traj.scenario.gain_mode == "scheduled":
         bound = traj.scenario.hybrid.band_speed(traj.r)
     else:
         bound = np.full(traj.t.shape, design.v_max)
@@ -121,7 +121,7 @@ def illegal_jumps(traj: Trajectory) -> list[JumpEvent]:
     norms over arrays: an up-jump needs nrm >= up, a down-jump nrm <= down.
     """
     sc = traj.scenario
-    if sc is None or sc.hybrid is None:
+    if sc.hybrid is None:
         return []
     jumps = jump_fields(traj)
     _, old_r, new_r, nrm, _ = jumps
@@ -149,17 +149,16 @@ def report_values(traj: Trajectory, design: GainDesign) -> dict[str, object]:
     computed once: the active observer's Lyapunov scan among them."""
     sc = traj.scenario
     values: dict[str, object] = {}
-    if sc is not None:
-        values["scenario"] = sc.name
-        values["observer_mode"] = sc.observer_mode
-        values["gain_mode"] = sc.gain_mode
-        if sc.hybrid is not None:
-            values["jump_semantics"] = sc.hybrid.semantics
-            values["v_bar"] = float(sc.hybrid.v_bar)
-            values["r_min"] = sc.hybrid.r_min
-            values["empty_flow_annulus"] = flow_interval(sc.hybrid, sc.hybrid.r_min + 1) is None
-        values["dt"] = float(sc.dt)
-        values["t_final"] = float(sc.t_final)
+    values["scenario"] = sc.name
+    values["observer_mode"] = sc.observer_mode
+    values["gain_mode"] = sc.gain_mode
+    if sc.hybrid is not None:
+        values["jump_semantics"] = sc.hybrid.semantics
+        values["v_bar"] = float(sc.hybrid.v_bar)
+        values["r_min"] = sc.hybrid.r_min
+        values["empty_flow_annulus"] = flow_interval(sc.hybrid, sc.hybrid.r_min + 1) is None
+    values["dt"] = float(sc.dt)
+    values["t_final"] = float(sc.t_final)
     values["samples"] = len(traj.t)
     values["eta"] = float(design.eta)
     values["k0_design"] = design.k0
@@ -196,12 +195,11 @@ def scenario_checks(traj: Trajectory, design: GainDesign,
     values = report_values(traj, design) if values is None else values
     checks: dict[str, bool] = {}
     sc = traj.scenario
-    name = sc.name if sc is not None else ""
     checks["sandwich_holds_after_entry"] = values["sandwich_violations"] == 0
-    if sc is not None and sc.gain_mode == "scheduled":
+    if sc.gain_mode == "scheduled":
         checks["jumps_legal"] = not illegal_jumps(traj)
     settles = values[f"{traj.active}_settling_time"] is not None
-    if name == "example1":
+    if sc.name == "example1":
         checks["lyapunov_decrease"] = values[f"{traj.active}_lyapunov_violations"] == 0
         checks["velocity_within_bound"] = bool(values["max_speed"] <= design.v_max)
         # observer-comparison claims need per-observer histories; a CSV
@@ -215,11 +213,11 @@ def scenario_checks(traj: Trajectory, design: GainDesign,
                 checks["reduced_faster_than_full"] = (
                     st_red is not None and st_full is not None
                     and st_red < st_full)
-    elif name == "example2":
+    elif sc.name == "example2":
         checks["velocity_exceeds_design_bound"] = bool(values["max_speed"] > design.v_max)
         checks["observer_settles"] = settles
         checks["r_increases"] = bool(np.max(traj.r) > traj.r[0])
-    elif name == "example3":
+    elif sc.name == "example3":
         ref = sc.controller.config.x_ref
         checks["position_converges"] = bool(
             np.linalg.norm(traj.x1[-1] - ref) < 0.01)

@@ -21,7 +21,6 @@ from .controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                           PdConfig, PdGravity)
 from .dynamics import SingularInertiaError, TwoLinkArm, TwoLinkParams
 from .hybrid_logic import SEMANTICS, HybridConfig
-from .observers import compute_k0
 from .simulator import (BUILTIN_NAMES, GAIN_MODES, OBSERVER_MODES, Scenario,
                         ScenarioError, SimulationBlowUp, Trajectory, builtin_scenarios,
                         simulate)
@@ -240,15 +239,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    traj = Trajectory.from_csv(args.csv)
     sc = apply_overrides(resolve_scenario(args.scenario), args)
-    sc.validate()
-    traj.scenario = sc
-    if sc.observer_mode == "full":
-        # the file's estimate column is the active observer's
-        traj.xhat2_full, traj.xhat2_reduced = traj.xhat2_reduced, None
-    design = compute_k0(sc.model, sc.eta, sc.design_speed())
-    lines = report_lines(traj, design)
+    traj = Trajectory.from_csv(args.csv, sc)
+    lines = report_lines(traj, traj.design)
     text = "\n".join(lines)
     print(text)
     if args.report_file:

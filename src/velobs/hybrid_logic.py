@@ -102,15 +102,6 @@ def compute_kr(model: RobotModel, config: HybridConfig, r: int) -> float:
     return compute_k0(model, config.eta, config.band_speed(r)).k0
 
 
-class GainSchedule:
-    """The LogicState of each mode, with its designed gain, made when first entered."""
-
-    def __init__(self, model: RobotModel, config: HybridConfig):
-        self.model = model
-        self.config = config
-        self.states: dict[int, LogicState] = {}
-
-
 class LogicState(NamedTuple):
     """Current mode r, its gain and the thresholds of its jump sets."""
 
@@ -120,28 +111,31 @@ class LogicState(NamedTuple):
     down: float     # the down-jump set is nrm <= down; -inf at the floor mode
 
 
-def enter_mode(schedule: GainSchedule, r: int) -> LogicState:
-    """The logic state of mode r, with its gain (compute_kr) and jump
-    thresholds, built on the first entry and kept by the schedule."""
-    state = schedule.states.get(r)
-    if state is None:
-        config = schedule.config
-        up, down = config.thresholds(r)
-        state = schedule.states[r] = LogicState(r, compute_kr(schedule.model, config, r),
-                                                up, down)
-    return state
+class GainSchedule(dict):
+    """The LogicState of each mode, schedule[r]: its gain (compute_kr) and
+    jump thresholds, built on the first lookup of r and kept."""
+
+    def __init__(self, model: RobotModel, config: HybridConfig):
+        super().__init__()
+        self.model = model
+        self.config = config
+
+    def __missing__(self, r: int) -> LogicState:
+        up, down = self.config.thresholds(r)    # a mode below r_min raises ValueError
+        state = self[r] = LogicState(r, compute_kr(self.model, self.config, r), up, down)
+        return state
 
 
 def step_logic(schedule: GainSchedule, state: LogicState, nrm: float) -> LogicState:
     """Apply at most one jump; an up-jump wins when both sets are hit.
 
-    Two compares against the thresholds that enter_mode took from the
+    Two compares against the thresholds that schedule[r] took from the
     schedule's config.
     """
     if nrm >= state.up:
-        return enter_mode(schedule, state.r + 1)
+        return schedule[state.r + 1]
     if nrm <= state.down:
-        return enter_mode(schedule, state.r - 1)
+        return schedule[state.r - 1]
     return state
 
 
@@ -166,7 +160,7 @@ def initialize_logic(schedule: GainSchedule, nrm: float, r_guess: int,
         elif last != 1 and nrm <= down:
             step = -1
         else:
-            return enter_mode(schedule, r)
+            return schedule[r]
         events.append(JumpEvent(0.0, r, r + step, nrm, 0))
         r += step
         last = step

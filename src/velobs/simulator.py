@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from itertools import filterfalse, repeat
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -148,6 +148,12 @@ class Scenario:
             return self.hybrid.band_speed(max(self.r_guess, 1))
         return None
 
+    def design(self) -> GainDesign:
+        """The constant design at design_speed(): the spectral constants and
+        the constant-mode gain.  In scheduled mode the design speed bound of
+        the starting band keeps the record meaningful."""
+        return compute_k0(self.model, self.eta, self.design_speed())
+
     def sample_count(self) -> int:
         # floor(t_final / dt) + 1 samples; the tiny slack avoids losing the
         # final sample to floating-point truncation of exact divisors.
@@ -168,12 +174,12 @@ class Trajectory:
     tau: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    scenario: Scenario
+    design: GainDesign
     xhat2_reduced: np.ndarray | None = None
     xhat2_full: np.ndarray | None = None
     z: np.ndarray | None = None
     init_events: list[JumpEvent] = field(default_factory=list)  # the time-zero walk's
-    scenario: Scenario | None = None
-    design: GainDesign | None = None
 
     @property
     def active(self) -> str:
@@ -195,10 +201,7 @@ class Trajectory:
     @property
     def xhat2(self) -> np.ndarray:
         """Estimate of the active observer (reduced when present)."""
-        est = self.xhat2_reduced if self.xhat2_reduced is not None else self.xhat2_full
-        if est is None:
-            raise ValueError("active observer estimate is missing")
-        return est
+        return self.xhat2_reduced if self.xhat2_reduced is not None else self.xhat2_full
 
     def eps_norm_for(self, which: str) -> np.ndarray:
         """Velocity-error norm history of an observer: the active one's is eps_norm."""
@@ -228,11 +231,13 @@ class Trajectory:
                 fh.write("".join([_CSV_ROW % row for row in zip(*block)]))
 
     @classmethod
-    def from_csv(cls, path) -> "Trajectory":
-        """Parse a file written by to_csv back into a trajectory.
+    def from_csv(cls, path, scenario: Scenario) -> "Trajectory":
+        """Parse a file written by to_csv back into the record of `scenario`,
+        its estimate the active observer's (xhat2_full in a full-mode scenario).
 
         Raises ValueError for a wrong header or column count, no data row, a
-        non-finite value, or an r that is not a whole number in [0, 2**53].
+        non-finite value, or an r that is not a whole number in [0, 2**53],
+        then ScenarioError where scenario.validate() does.
         """
         with open(path) as fh:
             header = fh.readline().strip().split(",")
@@ -242,8 +247,9 @@ class Trajectory:
             if not any(line.partition("#")[0].strip() for line in fh):  # "#" starts a comment
                 raise ValueError("CSV has no data row after its header")
             fh.seek(start)
-            # a line of whitespace is blank, as an empty line is to loadtxt
-            data = np.loadtxt(filterfalse(str.isspace, fh), delimiter=",", ndmin=2)
+            # with its leading whitespace gone, a line of whitespace is blank to
+            # loadtxt, and one of whitespace then "#" a comment
+            data = np.loadtxt(map(str.lstrip, fh), delimiter=",", ndmin=2)
         if data.shape[1] != len(CSV_COLUMNS):
             raise ValueError("unexpected CSV column count")
         if not np.isfinite(data).all():
@@ -251,11 +257,14 @@ class Trajectory:
         r = data[:, 9]
         if not np.all((r >= 0) & (r <= 2.0 ** 53) & (r == np.floor(r))):
             raise ValueError("CSV column r holds a value that is not a mode index")
+        scenario.validate()
+        full = scenario.observer_mode == "full"
         return cls(
             t=data[:, 0], x1=data[:, 1:3], x2=data[:, 3:5],
-            xhat2_reduced=data[:, 5:7], eps_norm=data[:, 7], v_lyap=data[:, 8],
+            xhat2_reduced=None if full else data[:, 5:7],
+            xhat2_full=data[:, 5:7] if full else None, eps_norm=data[:, 7], v_lyap=data[:, 8],
             r=r.astype(int), k_gain=data[:, 10], tau=data[:, 11:13],
-            lower=data[:, 13], upper=data[:, 14])
+            lower=data[:, 13], upper=data[:, 14], scenario=scenario, design=scenario.design())
 
 
 def jump_steps(r: np.ndarray) -> np.ndarray:
@@ -380,9 +389,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     dt = scenario.dt
     eta = scenario.eta
 
-    # Spectral constants and the constant-mode gain; in scheduled mode the
-    # design speed bound of the starting band keeps the record meaningful.
-    design = compute_k0(model, eta, scenario.design_speed())
+    design = scenario.design()
     kd = scenario.k0_override if scenario.k0_override is not None else design.k0
     kp = kd * kd
     schedule = None

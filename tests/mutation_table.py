@@ -62,8 +62,13 @@ ROWS = (
     (A, "(nrm <= down)", "(nrm < down)"),
     (A, "(new_r == old_r + 1)", "(new_r >= old_r + 1)"),
     (A, "if r >= sc.hybrid.r_min else", "if r > sc.hybrid.r_min else"),
-    # a line of whitespace in a CSV is blank
-    (S, "filterfalse(str.isspace, fh)", "fh"),
+    # a line of whitespace in a CSV is blank, and whitespace then "#" a comment
+    (S, "map(str.lstrip, fh)", "fh"),
+    # a CSV's estimate goes to its scenario's active observer
+    (S, 'full = scenario.observer_mode == "full"', 'full = scenario.observer_mode != "full"'),
+    # the gain schedule enters the next mode up, designed at its own band
+    (H, "return schedule[state.r + 1]", "return schedule[state.r]"),
+    (H, "compute_kr(self.model, self.config, r)", "compute_kr(self.model, self.config, r + 1)"),
 )
 
 # row number -> why tier-1 cannot tell the mutant from the program

@@ -23,7 +23,13 @@ from velobs.hybrid_logic import JumpEvent
 from velobs.simulator import Trajectory, builtin_scenarios, simulate
 
 
-def synthetic(eps, dt=0.1, speed=0.0, v_lyap=None, r=0, scenario=None,
+# The scenario of a synthetic trajectory that names none: a reduced
+# observer with a constant gain on the two-link arm.
+SYNTHETIC = dataclasses.replace(builtin_scenarios()["example1"], name="synthetic",
+                                observer_mode="reduced")
+
+
+def synthetic(eps, dt=0.1, speed=0.0, v_lyap=None, r=0, scenario=SYNTHETIC,
               est=None, init_events=(), lower=None, upper=None):
     """A trajectory of given error norms; r is a mode or a mode column, and
     est the estimate rows where they are given."""
@@ -46,6 +52,7 @@ def synthetic(eps, dt=0.1, speed=0.0, v_lyap=None, r=0, scenario=None,
                        else np.asarray(est, float)),
         init_events=list(init_events),
         scenario=scenario,
+        design=scenario.design(),
     )
 
 
@@ -283,8 +290,7 @@ def test_scenario_checks_degrade_for_csv_reload(example1_traj, tmp_path):
     # evaluate the claims the data supports and omit the rest
     path = tmp_path / "e1.csv"
     example1_traj.to_csv(path)
-    back = Trajectory.from_csv(path)
-    back.scenario = example1_traj.scenario
+    back = Trajectory.from_csv(path, example1_traj.scenario)
     checks = scenario_checks(back, example1_traj.design)
     assert {"lyapunov_decrease", "velocity_within_bound",
             "reduced_settles"} <= set(checks)

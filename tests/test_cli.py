@@ -99,7 +99,7 @@ def test_run_builtin_with_report_passes(tmp_path, capsys):
     text = report.read_text()
     assert "overall: pass" in text
     assert "scenario: example1" in text
-    traj = Trajectory.from_csv(csv)
+    traj = Trajectory.from_csv(csv, builtin_scenarios()["example1"])
     assert traj.t.shape[0] == 20001
 
     # re-checking the exported CSV must work even though the file only
@@ -228,6 +228,16 @@ def test_run_unknown_scenario(tmp_path, capsys):
     code = main(["run", "nosuch", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "unknown scenario" in capsys.readouterr().err
+
+
+def test_check_reads_its_scenario_then_the_csv_then_validates(tmp_path, capsys):
+    # an unknown scenario is refused before the file is opened, and a file
+    # that cannot be read before the scenario is validated
+    missing = str(tmp_path / "missing.csv")
+    assert main(["check", missing, "--scenario", "nope"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: unknown scenario 'nope'")
+    assert main(["check", missing, "--scenario", "example1", "--dt=-1"]) == EXIT_CONFIG
+    assert "No such file" in capsys.readouterr().err
 
 
 def test_resolving_a_file_builds_no_builtin(quick_ini, monkeypatch):
@@ -680,7 +690,8 @@ def check_parser_reuse(tmp_path, quick_ini) -> None:
     assert not report.exists()
     assert main(["run", "example1", "--t-final", "0.05", *out]) == EXIT_OK
     assert main(["run", str(quick_ini), *out]) == EXIT_OK
-    assert len(Trajectory.from_csv(tmp_path / "quick.csv").t) == 201
+    quick = cli.load_scenario_file(quick_ini)
+    assert len(Trajectory.from_csv(tmp_path / "quick.csv", quick).t) == 201
     assert main(["run"]) == EXIT_CONFIG
     assert main(["list"]) == EXIT_OK
     # a namespace holds the arguments of its own subcommand only, not the
@@ -878,5 +889,17 @@ def test_every_scenario_file_runs_or_exits_with_one_line(case):
         path = Path(out) / f"{stem}.ini"
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         code = main(["run", str(path), "--out", out, *args])
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SIMULATION, EXIT_CHECKS)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SIMULATION, EXIT_CHECKS)
+        assert err.getvalue().count("\n") <= 1
+        csv = Path(out) / f"{stem}.csv"
+        if not csv.exists():
+            return
+        # check of the export, under the same overrides: a report run's verdict
+        err = io.StringIO()
+        overrides = [arg for arg in args if arg != "--report"]
+        with contextlib.redirect_stderr(err):
+            checked = main(["check", str(csv), "--scenario", str(path), *overrides])
+    assert checked in (EXIT_OK, EXIT_CONFIG, EXIT_CHECKS)
     assert err.getvalue().count("\n") <= 1
+    if "--report" in args and code in (EXIT_OK, EXIT_CHECKS):
+        assert checked == code

@@ -12,7 +12,6 @@ from velobs.hybrid_logic import (
     HybridConfig,
     JumpEvent,
     compute_kr,
-    enter_mode,
     flow_interval,
     initialize_logic,
     step_logic,
@@ -146,12 +145,13 @@ def test_gain_schedule_consistency(arm):
     cfg = HybridConfig(v_bar=1.5, eta=1.0, r_min=0)
     schedule = GainSchedule(arm, cfg)
     for r in [0, 1, 4, 8, 9, 70]:
-        assert enter_mode(schedule, r).k_r == compute_kr(arm, cfg, r)
-        assert enter_mode(schedule, r) is schedule.states[r]
-    gains = [enter_mode(schedule, r).k_r for r in range(10)]
+        assert schedule[r].k_r == compute_kr(arm, cfg, r)
+        assert schedule[r] is schedule.get(r)
+    gains = [schedule[r].k_r for r in range(10)]
     assert all(b > a for a, b in zip(gains, gains[1:]))
     with pytest.raises(ValueError):
-        enter_mode(schedule, -2)
+        schedule[-2]
+    assert -2 not in schedule and sorted(schedule) == [*range(10), 70]
 
 
 def test_gain_schedule_designs_only_the_modes_asked_for(arm, monkeypatch):
@@ -171,23 +171,23 @@ def test_gain_schedule_designs_only_the_modes_asked_for(arm, monkeypatch):
     events = []
     state = initialize_logic(schedule, nrm, r_guess, events)
     assert state.r == r_guess + 3 and len(events) == 3
-    assert enter_mode(schedule, state.r) is state
+    assert schedule[state.r] is state
     assert len(calls) == 1
-    assert enter_mode(schedule, r_guess).k_r == compute_k0(arm, 1.0, r_guess * 1e-5).k0
+    assert schedule[r_guess].k_r == compute_k0(arm, 1.0, r_guess * 1e-5).k0
     assert len(calls) == 2
 
 
 def test_step_logic_flows_inside_band(arm):
     cfg = make_config()
     schedule = GainSchedule(arm, cfg)
-    state = enter_mode(schedule, 2)
+    state = schedule[2]
     assert step_logic(schedule, state, 4.5) is state
 
 
 def test_step_logic_single_up_and_down_jumps(arm):
     cfg = make_config()
     schedule = GainSchedule(arm, cfg)
-    state = enter_mode(schedule, 2)
+    state = schedule[2]
     up = step_logic(schedule, state, 5.1)
     assert up.r == 3
     assert up.k_r == compute_kr(arm, cfg, 3)
@@ -202,7 +202,7 @@ def test_step_logic_up_wins_when_sets_overlap(arm):
     schedule = GainSchedule(arm, cfg)
     up, down = cfg.thresholds(1)
     assert up <= 0.7 <= down
-    state = enter_mode(schedule, 1)
+    state = schedule[1]
     assert step_logic(schedule, state, 0.7).r == 2
 
 

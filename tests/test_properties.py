@@ -31,7 +31,7 @@ from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbound
                                 PdConfig, PdGravity)
 from velobs.dynamics import SingleLinkModel, TwoLinkArm, TwoLinkParams
 from velobs.hybrid_logic import (SEMANTICS, GainSchedule, HybridConfig, JumpEvent,
-                                 compute_kr, enter_mode, flow_interval, initialize_logic,
+                                 compute_kr, flow_interval, initialize_logic,
                                  step_logic, velocity_sandwich)
 from velobs.observers import compute_k0, full_rate, reduced_rate
 from velobs.simulator import OBSERVER_MODES, Scenario, SimulationBlowUp, Trajectory, simulate
@@ -138,7 +138,7 @@ def next_mode(cfg, r, nrm) -> int:
 
 def check_step(step, cfg, r, nrm) -> None:
     schedule = GainSchedule(ARM, cfg)
-    state = enter_mode(schedule, r)
+    state = schedule[r]
     new = step(schedule, state, nrm)
     want = next_mode(cfg, r, nrm)
     assert new.r == want
@@ -203,7 +203,7 @@ def test_the_thresholds_are_the_band_formula(cfg, r):
         return
     up, down = up_thr(cfg, r), down_thr(cfg, r) if r > cfg.r_min else -math.inf
     assert cfg.thresholds(r) == (up, down)
-    state = enter_mode(GainSchedule(ARM, cfg), r)
+    state = GainSchedule(ARM, cfg)[r]
     assert (state.r, state.up, state.down) == (r, up, down)
     lo = max(down, 0.0)
     assert flow_interval(cfg, r) == ((lo, up) if lo <= up else None)
@@ -250,9 +250,9 @@ def test_a_strict_threshold_is_caught():
 
     def strict_step(schedule, state, nrm):
         if nrm > state.up:
-            return enter_mode(schedule, state.r + 1)
+            return schedule[state.r + 1]
         if nrm <= state.down:
-            return enter_mode(schedule, state.r - 1)
+            return schedule[state.r - 1]
         return state
 
     check_step(step_logic, cfg, 2, up_thr(cfg, 2))
@@ -500,7 +500,7 @@ def test_a_block_restarts_from_any_recorded_row(sc, data):
         schedule, step_logic)
     rows = slice(i, i + 2)
     s = tuple(np.concatenate([traj.x1[i], traj.x2[i], traj.z[i]]).tolist())
-    logic = None if schedule is None else enter_mode(schedule, int(traj.r[i]))
+    logic = None if schedule is None else schedule[int(traj.r[i])]
     srows, erows, _, handed = run(i, i + 2, s, i + 1, logic)
     srows, erows = np.array(srows), np.array(erows)
     n = model.n
@@ -513,7 +513,7 @@ def test_a_block_restarts_from_any_recorded_row(sc, data):
     assert all(same_bits(got, want) for got, want in pairs)
     # the block hands on row i + 1's logic state, and the run's jump between
     # the rows, if any, is their change of mode at row i + 1's estimate norm
-    assert handed is (None if schedule is None else enter_mode(schedule, int(traj.r[i + 1])))
+    assert handed is (None if schedule is None else schedule[int(traj.r[i + 1])])
     r0, r1 = erows[:, 2].astype(int).tolist()
     jumped = [(traj.t[i + 1], r0, r1, math.hypot(*erows[1, 5 + n:]), i + 1)] * (r1 != r0)
     assert [ev for ev in traj.jump_events if ev.step == i + 1] == jumped
@@ -536,7 +536,7 @@ def test_a_two_joint_run_reads_back_from_its_csv_bit_for_bit(sc):
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "run.csv"
         traj.to_csv(path)
-        back = Trajectory.from_csv(path)
+        back = Trajectory.from_csv(path, sc)
     for column in ("t", "x1", "x2", "xhat2", "eps_norm", "v_lyap", "r", "k_gain", "tau",
                    "lower", "upper"):
         got, want = getattr(back, column), getattr(traj, column)

@@ -297,7 +297,7 @@ def test_csv_round_trip_is_exact(arm, tmp_path):
     traj = simulate(sc)
     path = tmp_path / "run.csv"
     traj.to_csv(path)
-    back = Trajectory.from_csv(path)
+    back = Trajectory.from_csv(path, sc)
     assert np.array_equal(back.t, traj.t)
     assert np.array_equal(back.x1, traj.x1)
     assert np.array_equal(back.x2, traj.x2)
@@ -310,6 +310,25 @@ def test_csv_round_trip_is_exact(arm, tmp_path):
     assert np.array_equal(back.lower, traj.lower)
     assert np.array_equal(back.upper, traj.upper)
     assert back.jump_events == []
+
+
+def test_a_full_observer_export_reads_back_as_its_scenarios_record(arm, tmp_path):
+    # the file's estimate is the full observer's, and the design is the run's
+    sc = make_scenario(arm, observer_mode="full", t_final=0.25, xhat2_0=np.array([0.2, -0.1]))
+    traj = simulate(sc)
+    path = tmp_path / "full.csv"
+    traj.to_csv(path)
+    back = Trajectory.from_csv(path, sc)
+    assert back.scenario is sc and back.active == "full" and back.xhat2_reduced is None
+    assert np.array_equal(back.xhat2_full, traj.xhat2_full)
+    assert back.design == simulate(sc).design
+    assert report_lines(back, back.design) == report_lines(traj, traj.design)
+    # the file is read and checked before the scenario is validated
+    bad = dataclasses.replace(sc, dt=-1.0)
+    with pytest.raises(ScenarioError, match="dt must be positive"):
+        Trajectory.from_csv(path, bad)
+    with pytest.raises(FileNotFoundError):
+        Trajectory.from_csv(tmp_path / "missing.csv", bad)
 
 
 def reference_csv(traj: Trajectory, fmt: str) -> str:
@@ -342,7 +361,7 @@ def test_csv_blocks_are_the_per_value_bytes(example2_traj, tmp_path):
 def test_csv_reload_reconstructs_jump_events(example2_traj, tmp_path):
     path = tmp_path / "e2.csv"
     example2_traj.to_csv(path)
-    back = Trajectory.from_csv(path)
+    back = Trajectory.from_csv(path, example2_traj.scenario)
     orig = example2_traj.jump_events
     assert len(back.jump_events) == len(orig) > 0
     assert ([(ev.step, ev.old_r, ev.new_r) for ev in back.jump_events]
@@ -357,7 +376,7 @@ def test_csv_reload_reconstructs_jump_events(example2_traj, tmp_path):
 def test_csv_reload_events_are_the_mode_change_rows(example2_traj, tmp_path):
     path = tmp_path / "e2.csv"
     example2_traj.to_csv(path)
-    back = Trajectory.from_csv(path)
+    back = Trajectory.from_csv(path, example2_traj.scenario)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     r = data[:, simulator.CSV_COLUMNS.index("r")]
     changed = [i for i in range(1, len(r)) if r[i] != r[i - 1]]
@@ -388,7 +407,7 @@ def test_jump_fields_is_read_once_per_audit_and_once_per_view(tmp_path, monkeypa
     traj = simulate(builtin_scenarios()["example2"])
     path = tmp_path / "example2.csv"
     traj.to_csv(path)
-    back = Trajectory.from_csv(path)
+    back = Trajectory.from_csv(path, traj.scenario)
     assert calls == []
     report = report_lines(traj, traj.design)
     assert calls == [traj]
@@ -418,7 +437,7 @@ def test_csv_header_is_checked(arm, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(text) + "\n")
     with pytest.raises(ValueError, match="header"):
-        Trajectory.from_csv(bad)
+        Trajectory.from_csv(bad, sc)
     header, first, *rest = path.read_text().splitlines()
     fields = first.split(",")
 
@@ -435,12 +454,12 @@ def test_csv_header_is_checked(arm, tmp_path):
     for message, lines in cases:
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message):
-            Trajectory.from_csv(bad)
-    # blank lines are skipped wherever they are, right after the header too,
-    # and a line of whitespace is blank
-    for blank in ("", "  ", "\t \r"):
+            Trajectory.from_csv(bad, sc)
+    # blank lines and comments are skipped wherever they are, right after the
+    # header too; a line of whitespace is blank, and whitespace then "#" a comment
+    for blank in ("", "  ", "\t \r", "  # a note", "\t# a note"):
         bad.write_text("\n".join([header, blank, first, blank, *rest, blank]) + "\n")
-        assert np.array_equal(Trajectory.from_csv(bad).x1, Trajectory.from_csv(path).x1)
+        assert np.array_equal(Trajectory.from_csv(bad, sc).x1, Trajectory.from_csv(path, sc).x1)
 
 
 def test_builtin_scenario_parameters():
