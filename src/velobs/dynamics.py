@@ -29,6 +29,7 @@ uniform rods (center of mass at mid-length, barycentric inertia m L^2 / 12).
 from __future__ import annotations
 
 import math
+import types
 from abc import ABC, abstractmethod
 from dataclasses import astuple, dataclass, field
 from functools import cached_property, lru_cache
@@ -36,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .equations import compiled, define, joints, names
+from .equations import ARRAYS, NAMESPACE, compiled, define, joints, names
 
 # Conditioning limit above which the inertia matrix is treated as singular.
 INERTIA_COND_LIMIT = 1e12
@@ -73,9 +74,9 @@ class RobotModel(ABC):
 
     n: int
 
-    @abstractmethod
     def inertia(self, q: np.ndarray) -> np.ndarray:
         """Symmetric positive definite inertia matrix M(q) (inertia_stack of one q)."""
+        return self.inertia_stack(self.kernel(self._check_joint_vector(q, "q").tolist()), 1)[0]
 
     @abstractmethod
     def inertia_rate(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -85,17 +86,17 @@ class RobotModel(ABC):
     def coriolis(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Christoffel Coriolis matrix C(q, v)."""
 
-    @abstractmethod
     def gravity(self, q: np.ndarray) -> np.ndarray:
-        """Gravity torque vector g(q)."""
+        """Gravity torque vector g(q), the kernel's first n terms."""
+        return np.array(self.kernel(self._check_joint_vector(q, "q").tolist())[:self.n])
 
     @abstractmethod
     def potential(self, q: np.ndarray) -> float:
         """Gravitational potential energy whose gradient is gravity(q)."""
 
     @abstractmethod
-    def c0(self, q) -> float:
-        """c0_bound(q) for q a sequence of n floats, unchecked."""
+    def c0(self, q, ns=NAMESPACE) -> float:
+        """c0_bound(q) for q n floats, unchecked, or n float arrays in ns = ARRAYS."""
 
     @property
     @abstractmethod
@@ -142,12 +143,12 @@ class RobotModel(ABC):
         "energy", "terms, w", n, {"terms": cls.TERMS, "w": ["w{i}"]},
         joints(cls.ENERGY, n), "energy")))
 
-    def inertia_stack(self, rows: list) -> np.ndarray:
-        """M(q) for each q of `rows` (sequences of n floats), unchecked, as
-        one (len(rows), n, n) array of the kernel's INERTIA terms."""
-        pick = [self.TERMS.index(name) for name in self.INERTIA]
-        terms = np.array([self.kernel(q) for q in rows])
-        return terms[:, pick].reshape(len(rows), self.n, self.n)
+    def inertia_stack(self, terms, rows: int) -> np.ndarray:
+        """M(q), (rows, n, n), from the kernel's terms at `rows` configurations."""
+        m = np.empty((rows, self.n * self.n))
+        for j, name in enumerate(self.INERTIA):
+            m[:, j] = terms[self.TERMS.index(name)]     # a float term (c = beta) broadcasts
+        return m.reshape(rows, self.n, self.n)
 
     def c0_bound(self, q) -> float:
         """Configuration-dependent bound with ||C(q, v)|| <= c0(q) ||v||."""
@@ -257,8 +258,9 @@ class TwoLinkArm(RobotModel):
         except OverflowError:
             raise ValueError("arm parameters overflow the inertia terms") from None
 
-    def inertia(self, q) -> np.ndarray:
-        return self.inertia_stack([self._check_joint_vector(q, "q").tolist()])[0]
+    # on the class, where the benchmark's tracer wraps them by name
+    inertia = RobotModel.inertia
+    gravity = RobotModel.gravity
 
     def inertia_rate(self, q, v) -> np.ndarray:
         q = self._check_joint_vector(q, "q")
@@ -272,10 +274,6 @@ class TwoLinkArm(RobotModel):
         h = self.kernel(q)[6]
         return np.array([[-h * v[1], -h * (v[0] + v[1])],
                          [h * v[0], 0.0]])
-
-    def gravity(self, q) -> np.ndarray:
-        q = self._check_joint_vector(q, "q")
-        return np.array(self.kernel(q)[:2])
 
     # g = (g1, g2), M = [[a, b], [b, c]] with det M, the Coriolis factor
     # h = coupling sin q2, so that C(q, w) = h [[-w2, -(w1 + w2)], [w1, 0]]
@@ -309,8 +307,8 @@ class TwoLinkArm(RobotModel):
         a1, a2 = self._constants[3:5]
         return a1 * math.sin(q[0]) + a2 * math.sin(q[0] + q[1])
 
-    def c0(self, q) -> float:
-        return self.c0_max * abs(math.sin(q[1]))
+    def c0(self, q, ns=NAMESPACE) -> float:
+        return self.c0_max * abs(ns["sin"](q[1]))
 
     def design_grid(self) -> np.ndarray:
         # M, c0 and g depend on q2 only up to the q1 terms of gravity, and the
@@ -335,9 +333,6 @@ class SingleLinkModel(RobotModel):
         if not (self.damping >= 0.0 and math.isfinite(self.damping)):
             raise ValueError("damping must be nonnegative and finite")
 
-    def inertia(self, q) -> np.ndarray:
-        return self.inertia_stack([self._check_joint_vector(q, "q").tolist()])[0]
-
     def inertia_rate(self, q, v) -> np.ndarray:
         self._check_joint_vector(q, "q")
         return np.zeros((1, 1))
@@ -347,15 +342,11 @@ class SingleLinkModel(RobotModel):
         self._check_joint_vector(v, "v")
         return np.zeros((1, 1))
 
-    def gravity(self, q) -> np.ndarray:
-        self._check_joint_vector(q, "q")
-        return np.zeros(1)
-
     def potential(self, q) -> float:
         self._check_joint_vector(q, "q")
         return 0.0
 
-    def c0(self, q) -> float:
+    def c0(self, q, ns=NAMESPACE) -> float:
         return 0.0
 
     @property
@@ -396,11 +387,12 @@ class GridTables(NamedTuple):
 
 def grid_tables(model: RobotModel) -> GridTables:
     """Evaluate eigenvalue and c0 tables over the model's design grid."""
-    # M(q) and c0(q) for every row on Python floats (math.cos, not np.cos,
-    # so the entries are the kernel's), the eigenvalues in one batched call
-    rows = model.design_grid().tolist()
-    w = np.linalg.eigvalsh(model.inertia_stack(rows))
-    c0 = np.array([model.c0(q) for q in rows])
+    # the kernel's code and c0 in ARRAYS, once over the grid's columns (each
+    # entry the float kernel's at its row), the eigenvalues in one batched call
+    q = model.design_grid().T
+    terms = types.FunctionType(type(model).kernel.__code__, ARRAYS)(model, q)
+    w = np.linalg.eigvalsh(model.inertia_stack(terms, q.shape[1]))
+    c0 = np.full(q.shape[1], model.c0(q, ARRAYS))
     return GridTables(w[:, 0].copy(), w[:, -1].copy(), c0)
 
 

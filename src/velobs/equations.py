@@ -6,9 +6,9 @@ vector component: a line holding `{i}` is written out once per joint, and
 `rename` gives a vector another name (w1, w2 -> v1, v2), so that one text can
 be inlined wherever its equation is evaluated.  The text is compiled in
 NAMESPACE, which supplies `cos`, `sin` and `hypot` (the `math` functions);
-compiled against numpy's, the same text would evaluate on arrays.  Only
-the package's own text is compiled: nothing read from a scenario file or a
-CSV reaches `define`.
+its code rebound to ARRAYS (`types.FunctionType(code, ARRAYS)`) evaluates on
+float arrays, with no second compilation.  Only the package's own text is
+compiled: nothing read from a scenario file or a CSV reaches `define`.
 """
 from __future__ import annotations
 
@@ -16,7 +16,13 @@ import functools
 import math
 import re
 
+import numpy as np
+
 NAMESPACE = {"cos": math.cos, "sin": math.sin, "hypot": math.hypot}
+# math.cos and math.sin entry by entry, so each entry is the float text's bit
+# for bit: numpy's + - * / round as floats do, np.cos and np.sin need not.
+ARRAYS = {"cos": np.vectorize(math.cos, otypes=[float]),
+          "sin": np.vectorize(math.sin, otypes=[float])}
 
 
 def joints(text: str, n: int) -> list[str]:

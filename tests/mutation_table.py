@@ -36,6 +36,7 @@ TIMEOUT = 600
 
 A, O, H = "src/velobs/analysis.py", "src/velobs/observers.py", "src/velobs/hybrid_logic.py"
 S, D, C = "src/velobs/simulator.py", "src/velobs/dynamics.py", "src/velobs/controllers.py"
+E = "src/velobs/equations.py"
 
 ROWS = (
     # the claim layer's constants and comparison edges
@@ -69,6 +70,12 @@ ROWS = (
     # the gain schedule enters the next mode up, designed at its own band
     (H, "return schedule[state.r + 1]", "return schedule[state.r]"),
     (H, "compute_kr(self.model, self.config, r)", "compute_kr(self.model, self.config, r + 1)"),
+    # the design grid's array pass: the eigenvalue column of lam_min, the abs
+    # of c0, the pick order of M's entries (eigenvalues kept), the array trig
+    (D, "GridTables(w[:, 0].copy()", "GridTables(w[:, -1].copy()"),
+    (D, 'abs(ns["sin"](q[1]))', 'ns["sin"](q[1])'),
+    (D, 'INERTIA = ("a", "b", "b", "c")', 'INERTIA = ("c", "b", "b", "a")'),
+    (E, '"cos": np.vectorize(math.cos', '"cos": np.vectorize(math.sin'),
 )
 
 # row number -> why tier-1 cannot tell the mutant from the program

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -387,12 +389,11 @@ def same_bits(tables, reference) -> bool:
 
 
 class OneUlpArm(TwoLinkArm):
-    """The arm with the off-diagonal inertia term b one ulp higher."""
+    """The arm with the coupling factor of the off-diagonal inertia term b
+    one ulp higher in its kernel text."""
 
-    def kernel(self, q):
-        terms = list(TwoLinkArm.kernel(self, q))
-        terms[3] = math.nextafter(terms[3], math.inf)
-        return tuple(terms)
+    KERNEL = TwoLinkArm.KERNEL.replace(
+        "b = beta + coupling", f"b = beta + {math.nextafter(1.0, 2.0)!r} * coupling")
 
 
 def design_models():
@@ -411,8 +412,29 @@ def test_grid_tables_are_the_per_row_reference(model):
 
 
 def test_a_one_ulp_inertia_entry_is_caught(arm):
+    assert OneUlpArm.KERNEL != TwoLinkArm.KERNEL
     assert same_bits(grid_tables(arm), reference_tables(arm))
+    # the grid pass evaluates the subclass's text, as its per-row reference does
+    assert same_bits(grid_tables(OneUlpArm()), reference_tables(OneUlpArm()))
     assert not same_bits(grid_tables(OneUlpArm()), reference_tables(arm))
+
+
+def test_grid_tables_evaluate_the_kernel_and_c0_once_not_per_row(arm):
+    # calls of the kernel's and c0's code, in whatever namespace they run
+    codes = {TwoLinkArm.kernel.__code__: "kernel", TwoLinkArm.c0.__code__: "c0"}
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        grid_tables(arm)
+    finally:
+        sys.setprofile(previous)
+    assert calls == {"kernel": 1, "c0": 1}
 
 
 class FineArm(TwoLinkArm):
