@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid_logic import JumpEvent, flow_interval
+from .hybrid_logic import JumpEvent, flow_empty_above_floor, flow_interval
 from .observers import GainDesign
 from .simulator import Trajectory, jump_fields, jump_steps
 
@@ -182,6 +182,9 @@ def report_values(traj: Trajectory, design: GainDesign) -> dict[str, object]:
     values["chatter_score"] = chatter_score(traj)
     values["final_r"] = int(traj.r[-1])
     values["ultimate_r_constant"] = ultimate_r_constant(traj)
+    values["lyapunov_checked_pairs"] = lyapunov.checked_pairs
+    if sc.hybrid is not None:
+        values["flow_empty_above_floor"] = flow_empty_above_floor(sc.hybrid)
     return values
 
 

@@ -97,6 +97,15 @@ def flow_interval(config: HybridConfig, r: int) -> tuple[float, float] | None:
     return lo, up
 
 
+def flow_empty_above_floor(config: HybridConfig) -> bool:
+    """True when the flow annulus of every mode above r_min is empty: the
+    paper_faithful jump sets with v_bar < 2 eta, where each such mode's down
+    threshold (r - 1) v_bar + eta lies above its up threshold r v_bar - eta.
+    The comparison is exact; flow_interval, which rounds both thresholds,
+    may differ from it only when v_bar is within a few ulps of 2 eta."""
+    return config.semantics == "paper_faithful" and config.v_bar < 2.0 * config.eta
+
+
 def compute_kr(model: RobotModel, config: HybridConfig, r: int) -> float:
     """Scheduled gain of mode r: the constant design for speeds up to r * v_bar."""
     return compute_k0(model, config.eta, config.band_speed(r)).k0

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Callable
@@ -44,9 +45,10 @@ CSV_COLUMNS = ("t", "q1", "q2", "dq1", "dq2", "dq1_hat", "dq2_hat",
 # One CSV row: the mode index r as an integer, every other value with 17
 # significant digits, enough for every float to read back bit for bit.
 _CSV_ROW = ",".join("%d" if c == "r" else "%.17g" for c in CSV_COLUMNS) + "\n"
-# Rows formatted per write by Trajectory.to_csv, and rows simulate collects
-# in lists before it copies them into its sample arrays.  Larger blocks write
-# no faster and raise peak RSS more: about 1.5 MB at 1024 rows, 7 MB at 4096.
+# Rows formatted per write by Trajectory.to_csv, and samples one call of the
+# compiled run records in its flat list before simulate packs them into its
+# sample array.  Larger blocks write and pack no faster, and a block's list
+# holds about 32 bytes a value: 0.5 MB at 1024 of example2's 15-value rows.
 CSV_BLOCK_ROWS = 1024
 
 
@@ -298,12 +300,13 @@ def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
     (x1_hat, x2_hat) as the mode has them) at the reduced gain k, and
     run(i, stop, s, last, logic), which integrates samples i to stop - 1 from
     s and the logic state (whose k_r and r it runs at; kd and 0 without one),
-    evaluating no stage past the sample `last`.  run returns the block's state
-    tuples and sample rows (eps_norm, V, r, k, |xhat2|, tau, then the reduced
-    observer's xhat2 when the mode has it), then s and the logic state for the
-    next block; s is None after a step that left the blow-up limit or raised
-    a math error.  With a logic state each step calls step_logic(schedule,
-    logic, |xhat2|); a jump re-bases z, and the r column records it.
+    evaluating no stage past the sample `last`.  run returns the block's
+    samples as one flat list of floats (each sample's state s, then its row
+    eps_norm, V, r, k, |xhat2|, tau and the reduced observer's xhat2 when the
+    mode has it), then s and the logic state for the next block; s is None
+    after a step that left the blow-up limit or raised a math error.  With a
+    logic state each step calls step_logic(schedule, logic, |xhat2|); a jump
+    re-bases z, and the r column records it.
     Both inline the equation text, bit for bit the composition of the
     per-equation functions."""
     n = model_cls.n
@@ -351,12 +354,12 @@ def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
     steps = stage("_b", "half", "") + stage("_c", "half", "_b") + stage("_d", "dt", "_c")
     within = " and ".join(WITHIN_LIMIT.format(x=x, limit=BLOWUP_LIMIT) for x in packed)
     # the step's sample at t, its RK4 step, the blow-up check, then the logic
-    loop = ["t = i * dt", "keep(s)", *body, *record, "if i == last:", "    break",
+    loop = ["t = i * dt", "put(s)", *body, *record, "if i == last:", "    break",
             "try:", *indent([*steps, f"s = ({names(*final, n=n)})"]),
-            "except (ValueError, ArithmeticError):", "    return srows, erows, None, logic",
+            "except (ValueError, ArithmeticError):", "    return rows, None, logic",
             f"{state} = s",
             f"if not ({within}):",
-            "    return srows, erows, None, logic"]
+            "    return rows, None, logic"]
     if red:
         loop += ["if logic is not None:", *indent([
             *text(ESTIMATE), f"nrm = hypot({names('est{i}', n=n)})",
@@ -369,10 +372,10 @@ def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
                                                *text("ph{i} = q{i}\nvh{i} = est{i}") * full],
                      state),
              *source("run", "i, stop, s, last, logic",
-                     ["srows, erows = [], []", "keep, put = srows.append, erows.append",
+                     ["rows = []", "put = rows.extend",
                       "k, r = (kd, 0) if logic is None else (logic.k_r, logic.r)",
                       f"{state} = s", "for i in range(i, stop):", *indent(loop)],
-                     "srows, erows, s, logic")]
+                     "rows, s, logic")]
     params = names(*model_cls.CONSTANTS, *law_cls.CONSTANTS, "kd", "kp", "dt", "schedule",
                    "step_logic", n=n)
     return define("factory", params, n, {}, lines, "pack, run")
@@ -406,21 +409,22 @@ def simulate(scenario: Scenario) -> Trajectory:
              kd if logic is None else logic.k_r)
 
     n_samples = scenario.sample_count()
-    states = np.empty((n_samples, len(s)))
-    # per-sample columns: eps_norm, V, r, k_r, the estimate norm, tau, then
-    # the reduced observer's estimate
-    extra = np.empty((n_samples, 5 + n + n * use_red))
-    # run integrates a block of samples and returns its rows, which are
-    # copied into the arrays per block
+    packed = len(s)
+    # one row per sample: the packed state, then eps_norm, V, r, k_r, the
+    # estimate norm, tau and the reduced observer's estimate
+    width = packed + 5 + n + n * use_red
+    samples = np.empty((n_samples, width))
+    # run records a block of samples as one flat list of floats, which one
+    # pack_into copies bit for bit into the block's rows of the array
     for start in range(0, n_samples, CSV_BLOCK_ROWS):
         stop = min(start + CSV_BLOCK_ROWS, n_samples)
-        srows, erows, s, logic = run(start, stop, s, n_samples - 1, logic)
+        rows, s, logic = run(start, stop, s, n_samples - 1, logic)
         if s is None:
-            t = (start + len(srows) - 1) * dt
+            t = (start + len(rows) // width - 1) * dt
             raise SimulationBlowUp(
                 f"state component left |x| <= {BLOWUP_LIMIT:g} at t = {t + dt:.6g}")
-        states[start:stop] = srows
-        extra[start:stop] = erows
+        struct.pack_into(f"{len(rows)}d", samples, start * samples.strides[0], *rows)
+    states, extra = samples[:, :packed], samples[:, packed:]
     lower, upper = velocity_sandwich(eta, extra[:, 4])
 
     return Trajectory(

@@ -76,6 +76,11 @@ ROWS = (
     (D, 'abs(ns["sin"](q[1]))', 'ns["sin"](q[1])'),
     (D, 'INERTIA = ("a", "b", "b", "c")', 'INERTIA = ("c", "b", "b", "a")'),
     (E, '"cos": np.vectorize(math.cos', '"cos": np.vectorize(math.sin'),
+    # the packed sample array: each block's byte offset, the sample a blow-up
+    # reports, and the width of a row that holds the reduced estimate
+    (S, "start * samples.strides[0]", "(start + 1) * samples.strides[0]"),
+    (S, "len(rows) // width - 1", "len(rows) // width"),
+    (S, "5 + n + n * use_red", "5 + n + n"),
 )
 
 # row number -> why tier-1 cannot tell the mutant from the program

@@ -320,6 +320,15 @@ def test_report_lines_content(example2_traj, example1_traj):
             "empty_flow_annulus", "samples", "k0_design", "region_radius",
             "max_speed", "reduced_settling_time", "sandwich_violations",
             "jump_count", "chatter_score", "final_r", "overall"} <= keys
+    # the scan's pair count, then a hybrid run's closed-form flow test, follow
+    # ultimate_r_constant
+    for traj, tail in ((example2_traj, ["flow_empty_above_floor: true"]), (example1_traj, [])):
+        run_lines = report_lines(traj, traj.design)
+        keys = [ln.split(":")[0] for ln in run_lines]
+        at = keys.index("ultimate_r_constant") + 1
+        end = next(i for i, key in enumerate(keys) if key.startswith("check_"))
+        pairs = check_lyapunov_decrease(traj, traj.design).checked_pairs
+        assert run_lines[at:end] == [f"lyapunov_checked_pairs: {pairs}", *tail]
     assert "scenario: example2" in text
     assert "overall: pass" in text
     assert "check_r_increases: pass" in text

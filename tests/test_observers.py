@@ -40,8 +40,10 @@ def test_estimate_is_affine_in_output():
         *TwoLinkArm()._constants, 0.0, 0.0, 1.0, 1.0, 1e-3, None, logic_step)
     s = (0.5, 0.25, 0.0, 0.0, 1.0, -2.0)
     logic = LogicState(0, 3.0, math.inf, -math.inf)
-    _, (row,), s1, same = run(0, 1, s, 1, logic)
-    assert same is logic and row[2:4] == (0, 3.0)
+    rows, s1, same = run(0, 1, s, 1, logic)
+    # one sample, flat: its packed state, then its row
+    state, row = tuple(rows[:len(s)]), tuple(rows[len(s):])
+    assert state == s and same is logic and row[2:4] == (0, 3.0)
     assert row[-2:] == (2.5, -1.25) and row[4] == math.hypot(2.5, -1.25)
     assert norms == [math.hypot(3.0 * s1[0] + s1[4], 3.0 * s1[1] + s1[5])]
 

@@ -22,7 +22,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from velobs import simulator
@@ -31,8 +31,8 @@ from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbound
                                 PdConfig, PdGravity)
 from velobs.dynamics import SingleLinkModel, TwoLinkArm, TwoLinkParams
 from velobs.hybrid_logic import (SEMANTICS, GainSchedule, HybridConfig, JumpEvent,
-                                 compute_kr, flow_interval, initialize_logic,
-                                 step_logic, velocity_sandwich)
+                                 compute_kr, flow_empty_above_floor, flow_interval,
+                                 initialize_logic, step_logic, velocity_sandwich)
 from velobs.observers import compute_k0, full_rate, reduced_rate
 from velobs.simulator import OBSERVER_MODES, Scenario, SimulationBlowUp, Trajectory, simulate
 
@@ -207,6 +207,24 @@ def test_the_thresholds_are_the_band_formula(cfg, r):
     assert (state.r, state.up, state.down) == (r, up, down)
     lo = max(down, 0.0)
     assert flow_interval(cfg, r) == ((lo, up) if lo <= up else None)
+
+
+@PROPERTY
+@given(configs, st.one_of(st.integers(1, 50), st.integers(1, 10**6)))
+def test_flow_empty_above_floor_is_every_annulus_above_the_floor(cfg, above):
+    empty = flow_empty_above_floor(cfg)
+    if cfg.semantics == "hysteresis":
+        # a mode whose up threshold r v_bar - eta is at least v_bar flows
+        assert not empty
+        assert flow_interval(cfg, cfg.r_min + 1 + math.ceil(cfg.eta / cfg.v_bar)) is not None
+        return
+    r = cfg.r_min + above
+    # the annulus is [down, up], of width v_bar - 2 eta; each threshold is
+    # rounded, so within a few ulps of the edge flow_interval may go either way
+    if abs(cfg.v_bar - 2.0 * cfg.eta) <= 8.0 * math.ulp(r * cfg.v_bar + cfg.eta):
+        event("v_bar within rounding of 2 eta")
+        return
+    assert (flow_interval(cfg, r) is None) == empty
 
 
 @settings(database=None, deadline=None, max_examples=50)
@@ -501,8 +519,10 @@ def test_a_block_restarts_from_any_recorded_row(sc, data):
     rows = slice(i, i + 2)
     s = tuple(np.concatenate([traj.x1[i], traj.x2[i], traj.z[i]]).tolist())
     logic = None if schedule is None else schedule[int(traj.r[i])]
-    srows, erows, _, handed = run(i, i + 2, s, i + 1, logic)
-    srows, erows = np.array(srows), np.array(erows)
+    flat, _, handed = run(i, i + 2, s, i + 1, logic)
+    # two samples, flat: each its packed state, then its row
+    samples = np.array(flat).reshape(2, -1)
+    srows, erows = samples[:, :len(s)], samples[:, len(s):]
     n = model.n
     lower, upper = velocity_sandwich(sc.eta, erows[:, 4])
     pairs = [(srows, np.hstack([traj.x1[rows], traj.x2[rows], traj.z[rows]])),
@@ -651,12 +671,15 @@ def compiled_matches_composition(model_cls, model, law, mode, i, s, k, kd, kp, r
     # a step that leaves the blow-up limit ends the block with no next state
     blown = not all(-simulator.BLOWUP_LIMIT <= x <= simulator.BLOWUP_LIMIT for x in s1)
     logic = SimpleNamespace(r=r, k_r=k)
-    srows, (got_row,), got_s1, *ends = run(i, i + 1, s, i + 1, logic)
-    _, (last_row,), same, *last_ends = run(i, i + 1, s, i, logic)
-    _, (kd_row,), _, none = run(i, i + 1, s, i, None)
-    got = [pack(q, v, est, k), *srows, got_row, last_row, same, kd_row]
+    # each block is one sample, flat: its packed state's m values, then its row
+    m = len(s)
+    rows, got_s1, *ends = run(i, i + 1, s, i + 1, logic)
+    last_rows, same, *last_ends = run(i, i + 1, s, i, logic)
+    kd_rows, _, none = run(i, i + 1, s, i, None)
+    got = [pack(q, v, est, k), rows[:m], rows[m:], last_rows[m:], same, kd_rows[m:]]
     want = [packed, s, row, row, s, row_at(kd, 0)]
-    exact = ends == last_ends == [logic] and none is None and len(srows) == 1
+    exact = ends == last_ends == [logic] and none is None and (
+        len(rows) == len(last_rows) == len(kd_rows) == m + len(row))
     if blown:
         exact = exact and got_s1 is None
     else:
@@ -673,7 +696,8 @@ def compiled_matches_composition(model_cls, model, law, mode, i, s, k, kd, kp, r
 
         *_, s2, logic2 = bind(jump)[1](i, i + 1, s, i + 1, logic)
         # the next block starts at the new gain and mode
-        _, (next_row,), *_ = run(i + 1, i + 2, s2, i + 1, logic2)
+        next_rows, *_ = run(i + 1, i + 2, s2, i + 1, logic2)
+        next_row = tuple(next_rows[m:])
         q1 = s1[:n]
         est1 = axpy(k, q1, s1[2 * n:3 * n])
         nrm1 = math.hypot(*est1)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -270,10 +271,65 @@ def test_the_last_sample_evaluates_no_later_stage(arm):
     _, run = simulator.flat_rhs(TwoLinkArm, ConstantTorque, "reduced")(
         *arm._constants, 0.0, 0.0, 1.0, 1.0, 1e-3, None, None)
     s = (0.0, 1.0, 1e308, 1e308, 0.0, 0.0)
-    srows, erows, blown, logic = run(0, 1, s, 1, None)
-    assert blown is None and logic is None and srows == [s] and len(erows) == 1
-    srows, (row,), same, logic = run(0, 1, s, 0, None)
-    assert srows == [s] and same == s and logic is None and row[2:4] == (0, 1.0)
+    # one sample, flat: its packed state, then its row of 5 + n + n values
+    rows, blown, logic = run(0, 1, s, 1, None)
+    assert blown is None and logic is None and tuple(rows[:6]) == s and len(rows) == 6 + 9
+    rows, same, logic = run(0, 1, s, 0, None)
+    state, row = tuple(rows[:6]), tuple(rows[6:])
+    assert state == s and same == s and logic is None and len(row) == 9
+    assert row[2:4] == (0, 1.0)
+
+
+def test_a_run_holds_its_sample_array_and_one_block(monkeypatch):
+    # a scheduled 3 s run in 4-row blocks: past what a one-step run peaks at,
+    # it holds the arrays it returns and at most a few blocks' flat lists (a
+    # Python float and its list slot, 32 bytes a value)
+    sc = dataclasses.replace(builtin_scenarios()["example2"], t_final=3.0, dt=2e-2)
+
+    def peak(sc):
+        tracemalloc.start()
+        try:
+            traj = simulate(sc)
+            return tracemalloc.get_traced_memory()[1], traj
+        finally:
+            tracemalloc.stop()
+
+    def growth(block_rows):
+        monkeypatch.setattr(simulator, "CSV_BLOCK_ROWS", block_rows)
+        baseline, _ = peak(dataclasses.replace(sc, t_final=sc.dt))
+        top, traj = peak(sc)
+        samples = traj.x1.base
+        held = sum(a.nbytes for a in (samples, traj.t, traj.r, traj.lower, traj.upper))
+        return top - baseline, held + 4 * block_rows * samples.shape[1] * 32
+
+    simulate(sc)    # compiles the loop and builds the design tables
+    grew, bound = growth(4)
+    assert grew <= bound
+    # one whole-run list of Python floats holds four times the sample array
+    assert growth(sc.sample_count())[0] > bound
+
+
+def test_jump_counts_follow_the_step_size_as_the_jump_sets_predict():
+    # example2 and example3 over 8 s at dt and dt / 2: under hysteresis each
+    # jump is an isolated event, the same modes within one coarse step; under
+    # the paper's jump sets (v_bar < 2 eta, no flow above the floor) the mode
+    # chatters, one jump about every step, so the count doubles
+    for name in ("example2", "example3"):
+        sc = builtin_scenarios()[name]
+        for semantics in ("hysteresis", "paper_faithful"):
+            runs = []
+            for dt in (2e-3, 1e-3):
+                traj = simulate(dataclasses.replace(
+                    sc, t_final=8.0, dt=dt,
+                    hybrid=dataclasses.replace(sc.hybrid, semantics=semantics)))
+                steps = simulator.jump_steps(traj.r)
+                runs.append((traj.r[np.r_[0, steps]].tolist(), traj.t[steps]))
+            (coarse_modes, coarse_t), (fine_modes, fine_t) = runs
+            if semantics == "hysteresis":
+                assert len(coarse_modes) > 2 and fine_modes == coarse_modes
+                assert np.all(np.abs(fine_t - coarse_t) <= 2e-3)
+            else:
+                assert abs(fine_t.size - 2 * coarse_t.size) <= 1
 
 
 def test_single_link_and_full_only_runs(single):
