@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ CHATTER_WINDOW = 10
 LYAPUNOV_TOL = 1e-8
 
 
-@dataclass
-class LyapunovCheck:
+class LyapunovCheck(NamedTuple):
     """Outcome of the monotone-decrease scan."""
 
     violations: list[tuple[int, float, float, float]]

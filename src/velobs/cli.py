@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 configuration or I/O problem, 2 simulation failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import functools
 import os
@@ -227,6 +226,7 @@ def cmd_sweep(args) -> int:
     # every scenario runs to its own exit code, its error (if any) on stderr
     workers = sweep_workers(args.jobs, len(tokens))
     if workers > 1:
+        import concurrent.futures   # here, so that no other command pays for its import
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_exit_code, _sweep_task, tok, args, out_dir)
                        for tok in tokens]

@@ -10,9 +10,6 @@ model kernel's terms) and `torque` wraps that for arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-
 import numpy as np
 
 from .dynamics import RobotModel
@@ -26,8 +23,10 @@ def _two_joint_gravity(model: RobotModel, q) -> list[float]:
 
 
 class TorqueLaw:
-    """A torque law of n joints, written as the text LAW."""
+    """A torque law of n joints, written as the text LAW, and named `name`."""
 
+    name: str
+    n: int
     CONSTANTS: tuple[str, ...] = ()
     _constants: tuple[float, ...] = ()
 
@@ -53,28 +52,20 @@ def _as_gain_matrix(k, n: int, name: str) -> np.ndarray:
     return k
 
 
-@dataclass(frozen=True, eq=False)
 class PdConfig:
     """Diagonal PD gains and the position setpoint."""
 
-    kp: np.ndarray
-    kd: np.ndarray
-    x_ref: np.ndarray
-
-    def __post_init__(self):
-        x_ref = np.asarray(self.x_ref, dtype=float)
-        n = x_ref.shape[0]
-        object.__setattr__(self, "x_ref", x_ref)
-        object.__setattr__(self, "kp", _as_gain_matrix(self.kp, n, "kp"))
-        object.__setattr__(self, "kd", _as_gain_matrix(self.kd, n, "kd"))
+    def __init__(self, kp, kd, x_ref):
+        self.x_ref = np.asarray(x_ref, dtype=float)
+        n = self.x_ref.shape[0]
+        self.kp = _as_gain_matrix(kp, n, "kp")
+        self.kd = _as_gain_matrix(kd, n, "kd")
 
 
-@dataclass(frozen=True)
 class OpenLoopBounded(TorqueLaw):
     """Gravity compensation plus the bounded profile (cos(t/2), -cos t)."""
 
-    name: str = field(default="open_loop_1", init=False)
-
+    name = "open_loop_1"
     n = 2
     LAW = """
         tau1 = g1 + cos(0.5 * t)
@@ -85,12 +76,10 @@ class OpenLoopBounded(TorqueLaw):
         return np.array(self.float_torque(_two_joint_gravity(model, q), q, xhat2, t))
 
 
-@dataclass(frozen=True)
 class OpenLoopUnbounded(TorqueLaw):
     """Gravity compensation plus (sin t, 1 + sin 2t); drives speeds unbounded."""
 
-    name: str = field(default="open_loop_2", init=False)
-
+    name = "open_loop_2"
     n = 2
     LAW = """
         tau1 = g1 + sin(t)
@@ -101,26 +90,19 @@ class OpenLoopUnbounded(TorqueLaw):
         return np.array(self.float_torque(_two_joint_gravity(model, q), q, xhat2, t))
 
 
-@dataclass(frozen=True, eq=False)
 class PdGravity(TorqueLaw):
     """PD regulation about x_ref with gravity compensation, damping on the estimate."""
 
-    config: PdConfig
-    name: str = field(default="pd", init=False)
-
+    name = "pd"
     # g + Kp (x_ref - q) - Kd xhat2 with diagonal gains
     CONSTANTS = ("kp{i}", "kd{i}", "ref{i}")
     LAW = "tau{i} = g{i} + kp{i} * (ref{i} - q{i}) - kd{i} * xh{i}"
 
-    @property
-    def n(self) -> int:
-        return self.config.x_ref.shape[0]
-
-    @cached_property
-    def _constants(self) -> tuple[float, ...]:
-        cfg = self.config
-        return (*np.diagonal(cfg.kp).tolist(), *np.diagonal(cfg.kd).tolist(),
-                *cfg.x_ref.tolist())
+    def __init__(self, config: PdConfig):
+        self.config = config
+        self.n = config.x_ref.shape[0]
+        self._constants = (*np.diagonal(config.kp).tolist(), *np.diagonal(config.kd).tolist(),
+                           *config.x_ref.tolist())
 
     def torque(self, model, q, xhat2, t):
         q = model._check_joint_vector(q, "q")
@@ -131,24 +113,17 @@ class PdGravity(TorqueLaw):
                                           xhat2.tolist(), t))
 
 
-@dataclass(frozen=True, eq=False)
 class ConstantTorque(TorqueLaw):
-    tau: np.ndarray
-    name: str = field(default="constant", init=False)
+    """The constant torque tau, whatever the state."""
 
+    name = "constant"
     CONSTANTS = ("u{i}",)
     LAW = "tau{i} = u{i}"
 
-    def __post_init__(self):
-        object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float))
-
-    @property
-    def n(self) -> int:
-        return self.tau.size
-
-    @cached_property
-    def _constants(self) -> tuple[float, ...]:
-        return tuple(np.ravel(self.tau).tolist())
+    def __init__(self, tau):
+        self.tau = np.asarray(tau, dtype=float)
+        self.n = self.tau.size
+        self._constants = tuple(np.ravel(self.tau).tolist())
 
     def torque(self, model, q, xhat2, t):
         return np.array(self.float_torque(None, q, xhat2, t))

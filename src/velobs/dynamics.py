@@ -55,16 +55,12 @@ class SingularInertiaError(RuntimeError):
     """Raised when the inertia matrix is numerically singular."""
 
 
-@dataclass
 class PlantState:
     """Joint positions x1 (rad) and joint velocities x2 (rad/s)."""
 
-    x1: np.ndarray
-    x2: np.ndarray
-
-    def __post_init__(self):
-        self.x1 = np.asarray(self.x1, dtype=float)
-        self.x2 = np.asarray(self.x2, dtype=float)
+    def __init__(self, x1, x2):
+        self.x1 = np.asarray(x1, dtype=float)
+        self.x2 = np.asarray(x2, dtype=float)
         if self.x1.ndim != 1 or self.x1.shape != self.x2.shape:
             raise ValueError("x1 and x2 must be 1-D arrays of equal length")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ def check_gain(k: float, name: str) -> float:
     return k
 
 
-@dataclass(frozen=True)
-class GainDesign:
+class GainDesign(NamedTuple):
     """Designed observer gain together with the spectral constants behind it."""
 
     eta: float

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Callable
 
@@ -117,12 +117,15 @@ class Scenario:
                 raise ScenarioError("hybrid config eta must match scenario eta")
             if self.k0_override is not None:
                 raise ScenarioError("k0_override applies to the constant gain mode only")
-        # the starting band, where the run or the design speed reads it: every
-        # mode a run can reach stays a whole float in the r column
+        # the starting band where the run or the design speed reads it, else the
+        # floor mode, whose band the report reads: every mode a run or its report
+        # can reach stays a whole float in the r column
+        top = 2**53 - MAX_INIT_JUMPS - MAX_SAMPLES
         if self.hybrid is not None and (self.gain_mode == "scheduled" or self.v_max is None):
-            top = 2**53 - MAX_INIT_JUMPS - MAX_SAMPLES
             if not self.hybrid.r_min <= self.r_guess <= top:
                 raise ScenarioError(f"r_guess must lie between r_min and {top}")
+        elif self.hybrid is not None and self.hybrid.r_min > top:
+            raise ScenarioError(f"r_min must be at most {top}")
         elif self.v_max is None:    # a constant gain with no band to design for
             raise ScenarioError("constant gain mode requires v_max")
         if self.gain_mode == "constant" and not 0.0 <= self.design_speed() < math.inf:
@@ -162,26 +165,29 @@ class Scenario:
         return int(math.floor(self.t_final / self.dt + 1e-9)) + 1
 
 
-@dataclass(eq=False)
 class Trajectory:
-    """Sampled run of one scenario, one row per integrator step."""
+    """Sampled run of one scenario, one row per integrator step: the
+    columns, the scenario and its design, and the time-zero walk's events."""
 
-    t: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    eps_norm: np.ndarray
-    v_lyap: np.ndarray
-    r: np.ndarray
-    k_gain: np.ndarray
-    tau: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    scenario: Scenario
-    design: GainDesign
-    xhat2_reduced: np.ndarray | None = None
-    xhat2_full: np.ndarray | None = None
-    z: np.ndarray | None = None
-    init_events: list[JumpEvent] = field(default_factory=list)  # the time-zero walk's
+    def __init__(self, t, x1, x2, eps_norm, v_lyap, r, k_gain, tau, lower, upper,
+                 scenario: Scenario, design: GainDesign, xhat2_reduced=None,
+                 xhat2_full=None, z=None, init_events: list[JumpEvent] | None = None):
+        self.t = t
+        self.x1 = x1
+        self.x2 = x2
+        self.eps_norm = eps_norm
+        self.v_lyap = v_lyap
+        self.r = r
+        self.k_gain = k_gain
+        self.tau = tau
+        self.lower = lower
+        self.upper = upper
+        self.scenario = scenario
+        self.design = design
+        self.xhat2_reduced = xhat2_reduced
+        self.xhat2_full = xhat2_full
+        self.z = z
+        self.init_events = [] if init_events is None else init_events
 
     @property
     def active(self) -> str:

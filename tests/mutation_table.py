@@ -81,6 +81,15 @@ ROWS = (
     (S, "start * samples.strides[0]", "(start + 1) * samples.strides[0]"),
     (S, "len(rows) // width - 1", "len(rows) // width"),
     (S, "5 + n + n * use_red", "5 + n + n"),
+    # the records and laws built by a plain __init__: PdConfig's kd checks,
+    # ConstantTorque's float values, a fresh init_events list per trajectory
+    # and PlantState's shape check
+    (C, 'self.kd = _as_gain_matrix(kd, n, "kd")', "self.kd = np.diag(kd)"),
+    (C, "np.asarray(tau, dtype=float)", "np.asarray(tau)"),
+    (S, "init_events: list[JumpEvent] | None = None)",
+     "init_events: list[JumpEvent] | None = [])"),
+    (D, "self.x1.ndim != 1 or self.x1.shape != self.x2.shape", "self.x1.ndim != 1"),
+    (D, "self.x1.ndim != 1 or self.x1.shape", "self.x1.shape"),
 )
 
 # row number -> why tier-1 cannot tell the mutant from the program

@@ -161,6 +161,22 @@ def test_an_overflowing_designed_gain_is_a_config_error(tmp_path, capsys, ini, m
     assert err.startswith(f"error: {message.format(path=path)}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["run"], ["run", "--report"], ["sweep"], ["check"]])
+def test_a_floor_mode_no_float_holds_is_refused_by_every_command(tmp_path, quick_ini, capsys,
+                                                                  command):
+    # a constant gain never reads its band, but the report reads the band
+    # speed of the mode above the floor
+    path = tmp_path / "floor.ini"
+    path.write_text(QUICK_INI + "[hybrid]\nr_min = 1" + "0" * 400 + "\n")
+    assert main(["run", str(quick_ini), "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    args = ["--scenario", str(path), str(tmp_path / "quick.csv")] if command == ["check"] \
+        else [str(path), "--out", str(tmp_path / "out")]
+    assert main([*command, *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: r_min must be at most 9007199252739992\n"
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("text", [
     pytest.param("[model]\nm1 = 5\nm1 = 6\n", id="duplicate_option"),
@@ -874,6 +890,9 @@ def override_args(rnd: random.Random) -> list[str]:
                ["--gain=constant"], FUZZ_STEM))
 # a file named after the builtin whose claims read a PD law and a band
 @example(case=(QUICK_INI, ["--report"], "example3"))
+# a constant gain over a band whose floor mode no float holds: the run read
+# no band, and the check of its export overflowed in the report
+@example(case=1_055_033_589_269)
 def test_every_scenario_file_runs_or_exits_with_one_line(case):
     if isinstance(case, int):
         rnd = random.Random(case)

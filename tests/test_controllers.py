@@ -81,6 +81,10 @@ def test_pd_config_accepts_diagonal_matrix_or_vector():
 def test_pd_config_validation():
     with pytest.raises(ValueError):
         PdConfig(kp=[1.0, -2.0], kd=[1.0, 1.0], x_ref=np.zeros(2))
+    with pytest.raises(ValueError, match="kd diagonal entries must be positive"):
+        PdConfig(kp=[1.0, 2.0], kd=[1.0, -1.0], x_ref=np.zeros(2))
+    with pytest.raises(ValueError, match="kd must be diagonal"):
+        PdConfig(kp=[1.0, 2.0], kd=np.array([[1.0, 0.5], [0.0, 2.0]]), x_ref=np.zeros(2))
     with pytest.raises(ValueError):
         PdConfig(kp=np.array([[1.0, 0.5], [0.0, 2.0]]), kd=[1.0, 1.0],
                  x_ref=np.zeros(2))
@@ -105,3 +109,30 @@ def test_wrapper_names_are_stable():
     names = [OpenLoopBounded().name, OpenLoopUnbounded().name,
              ConstantTorque([0.0]).name]
     assert names == ["open_loop_1", "open_loop_2", "constant"]
+
+
+def test_pd_config_takes_its_keywords_in_either_order():
+    a = PdConfig(kp=[1.0, 2.0], kd=[3.0, 4.0], x_ref=[0.5, -0.5])
+    b = PdConfig(x_ref=np.array([0.5, -0.5]), kd=[3.0, 4.0], kp=[1.0, 2.0])
+    for cfg in (a, b):
+        assert cfg.x_ref.dtype == float and cfg.x_ref.tolist() == [0.5, -0.5]
+        assert cfg.kp.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+        assert cfg.kd.tolist() == [[3.0, 0.0], [0.0, 4.0]]
+
+
+@pytest.mark.parametrize("law, name, n, constants", [
+    (OpenLoopBounded(), "open_loop_1", 2, ()),
+    (OpenLoopUnbounded(), "open_loop_2", 2, ()),
+    (PdGravity(PdConfig(kp=[40.0, 20.0], kd=[60.0, 30.0], x_ref=[0.25, -0.5])), "pd", 2,
+     (40.0, 20.0, 60.0, 30.0, 0.25, -0.5)),
+    (PdGravity(PdConfig(kp=[5.0], kd=[3.0], x_ref=[0.4])), "pd", 1, (5.0, 3.0, 0.4)),
+    (ConstantTorque([3, -1]), "constant", 2, (3.0, -1.0)),
+    (ConstantTorque([0.5, 1.5, 2.5]), "constant", 3, (0.5, 1.5, 2.5)),
+])
+def test_each_law_keeps_its_name_size_and_constants(law, name, n, constants):
+    """The class's name, the joint count the law is compiled for, and the
+    values of its CONSTANTS in order, as Python floats."""
+    assert (law.name, law.n, law._constants) == (name, n, constants)
+    assert all(type(c) is float for c in law._constants)
+    if isinstance(law, ConstantTorque):
+        assert law.tau.dtype == float

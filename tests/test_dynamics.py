@@ -331,6 +331,16 @@ def test_joint_vector_shape_is_checked(arm):
         arm.coriolis(np.zeros(2), np.zeros(1))
 
 
+def test_plant_state_takes_two_equal_1d_vectors():
+    state = PlantState(x2=[0.5, 2], x1=[1, -1])
+    assert state.x1.dtype == state.x2.dtype == float
+    assert (state.x1.tolist(), state.x2.tolist()) == ([1.0, -1.0], [0.5, 2.0])
+    for x1, x2 in (([0.0, 0.0], [0.0, 0.0, 0.0]), ([0.0], [0.0, 0.0]),
+                   ([[0.0, 0.0]], [[0.0, 0.0]]), (0.0, 0.0)):
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            PlantState(x1, x2)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         TwoLinkParams(m1=-1.0)

@@ -11,6 +11,7 @@ from velobs.dynamics import SingleLinkModel, TwoLinkArm, inertia_solver
 from velobs.hybrid_logic import LogicState
 from velobs.observers import (
     K_MIN,
+    GainDesign,
     compute_k0,
     compute_k0_conservative,
     convergence_rate,
@@ -55,6 +56,17 @@ def test_frozen_design_constants(arm, design15):
     assert math.isclose(fast.k0, K0_FAST, rel_tol=1e-12)
     cons = compute_k0_conservative(arm, 1.0, 1.5)
     assert math.isclose(cons.k0, K0_CONSERVATIVE, rel_tol=1e-12)
+
+
+def test_a_design_keeps_its_field_order_and_region_radius(design15):
+    assert GainDesign._fields == ("eta", "v_max", "k0", "lambda1", "lambda2")
+    design = GainDesign(0.5, 2.0, 3.0, 4.0, 9.0)
+    assert (design.eta, design.v_max, design.k0, design.lambda1, design.lambda2) \
+        == (0.5, 2.0, 3.0, 4.0, 9.0)
+    assert design.region_radius == 0.5 * math.sqrt(4.0 / 9.0)
+    assert (design15.eta, design15.v_max) == (1.0, 1.5)
+    assert design15.region_radius == design15.eta * math.sqrt(
+        design15.lambda1 / design15.lambda2)
 
 
 def test_design_matches_independent_oracle(arm, design15, oracle):

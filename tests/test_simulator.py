@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 import velobs
-from velobs import analysis, dynamics, hybrid_logic, simulator
+from velobs import analysis, dynamics, hybrid_logic, observers, simulator
 from velobs.analysis import report_lines
 from velobs.cli import main
 from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                                 PdConfig, PdGravity)
 from velobs.dynamics import SingleLinkModel, TwoLinkArm
-from velobs.hybrid_logic import HybridConfig, compute_kr
+from velobs.hybrid_logic import HybridConfig, JumpEvent, compute_kr
 from velobs.observers import full_rate, reduced_rate
 from velobs.simulator import (
     Scenario,
@@ -567,6 +567,53 @@ def test_importing_the_package_compiles_nothing():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.split() == ["0"] * 6
+
+
+# The classes that stay dataclasses: cli, the tests and perfbench call
+# dataclasses.replace or fields on the first three, and design_tables'
+# lru_cache keys on the value equality and hash of the two frozen models.
+KEPT_DATACLASSES = {"simulator.Scenario", "hybrid_logic.HybridConfig", "dynamics.TwoLinkParams",
+                    "dynamics.TwoLinkArm", "dynamics.SingleLinkModel"}
+
+
+def velobs_dataclasses() -> set[str]:
+    """module.Class of each dataclass that a loaded velobs module defines."""
+    return {f"{name.removeprefix('velobs.')}.{attr}"
+            for name, module in list(sys.modules.items()) if name.startswith("velobs.")
+            for attr, value in vars(module).items()
+            if isinstance(value, type) and value.__module__ == name
+            and dataclasses.is_dataclass(value)}
+
+
+def test_start_up_builds_and_imports_only_what_it_uses(monkeypatch):
+    # @dataclass writes and compiles its methods on every fresh import
+    assert velobs_dataclasses() == KEPT_DATACLASSES
+    # control: a record decorated again is caught
+    redone = dataclasses.make_dataclass("GainDesign", observers.GainDesign._fields, frozen=True,
+                                        namespace={"__module__": "velobs.observers"})
+    monkeypatch.setattr(observers, "GainDesign", redone)
+    assert velobs_dataclasses() == KEPT_DATACLASSES | {"observers.GainDesign"}
+    # only a parallel sweep imports the process pool
+    src = str(Path(velobs.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, velobs.cli\nprint('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["False"]
+
+
+def test_trajectories_do_not_share_their_time_zero_events(monkeypatch):
+    sc = builtin_scenarios()["example1"]
+
+    def fresh_lists() -> bool:
+        a, b = (Trajectory(*[np.zeros(1)] * 10, scenario=sc, design=None) for _ in range(2))
+        a.init_events.append(JumpEvent(0.0, 1, 2, 3.0, 0))
+        return b.init_events == [] and a.init_events is not b.init_events
+
+    assert fresh_lists()
+    # control: one default list shared by every trajectory is caught
+    monkeypatch.setattr(Trajectory.__init__, "__defaults__", (None, None, None, []))
+    assert not fresh_lists()
 
 
 def test_one_table_build_per_scheduled_simulate(monkeypatch):
