@@ -386,7 +386,8 @@ def grid_tables(model: RobotModel) -> GridTables:
     # the kernel's code and c0 in ARRAYS, once over the grid's columns (each
     # entry the float kernel's at its row), the eigenvalues in one batched call
     q = model.design_grid().T
-    terms = types.FunctionType(type(model).kernel.__code__, ARRAYS)(model, q)
+    with np.errstate(over="ignore", invalid="ignore"):  # g(q) may overflow: the design reads M(q)
+        terms = types.FunctionType(type(model).kernel.__code__, ARRAYS)(model, q)
     w = np.linalg.eigvalsh(model.inertia_stack(terms, q.shape[1]))
     c0 = np.full(q.shape[1], model.c0(q, ARRAYS))
     return GridTables(w[:, 0].copy(), w[:, -1].copy(), c0)

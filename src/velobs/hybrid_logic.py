@@ -16,6 +16,7 @@ The functions below take the estimate norm ||xhat2|| (some also an array).
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,8 +28,9 @@ from .observers import compute_k0
 
 SEMANTICS = ("paper_faithful", "hysteresis")
 
-# Most jumps initialize_logic applies before it gives up on settling.
-MAX_INIT_JUMPS = 1000
+# Most bands between r_guess and the settled time-zero mode: the simulator's
+# MAX_SAMPLES, so the time-zero walk has no more jumps than a run's flow may.
+MAX_INIT_JUMPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -148,32 +150,24 @@ def step_logic(schedule: GainSchedule, state: LogicState, nrm: float) -> LogicSt
     return state
 
 
-def initialize_logic(schedule: GainSchedule, nrm: float, r_guess: int,
-                     events: list[JumpEvent]) -> LogicState:
-    """Settle the logic index at time zero by iterating jumps.
-
-    Jumps are applied repeatedly until the initial estimate norm is outside the
-    active jump sets, or only inside the one that points back to the mode
-    just exited (crossing back would cycle forever).  Each applied jump is
-    appended to `events` as JumpEvent(0.0, old_r, new_r, nrm, 0).  Raises
-    ValueError when r_guess is below r_min (its thresholds refuse that mode)
-    or MAX_INIT_JUMPS jumps have not settled it.
-    """
+def initialize_logic(schedule: GainSchedule, nrm: float, r_guess: int) -> LogicState:
+    """Settle the logic index at time zero where the walk of single jumps
+    from r_guess ends, in no jump set but the one pointing back.  The
+    thresholds grow with r, so one bisection finds it: the first mode from
+    r_guess up with nrm < up when nrm >= up at r_guess, else the last mode
+    in [r_min, r_guess] with nrm > down.  Raises ValueError for an r_guess
+    below r_min (its thresholds refuse that mode) or a settled mode more
+    than MAX_INIT_JUMPS bands from r_guess."""
     config = schedule.config
-    r = r_guess
-    last = 0                    # direction of the previous jump
-    for _ in range(MAX_INIT_JUMPS):
-        up, down = config.thresholds(r)
-        if last != -1 and nrm >= up:
-            step = 1
-        elif last != 1 and nrm <= down:
-            step = -1
-        else:
-            return schedule[r]
-        events.append(JumpEvent(0.0, r, r + step, nrm, 0))
-        r += step
-        last = step
-    raise ValueError("logic index did not settle; inconsistent hybrid configuration")
+    if nrm >= config.thresholds(r_guess)[0]:
+        span = range(r_guess, r_guess + MAX_INIT_JUMPS + 1)
+        i = bisect.bisect_left(span, True, key=lambda r: nrm < config.thresholds(r)[0])
+    else:
+        span = range(max(config.r_min, r_guess - MAX_INIT_JUMPS), r_guess + 1)
+        i = bisect.bisect_left(span, True, key=lambda r: nrm <= config.thresholds(r)[1]) - 1
+    if not 0 <= i < len(span):
+        raise ValueError(f"the time-zero mode lies more than {MAX_INIT_JUMPS} bands from r_guess")
+    return schedule[span[i]]
 
 
 def velocity_sandwich(eta: float, nrm):

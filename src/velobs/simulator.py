@@ -167,11 +167,11 @@ class Scenario:
 
 class Trajectory:
     """Sampled run of one scenario, one row per integrator step: the
-    columns, the scenario and its design, and the time-zero walk's events."""
+    columns, the scenario and its design, from which its jumps follow."""
 
     def __init__(self, t, x1, x2, eps_norm, v_lyap, r, k_gain, tau, lower, upper,
                  scenario: Scenario, design: GainDesign, xhat2_reduced=None,
-                 xhat2_full=None, z=None, init_events: list[JumpEvent] | None = None):
+                 xhat2_full=None, z=None):
         self.t = t
         self.x1 = x1
         self.x2 = x2
@@ -187,7 +187,6 @@ class Trajectory:
         self.xhat2_reduced = xhat2_reduced
         self.xhat2_full = xhat2_full
         self.z = z
-        self.init_events = [] if init_events is None else init_events
 
     @property
     def active(self) -> str:
@@ -245,7 +244,8 @@ class Trajectory:
 
         Raises ValueError for a wrong header or column count, no data row, a
         non-finite value, or an r that is not a whole number in [0, 2**53],
-        then ScenarioError where scenario.validate() does.
+        then ScenarioError where scenario.validate() does, then ValueError
+        for a scheduled row 0 more than MAX_INIT_JUMPS bands from r_guess.
         """
         with open(path) as fh:
             header = fh.readline().strip().split(",")
@@ -266,6 +266,8 @@ class Trajectory:
         if not np.all((r >= 0) & (r <= 2.0 ** 53) & (r == np.floor(r))):
             raise ValueError("CSV column r holds a value that is not a mode index")
         scenario.validate()
+        if scenario.gain_mode == "scheduled" and abs(r[0] - scenario.r_guess) > MAX_INIT_JUMPS:
+            raise ValueError(f"CSV row 0 lies more than {MAX_INIT_JUMPS} bands from r_guess")
         full = scenario.observer_mode == "full"
         return cls(
             t=data[:, 0], x1=data[:, 1:3], x2=data[:, 3:5],
@@ -281,14 +283,18 @@ def jump_steps(r: np.ndarray) -> np.ndarray:
 
 
 def jump_fields(traj: Trajectory) -> list[np.ndarray]:
-    """Each JumpEvent field of a run's jumps as an array: the time-zero walk's
-    (init_events), then one per jump_steps(r), at the row's time t and the
-    math.hypot norm of its xhat2.  Reads only t, r, xhat2 and init_events."""
-    steps = jump_steps(traj.r)
+    """Each JumpEvent field of a run's jumps as an array: a scheduled run's
+    time-zero walk, one band a jump from r_guess to r[0] at xhat2_0's norm,
+    then one per jump_steps(r) at its row's t and xhat2 norm (math.hypot's)."""
+    sc, r = traj.scenario, traj.r
+    steps = jump_steps(r)
     norms = np.fromiter(map(math.hypot, *traj.xhat2[steps].T.tolist()), float, steps.size)
-    walk = np.array(traj.init_events, dtype=object).reshape(-1, len(JumpEvent._fields)).T
-    return [np.concatenate([w.astype(f.dtype), f]) for w, f in zip(
-        walk, (traj.t[steps], traj.r[steps - 1], traj.r[steps], norms, steps))]
+    way = 1 if r[0] >= sc.r_guess else -1
+    old = np.arange(sc.r_guess, r[0], way) if sc.gain_mode == "scheduled" else steps[:0]
+    walk = (np.zeros(old.size), old, old + way,
+            np.full(old.size, math.hypot(*sc.xhat2_0.tolist())), np.zeros_like(old))
+    return [np.concatenate(pair) for pair in zip(
+        walk, (traj.t[steps], r[steps - 1], r[steps], norms, steps))]
 
 
 # The velocity-estimation error of the fed-back estimate xh.
@@ -396,18 +402,16 @@ def simulate(scenario: Scenario) -> Trajectory:
     use_full = scenario.observer_mode in ("full", "both")
     law = scenario.controller
     dt = scenario.dt
-    eta = scenario.eta
 
     design = scenario.design()
     kd = scenario.k0_override if scenario.k0_override is not None else design.k0
     kp = kd * kd
     schedule = None
     logic = None
-    events: list[JumpEvent] = []
     if scenario.gain_mode == "scheduled":
         schedule = GainSchedule(model, scenario.hybrid)
         logic = initialize_logic(schedule, math.hypot(*scenario.xhat2_0.tolist()),
-                                 scenario.r_guess, events)
+                                 scenario.r_guess)
 
     factory = flat_rhs(type(model), type(law), scenario.observer_mode)
     pack, run = factory(*model._constants, *law._constants, kd, kp, dt, schedule, step_logic)
@@ -431,7 +435,7 @@ def simulate(scenario: Scenario) -> Trajectory:
                 f"state component left |x| <= {BLOWUP_LIMIT:g} at t = {t + dt:.6g}")
         struct.pack_into(f"{len(rows)}d", samples, start * samples.strides[0], *rows)
     states, extra = samples[:, :packed], samples[:, packed:]
-    lower, upper = velocity_sandwich(eta, extra[:, 4])
+    lower, upper = velocity_sandwich(scenario.eta, extra[:, 4])
 
     return Trajectory(
         t=np.arange(n_samples) * dt, x1=states[:, :n], x2=states[:, n:2 * n],
@@ -441,7 +445,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         # the full observer's x2_hat is packed last
         xhat2_full=states[:, -n:] if use_full else None,
         z=states[:, 2 * n:3 * n] if use_red else None,
-        init_events=events, scenario=scenario, design=design)
+        scenario=scenario, design=design)
 
 
 def builtin_scenarios() -> dict[str, Scenario]:

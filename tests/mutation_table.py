@@ -5,7 +5,8 @@ row to its own temporary copy of the repository, runs tier-1 there with
 `-x`, at most JOBS rows at a time, and prints every row with its outcome,
 then the survivors.  Row 0, the unmutated copy, runs alongside and must
 pass.  It exits 1 when a row survives that EQUIVALENT does not list, and 2
-when row 0 fails or a row's old string is not in its file exactly once.
+when row 0 fails (printing the last TAIL lines of its output) or a row's old
+string is not in its file exactly once.
 
     python tests/mutation_table.py            # every row
     python tests/mutation_table.py 3 17       # rows 3 and 17 only
@@ -33,6 +34,8 @@ TIER1 = (sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
 JOBS = 3
 # seconds one row's tier-1 may take before it counts as killed (a hang)
 TIMEOUT = 600
+# lines of tier-1's output that a failing row 0 prints, the failing test's among them
+TAIL = 20
 
 A, O, H = "src/velobs/analysis.py", "src/velobs/observers.py", "src/velobs/hybrid_logic.py"
 S, D, C = "src/velobs/simulator.py", "src/velobs/dynamics.py", "src/velobs/controllers.py"
@@ -56,13 +59,21 @@ ROWS = (
     (A, "LYAPUNOV_TOL = 1e-8", "LYAPUNOV_TOL = 1e-7"),
     (S, "BLOWUP_LIMIT = 1e6", "BLOWUP_LIMIT = 2e6"),
     # the jump derivation and its audit
-    (S, "traj.r[steps - 1], traj.r[steps]", "traj.r[steps], traj.r[steps]"),
+    (S, "r[steps - 1], r[steps]", "r[steps], r[steps]"),
     (S, "map(math.hypot, *traj.xhat2[steps]", "map(max, *traj.xhat2[steps]"),
     (S, "np.flatnonzero(np.diff(r)) + 1", "np.flatnonzero(np.diff(r))"),
     (A, "(nrm >= up)", "(nrm > up)"),
     (A, "(nrm <= down)", "(nrm < down)"),
     (A, "(new_r == old_r + 1)", "(new_r >= old_r + 1)"),
     (A, "if r >= sc.hybrid.r_min else", "if r > sc.hybrid.r_min else"),
+    # the time-zero mode: each bisection's predicate, the bound on its
+    # distance from r_guess, and the direction of the walk derived from it
+    (H, "nrm < config.thresholds(r)[0]", "nrm <= config.thresholds(r)[0]"),
+    (H, "nrm <= config.thresholds(r)[1]", "nrm < config.thresholds(r)[1]"),
+    (H, "r_guess + MAX_INIT_JUMPS + 1", "r_guess + MAX_INIT_JUMPS"),
+    (S, "abs(r[0] - scenario.r_guess) > MAX_INIT_JUMPS",
+     "abs(r[0] - scenario.r_guess) >= MAX_INIT_JUMPS"),
+    (S, "way = 1 if r[0] >= sc.r_guess else -1", "way = 1 if r[0] <= sc.r_guess else -1"),
     # a line of whitespace in a CSV is blank, and whitespace then "#" a comment
     (S, "map(str.lstrip, fh)", "fh"),
     # a CSV's estimate goes to its scenario's active observer
@@ -82,12 +93,9 @@ ROWS = (
     (S, "len(rows) // width - 1", "len(rows) // width"),
     (S, "5 + n + n * use_red", "5 + n + n"),
     # the records and laws built by a plain __init__: PdConfig's kd checks,
-    # ConstantTorque's float values, a fresh init_events list per trajectory
-    # and PlantState's shape check
+    # ConstantTorque's float values and PlantState's shape check
     (C, 'self.kd = _as_gain_matrix(kd, n, "kd")', "self.kd = np.diag(kd)"),
     (C, "np.asarray(tau, dtype=float)", "np.asarray(tau)"),
-    (S, "init_events: list[JumpEvent] | None = None)",
-     "init_events: list[JumpEvent] | None = [])"),
     (D, "self.x1.ndim != 1 or self.x1.shape != self.x2.shape", "self.x1.ndim != 1"),
     (D, "self.x1.ndim != 1 or self.x1.shape", "self.x1.shape"),
 )
@@ -96,8 +104,9 @@ ROWS = (
 EQUIVALENT: dict[int, str] = {}
 
 
-def run_row(number: int, path: str, old: str, new: str) -> tuple[int, bool, float]:
-    """(number, survived, seconds) of one row, run on a temporary copy."""
+def run_row(number: int, path: str, old: str, new: str) -> tuple[int, bool, float, str]:
+    """(number, survived, seconds, the last TAIL lines of tier-1's output) of
+    one row, run on a temporary copy."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix=f"mutant{number}_") as tmp:
         for name in COPY:
@@ -111,12 +120,13 @@ def run_row(number: int, path: str, old: str, new: str) -> tuple[int, bool, floa
         target.write_text(target.read_text().replace(old, new))
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src")}
         try:
-            done = subprocess.run(TIER1, cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT)
-            survived = done.returncode == 0
+            done = subprocess.run(TIER1, cwd=tmp, env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.STDOUT, text=True, timeout=TIMEOUT)
+            survived, output = done.returncode == 0, done.stdout
         except subprocess.TimeoutExpired:
-            survived = False
-    return number, survived, time.perf_counter() - start
+            survived, output = False, f"timed out after {TIMEOUT} s"
+    tail = "".join(output.splitlines(keepends=True)[-TAIL:])
+    return number, survived, time.perf_counter() - start, tail
 
 
 def main(argv: list[str]) -> int:
@@ -129,13 +139,14 @@ def main(argv: list[str]) -> int:
             print(f"row {i}: {old!r} occurs {count} times in {path}", file=sys.stderr)
             return 2
     with concurrent.futures.ThreadPoolExecutor(max_workers=JOBS) as pool:
-        (_, passed, _), *results = sorted(
+        (_, passed, _, tail), *results = sorted(
             pool.map(lambda item: run_row(item[0], *item[1]), rows.items()))
     if not passed:
-        print("row 0: tier-1 fails on the unmutated copy", file=sys.stderr)
+        print(f"row 0: tier-1 fails on the unmutated copy; its last lines:\n{tail}",
+              end="", file=sys.stderr)
         return 2
     survivors = []
-    for i, survived, seconds in results:
+    for i, survived, seconds, _ in results:
         path, old, new = rows[i]
         outcome = "SURVIVED" if survived else "killed"
         print(f"{i:2d} {outcome:8s} {seconds:5.0f} s  {Path(path).name}: {old!r} -> {new!r}")

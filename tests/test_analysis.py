@@ -30,7 +30,7 @@ SYNTHETIC = dataclasses.replace(builtin_scenarios()["example1"], name="synthetic
 
 
 def synthetic(eps, dt=0.1, speed=0.0, v_lyap=None, r=0, scenario=SYNTHETIC,
-              est=None, init_events=(), lower=None, upper=None):
+              est=None, lower=None, upper=None):
     """A trajectory of given error norms; r is a mode or a mode column, and
     est the estimate rows where they are given."""
     eps = np.asarray(eps, dtype=float)
@@ -50,7 +50,6 @@ def synthetic(eps, dt=0.1, speed=0.0, v_lyap=None, r=0, scenario=SYNTHETIC,
         upper=np.full(n, 1e9) if upper is None else np.asarray(upper, float),
         xhat2_reduced=(x2 - eps[:, None] * np.array([0.0, 1.0]) if est is None
                        else np.asarray(est, float)),
-        init_events=list(init_events),
         scenario=scenario,
         design=scenario.design(),
     )
@@ -199,27 +198,33 @@ def test_illegal_jump_audit(example2_traj):
     r = [1, 2, 2, 1, 2, 1, 3, 1, 0, 1]
     nrm = [0.0, up + 0.1, 0.0, 0.0, up - 0.1, 0.0, 99.0, 0.0, 0.0, 99.0]
     est = np.column_stack([nrm, np.zeros(len(r))])
-    walk = [JumpEvent(0.0, 3, 2, 0.0, 0), JumpEvent(0.0, 2, 3, 0.0, 0)]
-    traj = synthetic(np.zeros(len(r)), dt=0.1, r=r, est=est, scenario=sc, init_events=walk)
+    # the time-zero walk from r_guess = 3 to r[0] = 1 at the initial norm 3:
+    # 3 -> 2 inside its down-jump set (3 <= 2 v_bar + eta), 2 -> 1 outside
+    # its own (3 > v_bar + eta)
+    walked = dataclasses.replace(sc, r_guess=3, xhat2_0=np.array([3.0, 0.0]))
+    traj = synthetic(np.zeros(len(r)), dt=0.1, r=r, est=est, scenario=walked)
     t = traj.t.tolist()
+    assert traj.jump_events[:2] == [(0.0, 3, 2, 3.0, 0), (0.0, 2, 1, 3.0, 0)]
     assert illegal_jumps(traj) == [
-        walk[1],                            # an up-jump under its threshold
-        JumpEvent(t[4], 1, 2, up - 0.1, 4),  # likewise
+        JumpEvent(0.0, 2, 1, 3.0, 0),        # a down-jump over its threshold
+        JumpEvent(t[4], 1, 2, up - 0.1, 4),  # an up-jump under its threshold
         JumpEvent(t[6], 1, 3, 99.0, 6),      # two modes up
         JumpEvent(t[7], 3, 1, 0.0, 7),       # two modes down
         JumpEvent(t[8], 1, 0, 0.0, 8),       # below the floor
         JumpEvent(t[9], 0, 1, 99.0, 9)]      # out of a mode below r_min
     assert all(type(v) in (int, float) for ev in illegal_jumps(traj) for v in ev)
     assert illegal_jumps(synthetic(np.zeros(2))) == []
-    assert illegal_jumps(synthetic(np.zeros(2), scenario=sc)) == []
+    assert illegal_jumps(synthetic(np.zeros(2), r=1, scenario=sc)) == []
 
 
 def test_chatter_score_counts_close_pairs():
     # flow jumps at steps 10, 15, 100 and 105; the time-zero walk is no flow jump
     r = np.ones(110, dtype=int)
     r[10:], r[15:], r[100:], r[105:] = 2, 3, 2, 3
-    walk = [JumpEvent(0.0, 0, 1, 1.0, 0)] * 3
-    assert chatter_score(synthetic(np.zeros(110), r=r, init_events=walk)) == 2
+    walked = dataclasses.replace(builtin_scenarios()["example2"], r_guess=4)
+    traj = synthetic(np.zeros(110), r=r, scenario=walked)
+    assert [ev.step for ev in traj.jump_events] == [0, 0, 0, 10, 15, 100, 105]
+    assert chatter_score(traj) == 2
     assert chatter_score(synthetic(np.zeros(3))) == 0
 
 

@@ -26,6 +26,7 @@ from velobs.cli import (
     main,
 )
 from velobs.dynamics import TwoLinkParams
+from velobs.hybrid_logic import MAX_INIT_JUMPS
 from velobs.simulator import (BUILTIN_NAMES, GAIN_MODES, OBSERVER_MODES, Scenario,
                               Trajectory, builtin_scenarios, simulate)
 
@@ -149,7 +150,7 @@ def test_nan_design_constant_is_a_config_error(tmp_path, capsys, key):
     pytest.param("[model]\nm2 = 1e308\n" + QUICK_INI, ARM_NAN, id="arm_product"),
     # a mode too large for a float, and so for its band speed
     pytest.param(SCHEDULED_INI.replace("r_guess = 1", "r_guess = 1" + "0" * 400),
-                 "r_guess must lie between r_min and 9007199252739992", id="huge_mode"),
+                 "r_guess must lie between r_min and 9007199250740992", id="huge_mode"),
 ])
 def test_an_overflowing_designed_gain_is_a_config_error(tmp_path, capsys, ini, message):
     # numpy's overflow warning is an error under this suite, so it must not
@@ -174,7 +175,7 @@ def test_a_floor_mode_no_float_holds_is_refused_by_every_command(tmp_path, quick
         else [str(path), "--out", str(tmp_path / "out")]
     assert main([*command, *args]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == "error: r_min must be at most 9007199252739992\n"
+    assert err == "error: r_min must be at most 9007199250740992\n"
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -210,6 +211,76 @@ def test_nan_band_width_is_a_config_error(tmp_path, capsys):
     path.write_text(SCHEDULED_INI.replace("v_bar = 1.5", "v_bar = nan"))
     assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "v_bar" in capsys.readouterr().err
+
+
+def test_an_overflowing_gravity_term_is_one_line(tmp_path, capsys):
+    # g(q) overflows to inf - inf in the design grid's array pass, which is
+    # silent as the float kernel is; the run then blows up at its first step
+    path = tmp_path / "heavy.ini"
+    path.write_text("[model]\ngravity = 1e308\n[observer]\nv_max = 1.5\n")
+    assert main(["run", str(path), "--out", str(tmp_path), "--report"]) == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert err.startswith("simulation failed: ") and err.count("\n") == 1
+
+
+def test_a_fast_initial_estimate_settles_far_below_r_guess(tmp_path, capsys):
+    # v_bar < 2 eta leaves every mode above the floor without a flow annulus,
+    # so the unit estimate settles at r_min = 1, 1,099,989 bands below
+    # r_guess: one bisection finds it, and the report audits the whole walk
+    path = tmp_path / "far.ini"
+    path.write_text("[initial]\ndq0 = 9.999895 0\ndq0_hat = 1 0\n[observer]\ngain = scheduled\n"
+                    "[hybrid]\nv_bar = 1e-5\nr_guess = 1099990\n")
+    assert main(["run", str(path), "--out", str(tmp_path), "--report"]) in (EXIT_OK, EXIT_CHECKS)
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "far.csv").read_text().splitlines()[1].split(",")[9] == "1"
+    assert "check_jumps_legal: pass" in (tmp_path / "far_report.txt").read_text()
+
+
+def test_a_time_zero_mode_past_the_bound_is_refused(tmp_path, capsys):
+    # bands of 1e-300: a unit estimate would settle near mode 2e300
+    path = tmp_path / "narrow.ini"
+    path.write_text("[initial]\ndq0_hat = 1 0\n[observer]\ngain = scheduled\n"
+                    "[hybrid]\nv_bar = 1e-300\nr_guess = 1\n")
+    assert main(["run", str(path), "--out", str(tmp_path), "--report"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: the time-zero mode lies more than {MAX_INIT_JUMPS} bands from r_guess\n")
+
+
+@pytest.mark.parametrize("dq0_hat, r_guess, way", [("5 0", 1, 1), ("0 0", 5, -1)])
+def test_check_audits_the_time_zero_walk_of_an_export(tmp_path, capsys, dq0_hat, r_guess, way):
+    # a walk of four bands up to mode 5, or down to the floor mode 1
+    path = tmp_path / "walk.ini"
+    path.write_text(SCHEDULED_INI.replace("dq0_hat = 0 0", f"dq0_hat = {dq0_hat}")
+                    .replace("r_guess = 1", f"r_guess = {r_guess}"))
+    sc = load_scenario_file(path)
+    traj = simulate(sc)
+    csv = tmp_path / "walk.csv"
+    traj.to_csv(csv)
+    assert [ev[1:3] for ev in traj.jump_events if ev.step == 0] == [
+        (m, m + way) for m in range(r_guess, r_guess + 4 * way, way)]
+    assert Trajectory.from_csv(csv, sc).jump_events == traj.jump_events
+    main(["check", str(csv), "--scenario", str(path)])
+    assert "check_jumps_legal: pass" in capsys.readouterr().out.splitlines()
+    header, first, *rows = csv.read_text().splitlines()
+    at = header.split(",").index("r")
+
+    def with_row0(r: int) -> Path:
+        values = first.split(",")
+        values[at] = str(r)
+        csv.write_text("\n".join([header, ",".join(values), *rows]) + "\n")
+        return csv
+
+    # row 0 one band past the settled mode: the walk's last jump leaves its jump set
+    assert main(["check", str(with_row0(int(traj.r[0]) + way)), "--scenario", str(path)]) == (
+        EXIT_CHECKS)
+    assert "check_jumps_legal: fail" in capsys.readouterr().out.splitlines()
+    # a row 0 MAX_INIT_JUMPS bands from r_guess is read; one band more is
+    # too far for its walk to be held, and refused
+    far = r_guess + MAX_INIT_JUMPS
+    assert Trajectory.from_csv(with_row0(far), sc).r[0] == far
+    assert main(["check", str(with_row0(far + 1)), "--scenario", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: CSV row 0 lies more than {MAX_INIT_JUMPS} bands from r_guess\n")
 
 
 def test_run_too_long_to_hold_is_a_config_error(tmp_path, capsys):

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from velobs import hybrid_logic
 from velobs.hybrid_logic import (
+    MAX_INIT_JUMPS,
     GainSchedule,
     HybridConfig,
     JumpEvent,
@@ -18,6 +20,7 @@ from velobs.hybrid_logic import (
     velocity_sandwich,
 )
 from velobs.observers import compute_k0
+from velobs.simulator import jump_fields
 
 # Frozen scheduled gains for the two-link arm, v_bar = 1.5, eta = 1, r = 0..4.
 KR_TABLE = [5.3214604790460145, 13.35798304843369, 21.394505617821366,
@@ -28,6 +31,16 @@ def make_config(**kwargs) -> HybridConfig:
     base = dict(v_bar=3.0, eta=1.0)
     base.update(kwargs)
     return HybridConfig(**base)
+
+
+def walk(state, nrm: float, r_guess: int) -> list:
+    """The time-zero walk that jump_fields derives for a one-row record whose
+    mode is the settled state's, from r_guess at the initial estimate norm."""
+    est = np.array([[nrm, 0.0]])
+    traj = SimpleNamespace(
+        scenario=SimpleNamespace(gain_mode="scheduled", r_guess=r_guess, xhat2_0=est[0]),
+        t=np.zeros(1), r=np.array([state.r]), xhat2=est)
+    return list(zip(*(f.tolist() for f in jump_fields(traj))))
 
 
 def test_threshold_formulas():
@@ -168,9 +181,8 @@ def test_gain_schedule_designs_only_the_modes_asked_for(arm, monkeypatch):
     # midway through the flow annulus of mode r_guess + 3, between the down
     # threshold (r_guess + 2) v_bar - eta and the up one (r_guess + 3) v_bar - eta
     nrm = (r_guess + 2.5) * cfg.v_bar - cfg.eta
-    events = []
-    state = initialize_logic(schedule, nrm, r_guess, events)
-    assert state.r == r_guess + 3 and len(events) == 3
+    state = initialize_logic(schedule, nrm, r_guess)
+    assert state.r == r_guess + 3 and len(walk(state, nrm, r_guess)) == 3
     assert schedule[state.r] is state
     assert len(calls) == 1
     assert schedule[r_guess].k_r == compute_k0(arm, 1.0, r_guess * 1e-5).k0
@@ -209,20 +221,18 @@ def test_step_logic_up_wins_when_sets_overlap(arm):
 def test_initialize_settles_zero_estimate_to_floor(arm):
     cfg = make_config()
     schedule = GainSchedule(arm, cfg)
-    events = []
-    state = initialize_logic(schedule, 0.0, 1, events)
+    state = initialize_logic(schedule, 0.0, 1)
     assert state.r == cfg.r_min == 0
-    assert events == [JumpEvent(0.0, 1, 0, 0.0, 0)]
+    assert walk(state, 0.0, 1) == [JumpEvent(0.0, 1, 0, 0.0, 0)]
 
 
 def test_initialize_climbs_to_matching_band(arm):
     # up thresholds -1, 2, 5, 8, 11: norm 10 belongs in mode 4
     cfg = make_config()
     schedule = GainSchedule(arm, cfg)
-    events = []
-    state = initialize_logic(schedule, 10.0, 0, events)
+    state = initialize_logic(schedule, 10.0, 0)
     assert state.r == 4
-    assert events == [JumpEvent(0.0, r, r + 1, 10.0, 0) for r in range(4)]
+    assert walk(state, 10.0, 0) == [JumpEvent(0.0, r, r + 1, 10.0, 0) for r in range(4)]
     assert state.k_r == compute_kr(arm, cfg, 4)
 
 
@@ -230,19 +240,25 @@ def test_initialize_respects_floor_and_guess_validation(arm):
     cfg = make_config(r_min=1)
     schedule = GainSchedule(arm, cfg)
     with pytest.raises(ValueError):
-        initialize_logic(schedule, 0.0, 0, [])
-    events = []
-    state = initialize_logic(schedule, 0.0, 3, events)
+        initialize_logic(schedule, 0.0, 0)
+    state = initialize_logic(schedule, 0.0, 3)
     assert state.r == 1
-    assert events == [JumpEvent(0.0, 3, 2, 0.0, 0), JumpEvent(0.0, 2, 1, 0.0, 0)]
+    assert walk(state, 0.0, 3) == [JumpEvent(0.0, 3, 2, 0.0, 0), JumpEvent(0.0, 2, 1, 0.0, 0)]
 
 
-def test_initialize_raises_when_it_cannot_settle(arm):
-    # microscopic bands: a norm-10 estimate needs >1000 up-jumps
-    cfg = HybridConfig(v_bar=1e-3, eta=1.0)
-    schedule = GainSchedule(arm, cfg)
-    with pytest.raises(ValueError, match="settle"):
-        initialize_logic(schedule, 10.0, 0, [])
+def test_initialize_refuses_a_mode_past_the_bound(arm):
+    bound = f"more than {MAX_INIT_JUMPS} bands from r_guess"
+    # bands of 1e-300: a unit estimate would settle near mode 2e300
+    with pytest.raises(ValueError, match=bound):
+        initialize_logic(GainSchedule(arm, HybridConfig(v_bar=1e-300, eta=1.0)), 1.0, 1)
+    # unit bands, up thresholds r - 1: exactly MAX_INIT_JUMPS bands up or
+    # down settles, one band more is refused
+    schedule = GainSchedule(arm, HybridConfig(v_bar=1.0, eta=1.0, r_min=0))
+    assert initialize_logic(schedule, MAX_INIT_JUMPS - 1.5, 0).r == MAX_INIT_JUMPS
+    assert initialize_logic(schedule, 0.0, MAX_INIT_JUMPS).r == 0
+    for nrm, r_guess in ((MAX_INIT_JUMPS - 0.5, 0), (0.0, MAX_INIT_JUMPS + 1)):
+        with pytest.raises(ValueError, match=bound):
+            initialize_logic(schedule, nrm, r_guess)
 
 
 def test_velocity_sandwich_bracket():

@@ -34,7 +34,8 @@ from velobs.hybrid_logic import (SEMANTICS, GainSchedule, HybridConfig, JumpEven
                                  compute_kr, flow_empty_above_floor, flow_interval,
                                  initialize_logic, step_logic, velocity_sandwich)
 from velobs.observers import compute_k0, full_rate, reduced_rate
-from velobs.simulator import OBSERVER_MODES, Scenario, SimulationBlowUp, Trajectory, simulate
+from velobs.simulator import (OBSERVER_MODES, Scenario, SimulationBlowUp, Trajectory,
+                              jump_fields, simulate)
 
 ARM = TwoLinkArm()
 PROPERTY = settings(database=None, deadline=None, max_examples=200)
@@ -71,12 +72,13 @@ def mode_and_norm(draw):
 
 @st.composite
 def mode_rows(draw):
-    """A time-zero walk of a few events and a run's rows: a mode column r of
-    up to a few hundred jumps, about CHATTER_WINDOW steps apart, each one or
-    two modes up or down or to any of a handful of modes (some below r_min),
-    and estimate rows of one or two joints.  A jump row's norm is free or on
-    a threshold of the mode it leaves; the walk's modes and norms are drawn
-    alike, legal or not."""
+    """A starting mode r_guess, an initial estimate norm and a run's rows: a
+    mode column r of up to a few hundred jumps, about CHATTER_WINDOW steps
+    apart, each one or two modes up or down or to any of a handful of modes
+    (some below r_min), and estimate rows of one or two joints.  A jump row's
+    norm is free or on a threshold of the mode it leaves; r_guess is one of
+    the modes, and the initial norm is free or on a threshold of r_guess or
+    of a mode next to r[0], so the walk from r_guess to r[0] is legal or not."""
     cfg = draw(configs)
     modes = draw(st.lists(st.integers(max(cfg.r_min - 2, 0), cfg.r_min + 50),
                           min_size=1, max_size=6, unique=True))
@@ -92,11 +94,9 @@ def mode_rows(draw):
     def step(r):
         return max(rnd.choice([r - 2, r - 1, r + 1, r + 1, r + 2, rnd.choice(modes)]), 0)
 
-    walk = []
-    for _ in range(rnd.randint(0, 3)):
-        old_r = rnd.choice(modes)
-        walk.append(JumpEvent(0.0, old_r, step(old_r), norm(old_r), 0))
+    r_guess = rnd.choice(modes)
     r = [rnd.choice(modes)]
+    nrm0 = norm(rnd.choice([r_guess, max(r[0] - 1, 0), r[0] + 1]))
     est = [[rnd.uniform(-9.0, 9.0) for _ in range(n)]]
     for _ in range(draw(st.integers(0, 300))):
         for _ in range(rnd.randint(0, 2 * CHATTER_WINDOW)):    # rows that do not jump
@@ -108,7 +108,7 @@ def mode_rows(draw):
             est.append([norm(r[-1]), 0.0][:n] if rnd.random() < 0.5 else
                        [rnd.uniform(-9.0, 9.0) for _ in range(n)])
             r.append(new_r)
-    return cfg, walk, 1e-3 * np.arange(len(r)), np.array(r), np.array(est)
+    return cfg, r_guess, nrm0, 1e-3 * np.arange(len(r)), np.array(r), np.array(est)
 
 
 def in_annulus(cfg, r, nrm) -> bool:
@@ -168,9 +168,28 @@ def row_events(t, r, est) -> list:
             for j in range(1, len(r)) if r[j] != r[j - 1]]
 
 
-def check_audit(cfg, walk, t, r, est) -> None:
-    traj = SimpleNamespace(scenario=SimpleNamespace(hybrid=cfg), init_events=walk,
-                           t=t, r=r, xhat2=est)
+def settle_walk(cfg, r_guess, nrm) -> list:
+    """The time-zero walk, jump by jump as the band formula gives it: from
+    r_guess, a jump while nrm is in a jump set of the mode, but never back
+    toward the mode just left."""
+    walk, r, last = [], r_guess, 0
+    while True:
+        if last != -1 and nrm >= up_thr(cfg, r):
+            step = 1
+        elif last != 1 and r > cfg.r_min and nrm <= down_thr(cfg, r):
+            step = -1
+        else:
+            return walk
+        walk.append(JumpEvent(0.0, r, r + step, nrm, 0))
+        r, last = r + step, step
+
+
+def check_audit(cfg, r_guess, nrm0, t, r, est) -> None:
+    n = est.shape[1]
+    traj = SimpleNamespace(t=t, r=r, xhat2=est, scenario=SimpleNamespace(
+        hybrid=cfg, gain_mode="scheduled", r_guess=r_guess, xhat2_0=np.array([nrm0, 0.0][:n])))
+    way = 1 if r[0] >= r_guess else -1
+    walk = [JumpEvent(0.0, m, m + way, nrm0, 0) for m in range(r_guess, r[0], way)]
     flow = row_events(t, r, est)
     assert illegal_jumps(traj) == [ev for ev in walk + flow if not legal(cfg, ev)]
     assert chatter_score(traj) == chatter(flow)
@@ -186,6 +205,35 @@ def test_flow_set_is_the_closed_annulus(case):
 @given(mode_and_norm())
 def test_step_logic_is_the_jump_rule(case):
     check_step(step_logic, *case)
+
+
+@st.composite
+def settle_cases(draw):
+    """A band of either semantics with r_min 0 to 3, a starting mode and an
+    initial norm: free, or on a threshold of a mode near r_guess, or one ulp
+    to either side of that threshold."""
+    cfg = draw(st.builds(HybridConfig, v_bar=st.floats(0.05, 10.0), eta=st.floats(1e-3, 5.0),
+                         semantics=st.sampled_from(SEMANTICS), r_min=st.integers(0, 3)))
+    r_guess = draw(st.integers(cfg.r_min, cfg.r_min + 60))
+    m = draw(st.integers(cfg.r_min, cfg.r_min + 120))
+    on = draw(st.sampled_from([up_thr(cfg, m), down_thr(cfg, m), draw(st.floats(0.0, 50.0))]))
+    nrm = draw(st.sampled_from([on, math.nextafter(on, -math.inf), math.nextafter(on, math.inf)]))
+    return cfg, r_guess, max(nrm, 0.0)
+
+
+@PROPERTY
+@given(settle_cases())
+def test_initialize_logic_settles_where_the_walk_ends(case):
+    # the bisection settles where the walk of single jumps ends, and the
+    # record of a run from there derives that walk
+    cfg, r_guess, nrm = case
+    walk = settle_walk(cfg, r_guess, nrm)
+    state = initialize_logic(GainSchedule(ARM, cfg), nrm, r_guess)
+    assert state.r == (walk[-1].new_r if walk else r_guess)
+    est = np.array([[nrm, 0.0]])
+    traj = SimpleNamespace(t=np.zeros(1), r=np.array([state.r]), xhat2=est, scenario=(
+        SimpleNamespace(gain_mode="scheduled", r_guess=r_guess, xhat2_0=est[0])))
+    assert list(zip(*(f.tolist() for f in jump_fields(traj)))) == walk
 
 
 @PROPERTY
@@ -257,8 +305,8 @@ def test_a_strict_threshold_is_caught():
     # an up-jump on the threshold: of the rows, at row 100, or of the walk
     t, est = 1e-3 * np.arange(101), np.zeros((101, 2))
     est[100, 0] = up_thr(cfg, 2)
-    on_threshold = [([], t, np.array([2] * 100 + [3]), est),
-                    ([JumpEvent(0.0, 2, 3, up_thr(cfg, 2), 0)], t, np.full(101, 3), est)]
+    on_threshold = [(2, 0.0, t, np.array([2] * 100 + [3]), est),
+                    (2, up_thr(cfg, 2), t, np.full(101, 3), est)]
     for case in on_threshold:
         check_audit(cfg, *case)
         # the audit reads the band's thresholds, so the strict band flags the
@@ -341,8 +389,8 @@ def reference_run(sc: Scenario, final=zip_final):
     events = []
     scheduled = sc.gain_mode == "scheduled"
     if scheduled:
-        r = initialize_logic(GainSchedule(model, cfg), math.hypot(*sc.xhat2_0.tolist()),
-                             sc.r_guess, events).r
+        events = settle_walk(cfg, sc.r_guess, math.hypot(*sc.xhat2_0.tolist()))
+        r = events[-1].new_r if events else sc.r_guess
         k = compute_kr(model, cfg, r)
         kd = design.k0
     else:
@@ -564,11 +612,12 @@ def test_a_two_joint_run_reads_back_from_its_csv_bit_for_bit(sc):
     # the flow jumps, each read from its mode change between two rows: the
     # row's time and estimate norm, bit for bit
     flow = [ev for ev in traj.jump_events if ev.step > 0]
-    assert back.jump_events == [
+    assert [ev for ev in back.jump_events if ev.step > 0] == [
         (traj.t[ev.step], ev.old_r, ev.new_r, math.hypot(*traj.xhat2[ev.step]), ev.step)
         for ev in flow]
-    # run --report and check audit the same jumps: simulate's own flow events
-    assert back.jump_events == flow
+    # run --report and check audit the same jumps: simulate's own events,
+    # the time-zero walk's among them
+    assert back.jump_events == traj.jump_events
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"

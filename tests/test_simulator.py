@@ -19,7 +19,7 @@ from velobs.cli import main
 from velobs.controllers import (ConstantTorque, OpenLoopBounded, OpenLoopUnbounded,
                                 PdConfig, PdGravity)
 from velobs.dynamics import SingleLinkModel, TwoLinkArm
-from velobs.hybrid_logic import HybridConfig, JumpEvent, compute_kr
+from velobs.hybrid_logic import HybridConfig, compute_kr
 from velobs.observers import full_rate, reduced_rate
 from velobs.simulator import (
     Scenario,
@@ -478,10 +478,10 @@ def test_jump_fields_is_read_once_per_audit_and_once_per_view(tmp_path, monkeypa
     for run in (traj, back):
         events = run.jump_events
         assert events is run.jump_events
-        assert [tuple(map(repr, ev)) for ev in events] == [
-            tuple(map(repr, ev)) for ev in run.init_events + rows]
+        assert [tuple(map(repr, ev)) for ev in events] == [tuple(map(repr, ev)) for ev in rows]
     assert calls[2:] == [traj, back]
-    assert len(rows) == 19957 and traj.init_events == back.init_events == []
+    # example2 starts in its r_guess, so its walk is empty
+    assert len(rows) == 19957 and traj.r[0] == traj.scenario.r_guess
 
 
 def test_csv_header_is_checked(arm, tmp_path):
@@ -600,20 +600,6 @@ def test_start_up_builds_and_imports_only_what_it_uses(monkeypatch):
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.split() == ["False"]
-
-
-def test_trajectories_do_not_share_their_time_zero_events(monkeypatch):
-    sc = builtin_scenarios()["example1"]
-
-    def fresh_lists() -> bool:
-        a, b = (Trajectory(*[np.zeros(1)] * 10, scenario=sc, design=None) for _ in range(2))
-        a.init_events.append(JumpEvent(0.0, 1, 2, 3.0, 0))
-        return b.init_events == [] and a.init_events is not b.init_events
-
-    assert fresh_lists()
-    # control: one default list shared by every trajectory is caught
-    monkeypatch.setattr(Trajectory.__init__, "__defaults__", (None, None, None, []))
-    assert not fresh_lists()
 
 
 def test_one_table_build_per_scheduled_simulate(monkeypatch):
