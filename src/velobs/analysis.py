@@ -116,19 +116,17 @@ def illegal_jumps(traj: Trajectory) -> list[JumpEvent]:
     """The jumps outside their jump set, as events: the time-zero walk's, then the rows'.
 
     A jump of more than one mode, or out of a mode below r_min, is illegal.
-    Each source mode's thresholds are taken once and compared with its jumps'
-    norms over arrays: an up-jump needs nrm >= up, a down-jump nrm <= down.
+    The thresholds of the jumps' source modes are taken in one array pass and
+    compared with their norms: an up-jump needs nrm >= up, a down-jump nrm <= down.
     """
     sc = traj.scenario
     if sc.hybrid is None:
         return []
     jumps = jump_fields(traj)
     _, old_r, new_r, nrm, _ = jumps
-    modes, at = np.unique(old_r, return_inverse=True)
-    # each jump's (up, down), its source mode's; NaN below r_min, where no jump is legal
-    up, down = np.array([sc.hybrid.thresholds(r) if r >= sc.hybrid.r_min else (math.nan,) * 2
-                         for r in modes.tolist()]).reshape(-1, 2)[at].T
-    ok = ((new_r == old_r + 1) & (nrm >= up)) | ((new_r == old_r - 1) & (nrm <= down))
+    above = old_r >= sc.hybrid.r_min    # no jump out of a mode below r_min is legal
+    up, down = sc.hybrid.thresholds(np.where(above, old_r, sc.hybrid.r_min))
+    ok = above & (((new_r == old_r + 1) & (nrm >= up)) | ((new_r == old_r - 1) & (nrm <= down)))
     return list(map(JumpEvent._make, zip(*(f[~ok].tolist() for f in jumps))))
 
 

@@ -312,7 +312,7 @@ def _exit_code(func, *args) -> int:
     """func(*args), or the exit code of the error it raised, printed to stderr."""
     try:
         return func(*args)
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:    # a ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SimulationBlowUp as exc:

@@ -6,7 +6,9 @@ text LAW (see `equations`): it sets tau1..taun from the gravity torque
 g1..gn, the positions q1..qn, the estimate xh1..xhn, the time t and its
 CONSTANTS (the values of `_constants`).  `float_torque(g, q, xhat2, t)`
 compiles it for Python floats (the first n entries of g are g(q), as in a
-model kernel's terms) and `torque` wraps that for arrays.
+model kernel's terms), and `TorqueLaw.torque`, the one array form of every
+law, evaluates it at a model's g(q) once the law's joint count n is the
+model's: the one rule that decides whether a law fits its model.
 """
 from __future__ import annotations
 
@@ -14,12 +16,6 @@ import numpy as np
 
 from .dynamics import RobotModel
 from .equations import compiled, define, joints, names
-
-
-def _two_joint_gravity(model: RobotModel, q) -> list[float]:
-    if model.n != 2:
-        raise ValueError("open-loop profiles are defined for two-joint models")
-    return model.gravity(q).tolist()
 
 
 class TorqueLaw:
@@ -35,6 +31,16 @@ class TorqueLaw:
         "float_torque", "self, g, q, xhat2, t", n,
         {"self._constants": cls.CONSTANTS, f"g[:{n}]": ["g{i}"], "q": ["q{i}"],
          "xhat2": ["xh{i}"]}, joints(cls.LAW, n), f"({names('tau{i}', n=n)})"))
+
+    def torque(self, model: RobotModel, q, xhat2, t) -> np.ndarray:
+        """LAW as an array at q, the estimate xhat2 (None for a law that reads
+        none) and t, with g(q) from `model`.  ValueError when the law's joint
+        count n is not the model's, or q or xhat2 is not n floats."""
+        if self.n != model.n:
+            raise ValueError(f"the {self.name} law has n = {self.n}, the model n = {model.n}")
+        q = model._check_joint_vector(q, "q")
+        xhat2 = None if xhat2 is None else model._check_joint_vector(xhat2, "xhat2").tolist()
+        return np.array(self.float_torque(model.gravity(q).tolist(), q.tolist(), xhat2, t))
 
 
 def _as_gain_matrix(k, n: int, name: str) -> np.ndarray:
@@ -71,9 +77,8 @@ class OpenLoopBounded(TorqueLaw):
         tau1 = g1 + cos(0.5 * t)
         tau2 = g2 - cos(t)
     """
-
-    def torque(self, model, q, xhat2, t):
-        return np.array(self.float_torque(_two_joint_gravity(model, q), q, xhat2, t))
+    # on the class, where the benchmark's tracer wraps it by name
+    torque = TorqueLaw.torque
 
 
 class OpenLoopUnbounded(TorqueLaw):
@@ -85,9 +90,8 @@ class OpenLoopUnbounded(TorqueLaw):
         tau1 = g1 + sin(t)
         tau2 = g2 + (1.0 + sin(2.0 * t))
     """
-
-    def torque(self, model, q, xhat2, t):
-        return np.array(self.float_torque(_two_joint_gravity(model, q), q, xhat2, t))
+    # on the class, where the benchmark's tracer wraps it by name
+    torque = TorqueLaw.torque
 
 
 class PdGravity(TorqueLaw):
@@ -97,20 +101,14 @@ class PdGravity(TorqueLaw):
     # g + Kp (x_ref - q) - Kd xhat2 with diagonal gains
     CONSTANTS = ("kp{i}", "kd{i}", "ref{i}")
     LAW = "tau{i} = g{i} + kp{i} * (ref{i} - q{i}) - kd{i} * xh{i}"
+    # on the class, where the benchmark's tracer wraps it by name
+    torque = TorqueLaw.torque
 
     def __init__(self, config: PdConfig):
         self.config = config
         self.n = config.x_ref.shape[0]
         self._constants = (*np.diagonal(config.kp).tolist(), *np.diagonal(config.kd).tolist(),
                            *config.x_ref.tolist())
-
-    def torque(self, model, q, xhat2, t):
-        q = model._check_joint_vector(q, "q")
-        xhat2 = model._check_joint_vector(xhat2, "xhat2")
-        if self.config.x_ref.shape != (model.n,):
-            raise ValueError(f"PD setpoint must have {model.n} entries")
-        return np.array(self.float_torque(model.gravity(q).tolist(), q.tolist(),
-                                          xhat2.tolist(), t))
 
 
 class ConstantTorque(TorqueLaw):
@@ -119,11 +117,10 @@ class ConstantTorque(TorqueLaw):
     name = "constant"
     CONSTANTS = ("u{i}",)
     LAW = "tau{i} = u{i}"
+    # on the class, where the benchmark's tracer wraps it by name
+    torque = TorqueLaw.torque
 
     def __init__(self, tau):
         self.tau = np.asarray(tau, dtype=float)
         self.n = self.tau.size
         self._constants = tuple(np.ravel(self.tau).tolist())
-
-    def torque(self, model, q, xhat2, t):
-        return np.array(self.float_torque(None, q, xhat2, t))

@@ -57,19 +57,16 @@ class HybridConfig:
         designed for; elementwise for an array of modes."""
         return r * self.v_bar
 
-    def thresholds(self, r: int) -> tuple[float, float]:
+    def thresholds(self, r):
         """(up, down) of mode r: its up-jump set is nrm >= up, its down-jump
         set nrm <= down.  down is -inf at the floor mode r_min, which has no
-        mode below to jump to; a mode below r_min raises ValueError."""
-        if r < self.r_min:
+        mode below to jump to; a mode below r_min raises ValueError.  Two
+        floats for an int r, two float arrays for an integer array of modes."""
+        if np.any(r < self.r_min):
             raise ValueError("r below the lowest admissible mode")
-        if r == self.r_min:
-            down = -math.inf
-        elif self.semantics == "hysteresis":
-            down = self.band_speed(r - 1) - self.eta
-        else:
-            down = self.band_speed(r - 1) + self.eta
-        return self.band_speed(r) - self.eta, down
+        margin = -self.eta if self.semantics == "hysteresis" else self.eta
+        down = np.where(r > self.r_min, self.band_speed(r - 1) + margin, -math.inf)
+        return self.band_speed(r) - self.eta, down if np.ndim(r) else down.item()
 
 
 class JumpEvent(NamedTuple):

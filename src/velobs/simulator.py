@@ -140,8 +140,6 @@ class Scenario:
             tau = self.controller.torque(self.model, self.q0, self.xhat2_0, 0.0)
         except ValueError as exc:
             raise ScenarioError(f"controller does not fit the model: {exc}") from exc
-        if np.shape(tau) != (n,):
-            raise ScenarioError(f"controller torque must have shape ({n},)")
         if not np.all(np.isfinite(tau)):
             raise ScenarioError("controller torque at t = 0 must be finite")
 

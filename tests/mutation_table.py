@@ -52,7 +52,7 @@ ROWS = (
     (A, "(traj.eps_norm < radius)", "(traj.eps_norm <= radius)"),
     (O, "dph{i} = kd * e{i} + vh{i}", "dph{i} = kp * e{i} + vh{i}"),
     (D, "(w1 * b + w2 * c) * w2)", "(w1 * b + w2 * b) * w2)"),
-    (H, "band_speed(r - 1) - self.eta", "band_speed(r - 1) - 0.5 * self.eta"),
+    (H, "margin = -self.eta if", "margin = -0.5 * self.eta if"),
     (C, "- kd{i} * xh{i}", "- 1.001 * kd{i} * xh{i}"),
     (H, "maximum(0.0, nrm - eta), nrm + eta", "maximum(0.0, nrm - eta), nrm + 1.01 * eta"),
     (A, "<= CHATTER_WINDOW", "< CHATTER_WINDOW"),
@@ -65,7 +65,9 @@ ROWS = (
     (A, "(nrm >= up)", "(nrm > up)"),
     (A, "(nrm <= down)", "(nrm < down)"),
     (A, "(new_r == old_r + 1)", "(new_r >= old_r + 1)"),
-    (A, "if r >= sc.hybrid.r_min else", "if r > sc.hybrid.r_min else"),
+    (A, "above = old_r >= sc.hybrid.r_min", "above = old_r > sc.hybrid.r_min"),
+    # the floor mode's down threshold, in the form that takes an array of modes
+    (H, "np.where(r > self.r_min", "np.where(r >= self.r_min"),
     # the time-zero mode: each bisection's predicate, the bound on its
     # distance from r_guess, and the direction of the walk derived from it
     (H, "nrm < config.thresholds(r)[0]", "nrm <= config.thresholds(r)[0]"),
@@ -98,6 +100,10 @@ ROWS = (
     (C, "np.asarray(tau, dtype=float)", "np.asarray(tau)"),
     (D, "self.x1.ndim != 1 or self.x1.shape != self.x2.shape", "self.x1.ndim != 1"),
     (D, "self.x1.ndim != 1 or self.x1.shape", "self.x1.shape"),
+    # the one rule that decides whether a law fits its model, and the
+    # estimate a law that reads none may take as None
+    (C, "if self.n != model.n:", "if self.n > model.n:"),
+    (C, "None if xhat2 is None else", "None if xhat2 is not None else"),
 )
 
 # row number -> why tier-1 cannot tell the mutant from the program

@@ -39,10 +39,9 @@ def test_bounded_profile_stays_within_sqrt2(arm):
 
 def test_open_loop_profiles_require_two_joints():
     single = SingleLinkModel()
-    with pytest.raises(ValueError):
-        OpenLoopBounded().torque(single, np.zeros(1), None, 0.0)
-    with pytest.raises(ValueError):
-        OpenLoopUnbounded().torque(single, np.zeros(1), None, 0.0)
+    for law in (OpenLoopBounded(), OpenLoopUnbounded()):
+        with pytest.raises(ValueError, match=f"the {law.name} law has n = 2, the model n = 1"):
+            law.torque(single, np.zeros(1), None, 0.0)
 
 
 def test_pd_law_is_pure_gravity_compensation_at_setpoint(arm):
@@ -93,16 +92,24 @@ def test_pd_config_validation():
 
 
 def test_wrappers_dispatch_to_their_laws(arm):
-    q = np.array([0.1, 0.2])
-    xhat2 = np.array([0.5, -0.7])
-    g = arm.gravity(q).tolist()
+    """torque is float_torque at the model's kernel terms, bit for bit, for
+    every law on the arm and the one-joint laws on the single link."""
+    single = SingleLinkModel(inertia_value=2.5, damping=0.4)
     cfg = PdConfig(kp=[1.0, 1.0], kd=[1.0, 1.0], x_ref=np.zeros(2))
-    for law in (OpenLoopBounded(), OpenLoopUnbounded(), PdGravity(cfg),
-                ConstantTorque([3.0, -1.0])):
-        assert np.array_equal(law.torque(arm, q, xhat2, 1.2),
-                              law.float_torque(g, q.tolist(), xhat2.tolist(), 1.2))
-    assert np.array_equal(ConstantTorque([3.0, -1.0]).torque(arm, q, xhat2, 1.2),
-                          [3.0, -1.0])
+    cases = [
+        (arm, [0.1, 0.2], [0.5, -0.7], [OpenLoopBounded(), OpenLoopUnbounded(), PdGravity(cfg),
+                                        ConstantTorque([3.0, -1.0])]),
+        (single, [0.7], [-1.3], [PdGravity(PdConfig(kp=[5.0], kd=[3.0], x_ref=[0.4])),
+                                 ConstantTorque([0.8])]),
+    ]
+    for model, q, xhat2, laws in cases:
+        terms = model.kernel(q)
+        for law in laws:
+            tau = law.torque(model, np.array(q), np.array(xhat2), 1.2)
+            assert tau.tobytes() == np.array(law.float_torque(terms, q, xhat2, 1.2)).tobytes()
+    # a law that reads no estimate takes None for it
+    tau = ConstantTorque([3.0, -1.0]).torque(arm, np.array([0.1, 0.2]), None, 1.2)
+    assert tau.tolist() == [3.0, -1.0]
 
 
 def test_wrapper_names_are_stable():

@@ -258,6 +258,21 @@ def test_the_thresholds_are_the_band_formula(cfg, r):
 
 
 @PROPERTY
+@given(configs, st.lists(st.one_of(st.integers(0, 8), st.integers(0, 10**9)), max_size=20))
+def test_the_array_thresholds_are_the_scalar_ones_bit_for_bit(cfg, modes):
+    array = np.array(modes, dtype=np.int64)
+    if any(r < cfg.r_min for r in modes):
+        with pytest.raises(ValueError, match="lowest admissible mode"):
+            cfg.thresholds(array)
+        return
+    up, down = cfg.thresholds(array)
+    scalar = [cfg.thresholds(r) for r in modes]
+    assert all(type(x) is float for pair in scalar for x in pair)
+    assert up.dtype == down.dtype == np.float64
+    assert up.tobytes() + down.tobytes() == np.array(scalar).reshape(-1, 2).T.tobytes()
+
+
+@PROPERTY
 @given(configs, st.one_of(st.integers(1, 50), st.integers(1, 10**6)))
 def test_flow_empty_above_floor_is_every_annulus_above_the_floor(cfg, above):
     empty = flow_empty_above_floor(cfg)
@@ -286,7 +301,7 @@ class StrictUp(HybridConfig):
 
     def thresholds(self, r):
         up, down = super().thresholds(r)
-        return math.nextafter(up, math.inf), down
+        return np.nextafter(up, math.inf), down
 
 
 def test_a_strict_threshold_is_caught():

@@ -114,8 +114,20 @@ def test_validation_rejects_bad_scenarios(arm):
 def test_open_loop_law_needs_two_joints(single):
     sc = Scenario(name="one_joint", model=single, q0=np.zeros(1), v0=np.zeros(1),
                   xhat2_0=np.zeros(1), controller=OpenLoopBounded(), v_max=1.0)
-    with pytest.raises(ScenarioError, match="two-joint"):
+    with pytest.raises(ScenarioError, match="the open_loop_1 law has n = 2, the model n = 1"):
         sc.validate()
+
+
+def test_a_law_of_another_joint_count_does_not_fit(arm):
+    # the law refuses the model itself, with more joints or fewer, and
+    # validate says so in one line
+    one_joint_pd = PdGravity(PdConfig(kp=[1.0], kd=[1.0], x_ref=[0.0]))
+    for law, n in ((ConstantTorque([1.0, 2.0, 3.0]), 3), (one_joint_pd, 1)):
+        message = f"the {law.name} law has n = {n}, the model n = 2"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            law.torque(arm, np.zeros(2), np.zeros(2), 0.0)
+        with pytest.raises(ScenarioError, match=f"^controller does not fit the model: {message}$"):
+            make_scenario(arm, controller=law).validate()
 
 
 def test_design_speed_rule(arm):
