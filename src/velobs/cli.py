@@ -81,8 +81,8 @@ def _read(sections, section: str, key: str):
 def _band(sections, eta: float, v_bar: float | None = None) -> tuple[HybridConfig, int]:
     """The band of a file's [hybrid] (v_bar wide if that is given) and its first mode."""
     read = functools.partial(_read, sections, "hybrid")
-    hybrid = HybridConfig(semantics=read("semantics"), v_bar=v_bar or read("v_bar"),
-                          eta=eta, r_min=read("r_min"))
+    v_bar = read("v_bar") if v_bar is None else v_bar
+    hybrid = HybridConfig(semantics=read("semantics"), v_bar=v_bar, eta=eta, r_min=read("r_min"))
     r_guess = read("r_guess")
     return hybrid, max(hybrid.r_min, 1) if r_guess is None else r_guess
 

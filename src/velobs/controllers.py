@@ -7,8 +7,8 @@ g1..gn, the positions q1..qn, the estimate xh1..xhn, the time t and its
 CONSTANTS (the values of `_constants`).  `float_torque(g, q, xhat2, t)`
 compiles it for Python floats (the first n entries of g are g(q), as in a
 model kernel's terms), and `TorqueLaw.torque`, the one array form of every
-law, evaluates it at a model's g(q) once the law's joint count n is the
-model's: the one rule that decides whether a law fits its model.
+law, evaluates it at a model's g(q) once q and xhat2 are n floats and the
+law's joint count n is the model's: the rule for whether a law fits a model.
 """
 from __future__ import annotations
 
@@ -33,13 +33,13 @@ class TorqueLaw:
          "xhat2": ["xh{i}"]}, joints(cls.LAW, n), f"({names('tau{i}', n=n)})"))
 
     def torque(self, model: RobotModel, q, xhat2, t) -> np.ndarray:
-        """LAW as an array at q, the estimate xhat2 (None for a law that reads
-        none) and t, with g(q) from `model`.  ValueError when the law's joint
-        count n is not the model's, or q or xhat2 is not n floats."""
+        """LAW as an array at q, the estimate xhat2 and t, with g(q) from
+        `model`.  ValueError when the law's joint count n is not the model's,
+        or q or xhat2 is not n floats (a law that reads no estimate too)."""
         if self.n != model.n:
             raise ValueError(f"the {self.name} law has n = {self.n}, the model n = {model.n}")
         q = model._check_joint_vector(q, "q")
-        xhat2 = None if xhat2 is None else model._check_joint_vector(xhat2, "xhat2").tolist()
+        xhat2 = model._check_joint_vector(xhat2, "xhat2").tolist()
         return np.array(self.float_torque(model.gravity(q).tolist(), q.tolist(), xhat2, t))
 
 
@@ -51,7 +51,7 @@ def _as_gain_matrix(k, n: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be {n}x{n} or a length-{n} diagonal")
     if not np.all(np.isfinite(k)):
         raise ValueError(f"{name} must be finite")
-    if not np.allclose(k, np.diag(np.diagonal(k))):
+    if not np.array_equal(k, np.diag(np.diagonal(k))):
         raise ValueError(f"{name} must be diagonal")
     if np.any(np.diagonal(k) <= 0.0):
         raise ValueError(f"{name} diagonal entries must be positive")

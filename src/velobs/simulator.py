@@ -8,7 +8,9 @@ observers: the text that also compiles into the per-equation functions
 (`kernel`, `accel`, `float_torque`, `reduced_rate`, `full_rate`).  The
 switching logic is evaluated at step boundaries only; when a jump changes
 the scheduled gain, the observer's internal state z is re-based so that the
-velocity estimate xhat2 = z + k y stays continuous across the jump.
+velocity estimate xhat2 = z + k y stays continuous across the jump.  Each
+sample is one row of the run's record, in the columns of `record_columns`,
+the CSV's first; `Trajectory` is the one reader of a record.
 """
 from __future__ import annotations
 
@@ -35,20 +37,22 @@ BUILTIN_NAMES = ("example1", "example2", "example3")
 # Abort threshold for any integrated state component.
 BLOWUP_LIMIT = 1e6
 
-# Most samples one run may record: at most 18 float64 columns for a
-# two-link arm with both observers, so under 300 MB of sample arrays.
+# Most samples one run may record: at most 21 float64 columns for a
+# two-link arm with both observers, so under 350 MB of sample array.
 MAX_SAMPLES = 2_000_000
 
-CSV_COLUMNS = ("t", "q1", "q2", "dq1", "dq2", "dq1_hat", "dq2_hat",
-               "eps_norm", "V", "r", "k_r", "tau1", "tau2",
-               "lower_bound", "upper_bound")
+# The columns of a sample's row, as joint specs (see `equations`), whose
+# n = 2 expansion is the CSV's schema; dq_hat is the estimate fed to the law.
+ROW = ("t", "q{i}", "dq{i}", "dq{i}_hat", "eps_norm", "V", "r", "k_r", "tau{i}",
+       "lower_bound", "upper_bound")
+CSV_COLUMNS = tuple(joints("\n".join(ROW), 2))
 # One CSV row: the mode index r as an integer, every other value with 17
 # significant digits, enough for every float to read back bit for bit.
 _CSV_ROW = ",".join("%d" if c == "r" else "%.17g" for c in CSV_COLUMNS) + "\n"
 # Rows formatted per write by Trajectory.to_csv, and samples one call of the
 # compiled run records in its flat list before simulate packs them into its
 # sample array.  Larger blocks write and pack no faster, and a block's list
-# holds about 32 bytes a value: 0.5 MB at 1024 of example2's 15-value rows.
+# holds about 32 bytes a value: 0.6 MB at 1024 of example2's 17-value rows.
 CSV_BLOCK_ROWS = 1024
 
 
@@ -163,33 +167,39 @@ class Scenario:
         return int(math.floor(self.t_final / self.dt + 1e-9)) + 1
 
 
-class Trajectory:
-    """Sampled run of one scenario, one row per integrator step: the
-    columns, the scenario and its design, from which its jumps follow."""
+def record_columns(mode: str, n: int) -> list[str]:
+    """The columns of a simulated record: ROW's, then the packed state past q
+    and v, from which a block restarts.  A CSV's record holds ROW's alone."""
+    state = ["z{i}"] * (mode != "full") + ["ph{i}", "vh{i}"] * (mode != "reduced")
+    return joints("\n".join([*ROW, *state]), n)
 
-    def __init__(self, t, x1, x2, eps_norm, v_lyap, r, k_gain, tau, lower, upper,
-                 scenario: Scenario, design: GainDesign, xhat2_reduced=None,
-                 xhat2_full=None, z=None):
-        self.t = t
-        self.x1 = x1
-        self.x2 = x2
-        self.eps_norm = eps_norm
-        self.v_lyap = v_lyap
-        self.r = r
-        self.k_gain = k_gain
-        self.tau = tau
-        self.lower = lower
-        self.upper = upper
+
+class Trajectory:
+    """A run's record `table` in the columns of record_columns, its scenario
+    and design; every field but `r` is a view of `table`, or None."""
+
+    def __init__(self, table: np.ndarray, scenario: Scenario, design: GainDesign):
+        n, mode = scenario.model.n, scenario.observer_mode
+        # zip stops at the table's width: a CSV's record has no state column
+        at = dict(zip(record_columns(mode, n), range(table.shape[1])))
+
+        def field(spec: str):
+            """The column of `spec`, the n columns of a joint spec, or None."""
+            j = at.get(spec.format(i=1))
+            if j is not None:
+                return table[:, j:j + n] if "{i}" in spec else table[:, j]
+
+        self.table = table
         self.scenario = scenario
         self.design = design
-        self.xhat2_reduced = xhat2_reduced
-        self.xhat2_full = xhat2_full
-        self.z = z
-
-    @property
-    def active(self) -> str:
-        """The observer the scalar columns follow: reduced when present, else full."""
-        return "reduced" if self.xhat2_reduced is not None else "full"
+        # ROW's columns in order, then z where the record has it
+        (self.t, self.x1, self.x2, self.xhat2, self.eps_norm, self.v_lyap, r, self.k_gain,
+         self.tau, self.lower, self.upper, self.z) = map(field, [*ROW, "z{i}"])
+        self.r = r.astype(int)
+        # the observer the estimate follows: the reduced one where the mode has it
+        self.active = "full" if mode == "full" else "reduced"
+        self.xhat2_reduced = None if mode == "full" else self.xhat2
+        self.xhat2_full = self.xhat2 if mode == "full" else field("vh{i}")
 
     @functools.cached_property
     def speed(self) -> np.ndarray:
@@ -202,11 +212,6 @@ class Trajectory:
         # tuple.__new__ skips the Python-level __new__ of JumpEvent per event
         return list(map(tuple.__new__, repeat(JumpEvent),
                         zip(*(f.tolist() for f in jump_fields(self)))))
-
-    @property
-    def xhat2(self) -> np.ndarray:
-        """Estimate of the active observer (reduced when present)."""
-        return self.xhat2_reduced if self.xhat2_reduced is not None else self.xhat2_full
 
     def eps_norm_for(self, which: str) -> np.ndarray:
         """Velocity-error norm history of an observer: the active one's is eps_norm."""
@@ -225,10 +230,7 @@ class Trajectory:
         """
         if self.x1.shape[1] != 2:
             raise ScenarioError("the CSV schema is defined for two-joint models")
-        est = self.xhat2
-        columns = (self.t, self.x1[:, 0], self.x1[:, 1], self.x2[:, 0], self.x2[:, 1],
-                   est[:, 0], est[:, 1], self.eps_norm, self.v_lyap, self.r,
-                   self.k_gain, self.tau[:, 0], self.tau[:, 1], self.lower, self.upper)
+        columns = self.table[:, :len(CSV_COLUMNS)].T
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for start in range(0, self.t.shape[0], CSV_BLOCK_ROWS):
@@ -237,13 +239,13 @@ class Trajectory:
 
     @classmethod
     def from_csv(cls, path, scenario: Scenario) -> "Trajectory":
-        """Parse a file written by to_csv back into the record of `scenario`,
-        its estimate the active observer's (xhat2_full in a full-mode scenario).
+        """Parse a file written by to_csv back into the record of `scenario`.
 
         Raises ValueError for a wrong header or column count, no data row, a
         non-finite value, or an r that is not a whole number in [0, 2**53],
-        then ScenarioError where scenario.validate() does, then ValueError
-        for a scheduled row 0 more than MAX_INIT_JUMPS bands from r_guess.
+        then ScenarioError where scenario.validate() does or the model has
+        other than two joints, then ValueError for a scheduled row 0 more
+        than MAX_INIT_JUMPS bands from r_guess.
         """
         with open(path) as fh:
             header = fh.readline().strip().split(",")
@@ -260,19 +262,15 @@ class Trajectory:
             raise ValueError("unexpected CSV column count")
         if not np.isfinite(data).all():
             raise ValueError("CSV holds a non-finite value")
-        r = data[:, 9]
+        r = data[:, CSV_COLUMNS.index("r")]
         if not np.all((r >= 0) & (r <= 2.0 ** 53) & (r == np.floor(r))):
             raise ValueError("CSV column r holds a value that is not a mode index")
         scenario.validate()
+        if scenario.model.n != 2:
+            raise ScenarioError("the CSV schema is defined for two-joint models")
         if scenario.gain_mode == "scheduled" and abs(r[0] - scenario.r_guess) > MAX_INIT_JUMPS:
             raise ValueError(f"CSV row 0 lies more than {MAX_INIT_JUMPS} bands from r_guess")
-        full = scenario.observer_mode == "full"
-        return cls(
-            t=data[:, 0], x1=data[:, 1:3], x2=data[:, 3:5],
-            xhat2_reduced=None if full else data[:, 5:7],
-            xhat2_full=data[:, 5:7] if full else None, eps_norm=data[:, 7], v_lyap=data[:, 8],
-            r=r.astype(int), k_gain=data[:, 10], tau=data[:, 11:13],
-            lower=data[:, 13], upper=data[:, 14], scenario=scenario, design=scenario.design())
+        return cls(data, scenario, scenario.design())
 
 
 def jump_steps(r: np.ndarray) -> np.ndarray:
@@ -305,20 +303,18 @@ WITHIN_LIMIT = "-{limit} <= {x} <= {limit}"
 @functools.cache
 def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
     """factory(*model._constants, *law._constants, kd, kp, dt, schedule,
-    step_logic) for one scenario shape, built on first use.  It
-    returns pack(x1, x2, xhat2, k), the packed state s (x1, x2, then z and
-    (x1_hat, x2_hat) as the mode has them) at the reduced gain k, and
-    run(i, stop, s, last, logic), which integrates samples i to stop - 1 from
-    s and the logic state (whose k_r and r it runs at; kd and 0 without one),
-    evaluating no stage past the sample `last`.  run returns the block's
-    samples as one flat list of floats (each sample's state s, then its row
-    eps_norm, V, r, k, |xhat2|, tau and the reduced observer's xhat2 when the
-    mode has it), then s and the logic state for the next block; s is None
-    after a step that left the blow-up limit or raised a math error.  With a
-    logic state each step calls step_logic(schedule, logic, |xhat2|); a jump
-    re-bases z, and the r column records it.
-    Both inline the equation text, bit for bit the composition of the
-    per-equation functions."""
+    step_logic) for one scenario shape, built on first use.  It returns
+    pack(x1, x2, xhat2, k), the packed state s (x1, x2, then z and (x1_hat,
+    x2_hat) as the mode has them) at the reduced gain k, and run(i, stop, s,
+    last, logic), which integrates samples i to stop - 1 from s and the logic
+    state (whose k_r and r it runs at; kd and 0 without one), evaluating no
+    stage past the sample `last`.  run returns the block's rows of
+    record_columns(mode, n) as one flat list, with |xhat2| in both bound
+    columns, then s and the logic state for the next block; s is None after
+    a step that left the blow-up limit or raised a math error.  With a logic
+    state each step calls step_logic(schedule, logic, |xhat2|); a jump
+    re-bases z, and the r column records it.  Both inline the equation text,
+    bit for bit the composition of the per-equation functions."""
     n = model_cls.n
     red, full = mode in ("reduced", "both"), mode in ("full", "both")
     # each packed state with its rate (the rate of q is v)
@@ -354,17 +350,19 @@ def flat_rhs(model_cls, law_cls, mode: str) -> Callable:
         bases = {b: b + suffix for pair in [("t",), *pairs] for b in pair}
         return [f"t{suffix} = t + {h}", *text("\n".join(at)), *rename(body, **bases)]
 
+    # the sample's row, in the columns of record_columns(mode, n)
     record = [*text(ERROR, xh=fed), *text(model_cls.ENERGY, w="eps", energy="V"),
               f"nrm = hypot({names(fed + '{i}', n=n)})",
-              f"put((hypot({names('eps{i}', n=n)}), V, r, k, nrm, "
-              f"{names('tau{i}', n=n)}{names('est{i}', n=n) if red else ''}))"]
+              f"put((t, {names('q{i}', 'v{i}', fed + '{i}', n=n)}"
+              f"hypot({names('eps{i}', n=n)}), V, r, k, {names('tau{i}', n=n)}nrm, nrm, "
+              f"{names(*packed[2 * n:], n=n)}))"]
     # stages 2, 3 and 4 name their states and rates with _b, _c and _d
     final = [f"{x}{{i}} + sixth * ({d}{{i}} + 2.0 * {d}_b{{i}} + 2.0 * {d}_c{{i}} + {d}_d{{i}})"
              for x, d in pairs]
     steps = stage("_b", "half", "") + stage("_c", "half", "_b") + stage("_d", "dt", "_c")
     within = " and ".join(WITHIN_LIMIT.format(x=x, limit=BLOWUP_LIMIT) for x in packed)
     # the step's sample at t, its RK4 step, the blow-up check, then the logic
-    loop = ["t = i * dt", "put(s)", *body, *record, "if i == last:", "    break",
+    loop = ["t = i * dt", *body, *record, "if i == last:", "    break",
             "try:", *indent([*steps, f"s = ({names(*final, n=n)})"]),
             "except (ValueError, ArithmeticError):", "    return rows, None, logic",
             f"{state} = s",
@@ -395,9 +393,6 @@ def simulate(scenario: Scenario) -> Trajectory:
     """Integrate one scenario and record every sample."""
     scenario.validate()
     model = scenario.model
-    n = model.n
-    use_red = scenario.observer_mode in ("reduced", "both")
-    use_full = scenario.observer_mode in ("full", "both")
     law = scenario.controller
     dt = scenario.dt
 
@@ -417,10 +412,7 @@ def simulate(scenario: Scenario) -> Trajectory:
              kd if logic is None else logic.k_r)
 
     n_samples = scenario.sample_count()
-    packed = len(s)
-    # one row per sample: the packed state, then eps_norm, V, r, k_r, the
-    # estimate norm, tau and the reduced observer's estimate
-    width = packed + 5 + n + n * use_red
+    width = len(record_columns(scenario.observer_mode, model.n))
     samples = np.empty((n_samples, width))
     # run records a block of samples as one flat list of floats, which one
     # pack_into copies bit for bit into the block's rows of the array
@@ -432,18 +424,10 @@ def simulate(scenario: Scenario) -> Trajectory:
             raise SimulationBlowUp(
                 f"state component left |x| <= {BLOWUP_LIMIT:g} at t = {t + dt:.6g}")
         struct.pack_into(f"{len(rows)}d", samples, start * samples.strides[0], *rows)
-    states, extra = samples[:, :packed], samples[:, packed:]
-    lower, upper = velocity_sandwich(scenario.eta, extra[:, 4])
-
-    return Trajectory(
-        t=np.arange(n_samples) * dt, x1=states[:, :n], x2=states[:, n:2 * n],
-        eps_norm=extra[:, 0], v_lyap=extra[:, 1], r=extra[:, 2].astype(int),
-        k_gain=extra[:, 3], tau=extra[:, 5:5 + n], lower=lower, upper=upper,
-        xhat2_reduced=extra[:, 5 + n:] if use_red else None,
-        # the full observer's x2_hat is packed last
-        xhat2_full=states[:, -n:] if use_full else None,
-        z=states[:, 2 * n:3 * n] if use_red else None,
-        scenario=scenario, design=design)
+    traj = Trajectory(samples, scenario, design)
+    # run leaves the estimate norm in both bound columns
+    traj.lower[:], traj.upper[:] = velocity_sandwich(scenario.eta, traj.lower)
+    return traj
 
 
 def builtin_scenarios() -> dict[str, Scenario]:

@@ -39,7 +39,7 @@ TAIL = 20
 
 A, O, H = "src/velobs/analysis.py", "src/velobs/observers.py", "src/velobs/hybrid_logic.py"
 S, D, C = "src/velobs/simulator.py", "src/velobs/dynamics.py", "src/velobs/controllers.py"
-E = "src/velobs/equations.py"
+E, L = "src/velobs/equations.py", "src/velobs/cli.py"
 
 ROWS = (
     # the claim layer's constants and comparison edges
@@ -79,7 +79,7 @@ ROWS = (
     # a line of whitespace in a CSV is blank, and whitespace then "#" a comment
     (S, "map(str.lstrip, fh)", "fh"),
     # a CSV's estimate goes to its scenario's active observer
-    (S, 'full = scenario.observer_mode == "full"', 'full = scenario.observer_mode != "full"'),
+    (S, 'None if mode == "full" else self.xhat2', 'None if mode != "full" else self.xhat2'),
     # the gain schedule enters the next mode up, designed at its own band
     (H, "return schedule[state.r + 1]", "return schedule[state.r]"),
     (H, "compute_kr(self.model, self.config, r)", "compute_kr(self.model, self.config, r + 1)"),
@@ -90,20 +90,27 @@ ROWS = (
     (D, 'INERTIA = ("a", "b", "b", "c")', 'INERTIA = ("c", "b", "b", "a")'),
     (E, '"cos": np.vectorize(math.cos', '"cos": np.vectorize(math.sin'),
     # the packed sample array: each block's byte offset, the sample a blow-up
-    # reports, and the width of a row that holds the reduced estimate
+    # reports, the width of a record with both observers (its z columns), the
+    # bound columns velocity_sandwich overwrites and the norm column it reads
     (S, "start * samples.strides[0]", "(start + 1) * samples.strides[0]"),
     (S, "len(rows) // width - 1", "len(rows) // width"),
-    (S, "5 + n + n * use_red", "5 + n + n"),
+    (S, '["z{i}"] * (mode != "full")', '["z{i}"] * (mode == "reduced")'),
+    (S, "traj.lower[:], traj.upper[:] =", "traj.lower[:], traj.eps_norm[:] ="),
+    (S, "velocity_sandwich(scenario.eta, traj.lower)",
+     "velocity_sandwich(scenario.eta, traj.eps_norm)"),
     # the records and laws built by a plain __init__: PdConfig's kd checks,
     # ConstantTorque's float values and PlantState's shape check
     (C, 'self.kd = _as_gain_matrix(kd, n, "kd")', "self.kd = np.diag(kd)"),
     (C, "np.asarray(tau, dtype=float)", "np.asarray(tau)"),
     (D, "self.x1.ndim != 1 or self.x1.shape != self.x2.shape", "self.x1.ndim != 1"),
     (D, "self.x1.ndim != 1 or self.x1.shape", "self.x1.shape"),
-    # the one rule that decides whether a law fits its model, and the
-    # estimate a law that reads none may take as None
+    # the one rule that decides whether a law fits its model, the estimate
+    # check of every law, and the exact test that a gain matrix is diagonal
     (C, "if self.n != model.n:", "if self.n > model.n:"),
-    (C, "None if xhat2 is None else", "None if xhat2 is not None else"),
+    (C, 'model._check_joint_vector(xhat2, "xhat2").tolist()', "list(xhat2)"),
+    (C, "not np.array_equal(k, np.diag", "not np.allclose(k, np.diag"),
+    # a scheduled override's band is v_max wide, a zero v_max too
+    (L, 'read("v_bar") if v_bar is None else v_bar', 'v_bar or read("v_bar")'),
 )
 
 # row number -> why tier-1 cannot tell the mutant from the program

@@ -32,27 +32,26 @@ SYNTHETIC = dataclasses.replace(builtin_scenarios()["example1"], name="synthetic
 def synthetic(eps, dt=0.1, speed=0.0, v_lyap=None, r=0, scenario=SYNTHETIC,
               est=None, lower=None, upper=None):
     """A trajectory of given error norms; r is a mode or a mode column, and
-    est the estimate rows where they are given."""
+    est the estimate rows where they are given.  Its record holds the
+    CSV's columns, as one read back from a CSV does."""
     eps = np.asarray(eps, dtype=float)
     n = eps.shape[0]
     x2 = np.zeros((n, 2))
     x2[:, 0] = speed
-    return Trajectory(
-        t=np.arange(n) * dt,
-        x1=np.zeros((n, 2)),
-        x2=x2,
-        eps_norm=eps,
-        v_lyap=np.zeros(n) if v_lyap is None else np.asarray(v_lyap, float),
-        r=np.broadcast_to(r, n).astype(int),
-        k_gain=np.ones(n),
-        tau=np.zeros((n, 2)),
-        lower=np.zeros(n) if lower is None else np.asarray(lower, float),
-        upper=np.full(n, 1e9) if upper is None else np.asarray(upper, float),
-        xhat2_reduced=(x2 - eps[:, None] * np.array([0.0, 1.0]) if est is None
-                       else np.asarray(est, float)),
-        scenario=scenario,
-        design=scenario.design(),
-    )
+    table = np.column_stack([
+        np.arange(n) * dt,                                          # t
+        np.zeros((n, 2)),                                           # q
+        x2,                                                         # dq
+        x2 - eps[:, None] * np.array([0.0, 1.0]) if est is None else est,  # dq_hat
+        eps,                                                        # eps_norm
+        np.zeros(n) if v_lyap is None else v_lyap,                  # V
+        np.broadcast_to(r, n),                                      # r
+        np.ones(n),                                                 # k_r
+        np.zeros((n, 2)),                                           # tau
+        np.zeros(n) if lower is None else lower,                    # lower_bound
+        np.full(n, 1e9) if upper is None else upper,                # upper_bound
+    ])
+    return Trajectory(table, scenario, scenario.design())
 
 
 def test_lyapunov_value_is_the_inertia_quadratic(arm, oracle):

@@ -393,6 +393,16 @@ def test_a_scheduled_gain_override_runs_the_band_of_an_empty_hybrid(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_a_scheduled_gain_override_takes_a_zero_v_max_as_its_band(tmp_path, capsys):
+    # the band is v_max wide where the file has one, a zero v_max too, so
+    # HybridConfig refuses it rather than the table's default band running
+    path = tmp_path / "still.ini"
+    path.write_text("[observer]\nv_max = 0\n[simulation]\nt_final = 0.01\n")
+    assert main(["run", str(path), "--out", str(tmp_path), "--gain", "scheduled"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: v_bar must be positive and finite\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_the_table_defaults_are_the_dataclass_defaults():
     def default(section, key):
         parse, text = cli.SCENARIO_KEYS[section][key]

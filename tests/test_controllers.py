@@ -20,20 +20,20 @@ def test_open_loop_profiles_at_reference_instants(arm):
     q = np.array([0.3, -0.9])
     g = arm.gravity(q)
     bounded, unbounded = OpenLoopBounded(), OpenLoopUnbounded()
-    assert np.allclose(bounded.torque(arm, q, None, 0.0) - g, [1.0, -1.0])
-    assert np.allclose(bounded.torque(arm, q, None, np.pi) - g, [math.cos(np.pi / 2), 1.0])
-    assert np.allclose(unbounded.torque(arm, q, None, 0.0) - g, [0.0, 1.0])
-    assert np.allclose(unbounded.torque(arm, q, None, np.pi / 2) - g, [1.0, 1.0])
+    assert np.allclose(bounded.torque(arm, q, np.zeros(2), 0.0) - g, [1.0, -1.0])
+    assert np.allclose(bounded.torque(arm, q, np.zeros(2), np.pi) - g, [math.cos(np.pi / 2), 1.0])
+    assert np.allclose(unbounded.torque(arm, q, np.zeros(2), 0.0) - g, [0.0, 1.0])
+    assert np.allclose(unbounded.torque(arm, q, np.zeros(2), np.pi / 2) - g, [1.0, 1.0])
 
 
 def test_bounded_profile_stays_within_sqrt2(arm):
-    q = np.zeros(2)
+    q = est = np.zeros(2)
     g = arm.gravity(q)
     t = np.linspace(0.0, 50.0, 5001)
-    worst = max(np.linalg.norm(OpenLoopBounded().torque(arm, q, None, ti) - g) for ti in t)
+    worst = max(np.linalg.norm(OpenLoopBounded().torque(arm, q, est, ti) - g) for ti in t)
     assert worst <= math.sqrt(2.0) + 1e-12
     # the second profile exceeds that bound, which is the point of it
-    worst2 = max(np.linalg.norm(OpenLoopUnbounded().torque(arm, q, None, ti) - g) for ti in t)
+    worst2 = max(np.linalg.norm(OpenLoopUnbounded().torque(arm, q, est, ti) - g) for ti in t)
     assert worst2 > math.sqrt(2.0)
 
 
@@ -41,7 +41,7 @@ def test_open_loop_profiles_require_two_joints():
     single = SingleLinkModel()
     for law in (OpenLoopBounded(), OpenLoopUnbounded()):
         with pytest.raises(ValueError, match=f"the {law.name} law has n = 2, the model n = 1"):
-            law.torque(single, np.zeros(1), None, 0.0)
+            law.torque(single, np.zeros(1), np.zeros(1), 0.0)
 
 
 def test_pd_law_is_pure_gravity_compensation_at_setpoint(arm):
@@ -75,6 +75,10 @@ def test_pd_config_accepts_diagonal_matrix_or_vector():
                  x_ref=np.zeros(2))
     assert np.array_equal(a.kp, b.kp)
     assert np.array_equal(a.kd, b.kd)
+    # a matrix is diagonal only with every off-diagonal entry exactly zero:
+    # entries that np.allclose passes are refused, not dropped
+    with pytest.raises(ValueError, match="kp must be diagonal"):
+        PdConfig(kp=[[1e-10, 5e-9], [5e-9, 1e-10]], kd=[3.0, 4.0], x_ref=np.zeros(2))
 
 
 def test_pd_config_validation():
@@ -107,9 +111,10 @@ def test_wrappers_dispatch_to_their_laws(arm):
         for law in laws:
             tau = law.torque(model, np.array(q), np.array(xhat2), 1.2)
             assert tau.tobytes() == np.array(law.float_torque(terms, q, xhat2, 1.2)).tobytes()
-    # a law that reads no estimate takes None for it
-    tau = ConstantTorque([3.0, -1.0]).torque(arm, np.array([0.1, 0.2]), None, 1.2)
-    assert tau.tolist() == [3.0, -1.0]
+    # every law checks the estimate, one that reads none too
+    for law in cases[0][3]:
+        with pytest.raises(ValueError, match="xhat2"):
+            law.torque(arm, np.array([0.1, 0.2]), None, 1.2)
 
 
 def test_wrapper_names_are_stable():

@@ -18,7 +18,7 @@ from velobs.observers import (
     full_rate,
     reduced_rate,
 )
-from velobs.simulator import flat_rhs
+from velobs.simulator import flat_rhs, record_columns
 
 # Frozen gain-design constants for the two-link arm, eta = 1.
 K0_SLOW = 13.35798304843369        # v_max = 1.5
@@ -42,10 +42,14 @@ def test_estimate_is_affine_in_output():
     s = (0.5, 0.25, 0.0, 0.0, 1.0, -2.0)
     logic = LogicState(0, 3.0, math.inf, -math.inf)
     rows, s1, same = run(0, 1, s, 1, logic)
-    # one sample, flat: its packed state, then its row
-    state, row = tuple(rows[:len(s)]), tuple(rows[len(s):])
-    assert state == s and same is logic and row[2:4] == (0, 3.0)
-    assert row[-2:] == (2.5, -1.25) and row[4] == math.hypot(2.5, -1.25)
+    # one sample, one row of the record: q, v and z are s, the estimate
+    # columns xhat2 and both bound columns its norm
+    row = dict(zip(record_columns("reduced", 2), rows))
+    assert len(rows) == len(row) == 17 and same is logic
+    assert tuple(row[c] for c in ("q1", "q2", "dq1", "dq2", "z1", "z2")) == s
+    assert (row["r"], row["k_r"]) == (0, 3.0)
+    assert (row["dq1_hat"], row["dq2_hat"]) == (2.5, -1.25)
+    assert row["lower_bound"] == row["upper_bound"] == math.hypot(2.5, -1.25)
     assert norms == [math.hypot(3.0 * s1[0] + s1[4], 3.0 * s1[1] + s1[5])]
 
 

@@ -583,22 +583,21 @@ def test_a_block_restarts_from_any_recorded_row(sc, data):
     s = tuple(np.concatenate([traj.x1[i], traj.x2[i], traj.z[i]]).tolist())
     logic = None if schedule is None else schedule[int(traj.r[i])]
     flat, _, handed = run(i, i + 2, s, i + 1, logic)
-    # two samples, flat: each its packed state, then its row
-    samples = np.array(flat).reshape(2, -1)
-    srows, erows = samples[:, :len(s)], samples[:, len(s):]
-    n = model.n
-    lower, upper = velocity_sandwich(sc.eta, erows[:, 4])
-    pairs = [(srows, np.hstack([traj.x1[rows], traj.x2[rows], traj.z[rows]])),
-             (erows[:, :4], np.column_stack([traj.eps_norm[rows], traj.v_lyap[rows],
-                                             traj.r[rows], traj.k_gain[rows]])),
-             (lower, traj.lower[rows]), (upper, traj.upper[rows]),
-             (erows[:, 5:5 + n], traj.tau[rows]), (erows[:, 5 + n:], traj.xhat2_reduced[rows])]
+    # two samples, two rows of the record: each as simulate stored it, but
+    # for the bound columns, which hold the estimate norm
+    got = Trajectory(np.array(flat).reshape(2, -1), sc, traj.design)
+    assert got.table.shape == (2, traj.table.shape[1])
+    lower, upper = velocity_sandwich(sc.eta, got.lower)
+    pairs = [(getattr(got, f), getattr(traj, f)[rows]) for f in (
+        "t", "x1", "x2", "z", "xhat2", "eps_norm", "v_lyap", "r", "k_gain", "tau")]
+    pairs += [(got.upper, got.lower), (got.lower, [math.hypot(*e) for e in got.xhat2.tolist()]),
+              (lower, traj.lower[rows]), (upper, traj.upper[rows])]
     assert all(same_bits(got, want) for got, want in pairs)
     # the block hands on row i + 1's logic state, and the run's jump between
     # the rows, if any, is their change of mode at row i + 1's estimate norm
     assert handed is (None if schedule is None else schedule[int(traj.r[i + 1])])
-    r0, r1 = erows[:, 2].astype(int).tolist()
-    jumped = [(traj.t[i + 1], r0, r1, math.hypot(*erows[1, 5 + n:]), i + 1)] * (r1 != r0)
+    r0, r1 = got.r.tolist()
+    jumped = [(traj.t[i + 1], r0, r1, math.hypot(*got.xhat2[1]), i + 1)] * (r1 != r0)
     assert [ev for ev in traj.jump_events if ev.step == i + 1] == jumped
 
 
@@ -620,6 +619,8 @@ def test_a_two_joint_run_reads_back_from_its_csv_bit_for_bit(sc):
         path = Path(out) / "run.csv"
         traj.to_csv(path)
         back = Trajectory.from_csv(path, sc)
+    # the file's record is the CSV's columns of the simulated one
+    assert same_bits(back.table, traj.table[:, :15])
     for column in ("t", "x1", "x2", "xhat2", "eps_norm", "v_lyap", "r", "k_gain", "tau",
                    "lower", "upper"):
         got, want = getattr(back, column), getattr(traj, column)
@@ -716,11 +717,14 @@ def compiled_matches_composition(model_cls, model, law, mode, i, s, k, kd, kp, r
         return composed_rhs(model, law, mode, kd, kp, t, s, k)
 
     def row_at(k, r):
+        """The sample's row at gain k and mode r: t, q, v, the fed estimate,
+        eps_norm, V, r, k_r, tau, the estimate norm in both bound columns,
+        then the packed state past q and v."""
         _, tau, est, terms = rhs(t, s, k)
         eps = sub(v, est)
         nrm = math.hypot(*est)
-        return (math.hypot(*eps), model.energy(terms, eps), r, k, nrm, *tau,
-                *est * (mode != "full"))
+        return (t, *q, *v, *est, math.hypot(*eps), model.energy(terms, eps), r, k, *tau,
+                nrm, nrm, *s[2 * n:])
 
     pack, run = bind(lambda schedule, logic, nrm: logic)
     t = i * dt
@@ -735,15 +739,13 @@ def compiled_matches_composition(model_cls, model, law, mode, i, s, k, kd, kp, r
     # a step that leaves the blow-up limit ends the block with no next state
     blown = not all(-simulator.BLOWUP_LIMIT <= x <= simulator.BLOWUP_LIMIT for x in s1)
     logic = SimpleNamespace(r=r, k_r=k)
-    # each block is one sample, flat: its packed state's m values, then its row
-    m = len(s)
+    # each block is one sample: one row
     rows, got_s1, *ends = run(i, i + 1, s, i + 1, logic)
     last_rows, same, *last_ends = run(i, i + 1, s, i, logic)
     kd_rows, _, none = run(i, i + 1, s, i, None)
-    got = [pack(q, v, est, k), rows[:m], rows[m:], last_rows[m:], same, kd_rows[m:]]
-    want = [packed, s, row, row, s, row_at(kd, 0)]
-    exact = ends == last_ends == [logic] and none is None and (
-        len(rows) == len(last_rows) == len(kd_rows) == m + len(row))
+    got = [pack(q, v, est, k), rows, last_rows, same, kd_rows]
+    want = [packed, row, row, s, row_at(kd, 0)]
+    exact = ends == last_ends == [logic] and none is None
     if blown:
         exact = exact and got_s1 is None
     else:
@@ -761,14 +763,14 @@ def compiled_matches_composition(model_cls, model, law, mode, i, s, k, kd, kp, r
         *_, s2, logic2 = bind(jump)[1](i, i + 1, s, i + 1, logic)
         # the next block starts at the new gain and mode
         next_rows, *_ = run(i + 1, i + 2, s2, i + 1, logic2)
-        next_row = tuple(next_rows[m:])
+        next_row = dict(zip(simulator.record_columns(mode, n), next_rows))
         q1 = s1[:n]
         est1 = axpy(k, q1, s1[2 * n:3 * n])
         nrm1 = math.hypot(*est1)
         got.append(s2)
         want.append(s1[:2 * n] + axpy(-k_new, q1, est1) + s1[3 * n:])
         exact = exact and seen == [("schedule", logic, nrm1)] and logic2 is stepped and (
-            next_row[2:4] == (r + 1, k_new))
+            (next_row["r"], next_row["k_r"]) == (r + 1, k_new))
     return exact and all(same_bits(g, w) for g, w in zip(got, want))
 
 

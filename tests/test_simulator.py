@@ -283,13 +283,20 @@ def test_the_last_sample_evaluates_no_later_stage(arm):
     _, run = simulator.flat_rhs(TwoLinkArm, ConstantTorque, "reduced")(
         *arm._constants, 0.0, 0.0, 1.0, 1.0, 1e-3, None, None)
     s = (0.0, 1.0, 1e308, 1e308, 0.0, 0.0)
-    # one sample, flat: its packed state, then its row of 5 + n + n values
+    # one sample, one row of the record: its packed state is q, v, then z
+    columns = simulator.record_columns("reduced", 2)
+
+    def state(rows):
+        row = dict(zip(columns, rows))
+        return tuple(row[c] for c in ("q1", "q2", "dq1", "dq2", "z1", "z2"))
+
     rows, blown, logic = run(0, 1, s, 1, None)
-    assert blown is None and logic is None and tuple(rows[:6]) == s and len(rows) == 6 + 9
+    assert blown is None and logic is None and state(rows) == s
+    assert len(rows) == len(columns) == 17
     rows, same, logic = run(0, 1, s, 0, None)
-    state, row = tuple(rows[:6]), tuple(rows[6:])
-    assert state == s and same == s and logic is None and len(row) == 9
-    assert row[2:4] == (0, 1.0)
+    row = dict(zip(columns, rows))
+    assert state(rows) == s and same == s and logic is None and len(rows) == 17
+    assert (row["t"], row["r"], row["k_r"]) == (0.0, 0, 1.0)
 
 
 def test_a_run_holds_its_sample_array_and_one_block(monkeypatch):
@@ -344,7 +351,7 @@ def test_jump_counts_follow_the_step_size_as_the_jump_sets_predict():
                 assert abs(fine_t.size - 2 * coarse_t.size) <= 1
 
 
-def test_single_link_and_full_only_runs(single):
+def test_single_link_and_full_only_runs(single, arm, tmp_path):
     sc = Scenario(name="full_only", model=single, q0=np.array([0.3]),
                   v0=np.array([1.2]), xhat2_0=np.array([-0.4]),
                   controller=ConstantTorque([0.7]), observer_mode="full",
@@ -357,6 +364,11 @@ def test_single_link_and_full_only_runs(single):
         traj.eps_norm_for("reduced")
     with pytest.raises(ScenarioError):
         traj.to_csv("/tmp/should_not_exist.csv")
+    # nor does a CSV read back as the record of a one-joint scenario
+    path = tmp_path / "arm.csv"
+    simulate(make_scenario(arm, t_final=0.01)).to_csv(path)
+    with pytest.raises(ScenarioError, match="two-joint models"):
+        Trajectory.from_csv(path, sc)
 
 
 def test_csv_round_trip_is_exact(arm, tmp_path):
