@@ -43,10 +43,8 @@ def check_lyapunov_decrease(traj: Trajectory, design: GainDesign) -> LyapunovChe
     """
     radius = design.region_radius
     speed = traj.speed
-    if traj.scenario.gain_mode == "scheduled":
-        bound = traj.scenario.hybrid.band_speed(traj.r)
-    else:
-        bound = np.full(traj.t.shape, design.v_max)
+    scheduled = traj.scenario.gain_mode == "scheduled"
+    bound = traj.scenario.hybrid.band_speed(traj.r) if scheduled else design.v_max
     admissible = (traj.eps_norm < radius) & (speed <= bound)
     v = traj.v_lyap
     pairs = np.flatnonzero(admissible[:-1] & admissible[1:])

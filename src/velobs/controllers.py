@@ -43,29 +43,25 @@ class TorqueLaw:
         return np.array(self.float_torque(model.gravity(q).tolist(), q.tolist(), xhat2, t))
 
 
-def _as_gain_matrix(k, n: int, name: str) -> np.ndarray:
+def _as_gain_vector(k, n: int, name: str) -> np.ndarray:
     k = np.asarray(k, dtype=float)
-    if k.ndim == 1:
-        k = np.diag(k)
-    if k.shape != (n, n):
-        raise ValueError(f"{name} must be {n}x{n} or a length-{n} diagonal")
+    if k.shape != (n,):
+        raise ValueError(f"{name} must be a vector of {n} diagonal entries")
     if not np.all(np.isfinite(k)):
         raise ValueError(f"{name} must be finite")
-    if not np.array_equal(k, np.diag(np.diagonal(k))):
-        raise ValueError(f"{name} must be diagonal")
-    if np.any(np.diagonal(k) <= 0.0):
+    if np.any(k <= 0.0):
         raise ValueError(f"{name} diagonal entries must be positive")
     return k
 
 
 class PdConfig:
-    """Diagonal PD gains and the position setpoint."""
+    """Diagonal PD gains kp and kd, each the vector of its diagonal entries, and the setpoint."""
 
     def __init__(self, kp, kd, x_ref):
         self.x_ref = np.asarray(x_ref, dtype=float)
         n = self.x_ref.shape[0]
-        self.kp = _as_gain_matrix(kp, n, "kp")
-        self.kd = _as_gain_matrix(kd, n, "kd")
+        self.kp = _as_gain_vector(kp, n, "kp")
+        self.kd = _as_gain_vector(kd, n, "kd")
 
 
 class OpenLoopBounded(TorqueLaw):
@@ -107,8 +103,7 @@ class PdGravity(TorqueLaw):
     def __init__(self, config: PdConfig):
         self.config = config
         self.n = config.x_ref.shape[0]
-        self._constants = (*np.diagonal(config.kp).tolist(), *np.diagonal(config.kd).tolist(),
-                           *config.x_ref.tolist())
+        self._constants = (*config.kp.tolist(), *config.kd.tolist(), *config.x_ref.tolist())
 
 
 class ConstantTorque(TorqueLaw):

@@ -7,7 +7,8 @@ vector component: a line holding `{i}` is written out once per joint, and
 be inlined wherever its equation is evaluated.  The text is compiled in
 NAMESPACE, which supplies `cos`, `sin` and `hypot` (the `math` functions);
 its code rebound to ARRAYS (`types.FunctionType(code, ARRAYS)`) evaluates on
-float arrays, with no second compilation.  Only the package's own text is
+float arrays, with no second compilation.  A body unpacks each argument
+given a non-empty spec, read or not.  Only the package's own text is
 compiled: nothing read from a scenario file or a CSV reaches `define`.
 """
 from __future__ import annotations
@@ -57,10 +58,8 @@ def source(name: str, params: str, lines: list[str], result: str) -> list[str]:
 def define(name: str, params: str, n: int, unpack: dict, lines: list[str], result: str):
     """Compile `def name(params)` in NAMESPACE and return the function.  Its
     body first unpacks each `value: spec` of `unpack` (`names(*spec, n=n) =
-    value`) whose names the lines or the result read."""
-    read = set(re.findall(r"\w+", "\n".join([*lines, result]))) if unpack else set()
-    head = [f"{names(*spec, n=n)}= {value}" for value, spec in unpack.items()
-            if read.intersection(joints("\n".join(spec), n))]
+    value`) whose spec is not empty, read by the lines or not."""
+    head = [f"{names(*spec, n=n)}= {value}" for value, spec in unpack.items() if spec]
     scope = dict(NAMESPACE)
     code = "\n".join(source(name, params, [*head, *lines], result))
     exec(compile(code, f"<{name}>", "exec"), scope)

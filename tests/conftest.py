@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from velobs.controllers import OpenLoopUnbounded
 from velobs.dynamics import SingleLinkModel, TwoLinkArm
@@ -41,6 +42,13 @@ CRITERIA = {
 }
 
 _RESULTS: dict[int, bool] = {}
+
+# Every property test's settings but its example count: no example database,
+# no deadline, and no too_slow health check, which on a loaded host fails a
+# test for slow data generation rather than for a fault of the program.
+settings.register_profile("velobs", database=None, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("velobs")
 
 
 @pytest.fixture(scope="session")

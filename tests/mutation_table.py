@@ -100,15 +100,19 @@ ROWS = (
      "velocity_sandwich(scenario.eta, traj.eps_norm)"),
     # the records and laws built by a plain __init__: PdConfig's kd checks,
     # ConstantTorque's float values and PlantState's shape check
-    (C, 'self.kd = _as_gain_matrix(kd, n, "kd")', "self.kd = np.diag(kd)"),
+    (C, 'self.kd = _as_gain_vector(kd, n, "kd")', "self.kd = np.asarray(kd, dtype=float)"),
     (C, "np.asarray(tau, dtype=float)", "np.asarray(tau)"),
     (D, "self.x1.ndim != 1 or self.x1.shape != self.x2.shape", "self.x1.ndim != 1"),
     (D, "self.x1.ndim != 1 or self.x1.shape", "self.x1.shape"),
     # the one rule that decides whether a law fits its model, the estimate
-    # check of every law, and the exact test that a gain matrix is diagonal
+    # check of every law, and the gain shape check that refuses a matrix
     (C, "if self.n != model.n:", "if self.n > model.n:"),
     (C, 'model._check_joint_vector(xhat2, "xhat2").tolist()', "list(xhat2)"),
-    (C, "not np.array_equal(k, np.diag", "not np.allclose(k, np.diag"),
+    (C, "if k.shape != (n,):", "if k.shape[:1] != (n,):"),
+    # define skips only an empty unpack, and a constant gain's Lyapunov scan
+    # admits speeds up to v_max
+    (E, "unpack.items() if spec]", "unpack.items()]"),
+    (A, "else design.v_max", "else 2.0 * design.v_max"),
     # a scheduled override's band is v_max wide, a zero v_max too
     (L, 'read("v_bar") if v_bar is None else v_bar', 'v_bar or read("v_bar")'),
 )

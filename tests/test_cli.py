@@ -729,7 +729,7 @@ def short_scenario_files(draw) -> str:
             f"t_final = {draw(st.floats(0.01, 0.2))!r}\n")
 
 
-@settings(database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(short_scenario_files())
 def test_check_of_an_export_reproduces_its_run_report(text):
     # every line, verdict included, but the full observer's of a `both` run,
@@ -881,6 +881,21 @@ def test_the_readme_lists_every_scenario_key():
     assert listed == {name: list(keys) for name, keys in cli.SCENARIO_KEYS.items()}
 
 
+def test_the_readme_library_examples_run(capsys):
+    """Each python block of the README runs in a fresh namespace, through the
+    submodule imports it shows (the package root exports no name), and gives
+    the values its comments state."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    namespaces = []
+    for block in readme.split("```python\n")[1:]:
+        namespaces.append({})
+        exec(compile(block.split("```", 1)[0], "README.md", "exec"), namespaces[-1])
+    _, hybrid = namespaces
+    assert capsys.readouterr().out.startswith("scenario: example2\n")
+    assert hybrid["cfg"].thresholds(2) == (2.0, 2.5)
+    assert hybrid["state"].r == 4
+
+
 # Values a scenario file may hold at any key: numbers at the edges of float
 # range, huge integers, a negative number, and text that is no number or name.
 NUMBER_EDGES = ["nan", "inf", "-inf", "-0", "1e308", "1e200", "1e-320",
@@ -963,7 +978,7 @@ def override_args(rnd: random.Random) -> list[str]:
 
 # Hypothesis draws the seed of each file, its name and its arguments: drawn
 # key by key through its strategies, a file costs more than its run.
-@settings(database=None, deadline=None, max_examples=400)
+@settings(max_examples=400)
 @given(case=st.integers(0, 2**64))
 # a scheduled file whose starting mode no float holds, run with a constant
 # gain designed at that mode's band speed

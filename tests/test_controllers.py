@@ -69,16 +69,17 @@ def test_pd_law_on_one_joint():
     assert tau[0] == 5.0 * (0.4 - -0.3) - 3.0 * 1.5
 
 
-def test_pd_config_accepts_diagonal_matrix_or_vector():
-    a = PdConfig(kp=[1.0, 2.0], kd=[3.0, 4.0], x_ref=np.zeros(2))
-    b = PdConfig(kp=np.diag([1.0, 2.0]), kd=np.diag([3.0, 4.0]),
-                 x_ref=np.zeros(2))
-    assert np.array_equal(a.kp, b.kp)
-    assert np.array_equal(a.kd, b.kd)
-    # a matrix is diagonal only with every off-diagonal entry exactly zero:
-    # entries that np.allclose passes are refused, not dropped
-    with pytest.raises(ValueError, match="kp must be diagonal"):
-        PdConfig(kp=[[1e-10, 5e-9], [5e-9, 1e-10]], kd=[3.0, 4.0], x_ref=np.zeros(2))
+def test_pd_config_takes_gain_vectors():
+    cfg = PdConfig(kp=[1, 2], kd=(3.0, 4.0), x_ref=np.zeros(2))
+    for gain, entries in ((cfg.kp, [1.0, 2.0]), (cfg.kd, [3.0, 4.0])):
+        assert gain.dtype == float and gain.shape == (2,) and gain.tolist() == entries
+    # a 2-D gain is refused whole, diagonal or not: no off-diagonal entry is
+    # dropped and no diagonal is read out of it
+    for matrix in (np.diag([1.0, 2.0]), [[1e-10, 5e-9], [5e-9, 1e-10]]):
+        for key in ("kp", "kd"):
+            gains = {"kp": [1.0, 2.0], "kd": [3.0, 4.0], key: matrix}
+            with pytest.raises(ValueError, match=f"^{key} must be a vector of 2 diagonal entries$"):
+                PdConfig(**gains, x_ref=np.zeros(2))
 
 
 def test_pd_config_validation():
@@ -86,7 +87,11 @@ def test_pd_config_validation():
         PdConfig(kp=[1.0, -2.0], kd=[1.0, 1.0], x_ref=np.zeros(2))
     with pytest.raises(ValueError, match="kd diagonal entries must be positive"):
         PdConfig(kp=[1.0, 2.0], kd=[1.0, -1.0], x_ref=np.zeros(2))
-    with pytest.raises(ValueError, match="kd must be diagonal"):
+    with pytest.raises(ValueError, match="kd diagonal entries must be positive"):
+        PdConfig(kp=[1.0, 2.0], kd=[1.0, 0.0], x_ref=np.zeros(2))
+    with pytest.raises(ValueError, match="kp must be finite"):
+        PdConfig(kp=[1.0, np.inf], kd=[1.0, 1.0], x_ref=np.zeros(2))
+    with pytest.raises(ValueError, match="kd must be a vector of 2 diagonal entries"):
         PdConfig(kp=[1.0, 2.0], kd=np.array([[1.0, 0.5], [0.0, 2.0]]), x_ref=np.zeros(2))
     with pytest.raises(ValueError):
         PdConfig(kp=np.array([[1.0, 0.5], [0.0, 2.0]]), kd=[1.0, 1.0],
@@ -128,8 +133,8 @@ def test_pd_config_takes_its_keywords_in_either_order():
     b = PdConfig(x_ref=np.array([0.5, -0.5]), kd=[3.0, 4.0], kp=[1.0, 2.0])
     for cfg in (a, b):
         assert cfg.x_ref.dtype == float and cfg.x_ref.tolist() == [0.5, -0.5]
-        assert cfg.kp.tolist() == [[1.0, 0.0], [0.0, 2.0]]
-        assert cfg.kd.tolist() == [[3.0, 0.0], [0.0, 4.0]]
+        assert cfg.kp.tolist() == [1.0, 2.0]
+        assert cfg.kd.tolist() == [3.0, 4.0]
 
 
 @pytest.mark.parametrize("law, name, n, constants", [

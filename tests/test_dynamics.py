@@ -253,7 +253,7 @@ def log_uniform(lo: float, hi: float):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
-@settings(database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(m1=log_uniform(-8.0, 8.0), m2=log_uniform(-8.0, 8.0),
        l1=log_uniform(-4.0, 4.0), l2=log_uniform(-4.0, 4.0))
 def test_construction_check_is_the_dense_scan(m1, m2, l1, l2):
@@ -415,7 +415,7 @@ def design_models():
     return st.one_of(arms, singles)
 
 
-@settings(database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(design_models())
 def test_grid_tables_are_the_per_row_reference(model):
     assert same_bits(grid_tables(model), reference_tables(model))

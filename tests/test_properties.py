@@ -38,7 +38,7 @@ from velobs.simulator import (OBSERVER_MODES, Scenario, SimulationBlowUp, Trajec
                               jump_fields, simulate)
 
 ARM = TwoLinkArm()
-PROPERTY = settings(database=None, deadline=None, max_examples=200)
+PROPERTY = settings(max_examples=200)
 
 configs = st.builds(HybridConfig, v_bar=st.floats(1e-3, 10.0), eta=st.floats(1e-3, 5.0),
                     semantics=st.sampled_from(SEMANTICS), r_min=st.integers(0, 5))
@@ -201,7 +201,7 @@ def test_flow_set_is_the_closed_annulus(case):
     check_flow_set(flow_interval, *case)
 
 
-@settings(database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(mode_and_norm())
 def test_step_logic_is_the_jump_rule(case):
     check_step(step_logic, *case)
@@ -290,7 +290,7 @@ def test_flow_empty_above_floor_is_every_annulus_above_the_floor(cfg, above):
     assert (flow_interval(cfg, r) is None) == empty
 
 
-@settings(database=None, deadline=None, max_examples=50)
+@settings(max_examples=50)
 @given(configs, st.integers(0, 10**6))
 def test_scheduled_gain_is_the_grid_gain_at_the_band_speed(cfg, r):
     assert compute_kr(ARM, cfg, r) == compute_k0(ARM, cfg.eta, r * cfg.v_bar).k0
@@ -556,7 +556,7 @@ def check_blocks(sc: Scenario, block_rows: int, final=zip_final) -> set[int]:
     return edges
 
 
-@settings(database=None, deadline=None, max_examples=80)
+@settings(max_examples=80)
 @given(short_scenarios(), st.integers(1, 64), st.sampled_from([False, False, True]))
 def test_a_run_is_the_reference_rk4_loop(sc, block_rows, blow_up):
     if blow_up:
@@ -567,7 +567,7 @@ def test_a_run_is_the_reference_rk4_loop(sc, block_rows, blow_up):
     check_blocks(sc, block_rows)
 
 
-@settings(database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(short_scenarios().filter(lambda sc: sc.observer_mode == "reduced"), st.data())
 def test_a_block_restarts_from_any_recorded_row(sc, data):
     # a row's packed state and the logic state of its mode are all a block
@@ -601,7 +601,7 @@ def test_a_block_restarts_from_any_recorded_row(sc, data):
     assert [ev for ev in traj.jump_events if ev.step == i + 1] == jumped
 
 
-@settings(database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(short_scenarios())
 def test_the_speed_bracket_holds_wherever_the_error_is_inside_eta(sc):
     traj = simulate(sc)
@@ -611,7 +611,7 @@ def test_the_speed_bracket_holds_wherever_the_error_is_inside_eta(sc):
     assert np.all(speed <= traj.upper[inside] + 1e-12)
 
 
-@settings(database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(short_scenarios().filter(lambda sc: sc.model.n == 2))
 def test_a_two_joint_run_reads_back_from_its_csv_bit_for_bit(sc):
     traj = simulate(sc)
@@ -665,7 +665,7 @@ def bench_spec(sc: Scenario) -> dict:
 
 
 @pytest.mark.parametrize("semantics", SEMANTICS)
-@settings(database=None, deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(sc=short_scenarios().filter(lambda sc: sc.gain_mode == "scheduled"))
 def test_a_scheduled_run_passes_the_benchmark_checks(semantics, sc):
     # the record that simulate keeps passes the checks that make the
@@ -800,7 +800,7 @@ def shapes(draw):
     return model, law, mode, tuple(vec(-5.0, 5.0, width))
 
 
-@settings(database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(shapes(), st.integers(0, 50_000), st.floats(0.01, 100.0), st.floats(0.01, 100.0),
        st.floats(0.01, 100.0), st.integers(0, 50), st.floats(0.01, 100.0),
        st.floats(1e-4, 1e-2))

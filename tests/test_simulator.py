@@ -566,8 +566,8 @@ def test_builtin_scenario_parameters():
                                      semantics="paper_faithful", r_min=1)
     assert e2.r_guess == 1
     assert isinstance(e3.controller, PdGravity)
-    assert np.allclose(np.diagonal(e3.controller.config.kp), [40.0, 20.0])
-    assert np.allclose(np.diagonal(e3.controller.config.kd), [60.0, 30.0])
+    assert e3.controller.config.kp.tolist() == [40.0, 20.0]
+    assert e3.controller.config.kd.tolist() == [60.0, 30.0]
     assert np.allclose(e3.controller.config.x_ref, [np.pi / 4.0, -np.pi / 3.0])
 
 
