@@ -150,9 +150,8 @@ def apply_overrides(sc: Scenario, args) -> Scenario:
     if args.gain == "constant":
         sc = replace(sc, gain_mode="constant")
     elif args.gain == "scheduled" and sc.gain_mode != "scheduled":
-        hybrid = sc.hybrid or _band({}, sc.eta, sc.v_max)[0]
-        sc = replace(sc, gain_mode="scheduled", hybrid=hybrid,
-                     r_guess=max(sc.r_guess, hybrid.r_min))
+        hybrid, r_guess = (sc.hybrid, sc.r_guess) if sc.hybrid else _band({}, sc.eta, sc.v_max)
+        sc = replace(sc, gain_mode="scheduled", hybrid=hybrid, r_guess=r_guess)
     if args.jump_semantics is not None:
         if sc.hybrid is None:
             raise ScenarioError("--jump-semantics requires a scheduled scenario")

@@ -151,9 +151,9 @@ class RobotModel(ABC):
         return self.c0(self._check_joint_vector(q, "q").tolist())
 
     def dissipation_floor(self) -> float:
-        """Smallest eigenvalue of the symmetric part of F."""
+        """Smallest eigenvalue of F's symmetric part, F + (F^T - F) / 2: no F + F^T to overflow."""
         f = self.dissipation
-        return float(np.linalg.eigvalsh(0.5 * (f + f.T))[0])
+        return float(np.linalg.eigvalsh(f + 0.5 * (f.T - f))[0])
 
     def _check_joint_vector(self, x, name: str) -> np.ndarray:
         x = np.asarray(x, dtype=float)

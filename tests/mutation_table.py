@@ -115,6 +115,10 @@ ROWS = (
     (A, "else design.v_max", "else 2.0 * design.v_max"),
     # a scheduled override's band is v_max wide, a zero v_max too
     (L, 'read("v_bar") if v_bar is None else v_bar', 'v_bar or read("v_bar")'),
+    # ... and its first mode is the band's own, as a file's [hybrid] gives it
+    (L, "hybrid=hybrid, r_guess=r_guess)", "hybrid=hybrid, r_guess=max(r_guess, hybrid.r_min))"),
+    # F's symmetric part, with no F + F^T to overflow
+    (D, "f + 0.5 * (f.T - f)", "0.5 * (f + f.T)"),
 )
 
 # row number -> why tier-1 cannot tell the mutant from the program

@@ -25,7 +25,7 @@ from velobs.cli import (
     load_scenario_file,
     main,
 )
-from velobs.dynamics import TwoLinkParams
+from velobs.dynamics import TwoLinkArm, TwoLinkParams
 from velobs.hybrid_logic import MAX_INIT_JUMPS
 from velobs.simulator import (BUILTIN_NAMES, GAIN_MODES, OBSERVER_MODES, Scenario,
                               Trajectory, builtin_scenarios, simulate)
@@ -213,6 +213,20 @@ def test_nan_band_width_is_a_config_error(tmp_path, capsys):
     assert "v_bar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("f1", ["1e308", "8.9e307"])
+def test_a_friction_too_large_to_double_is_a_blow_up(tmp_path, capsys, f1):
+    # F's symmetric part is F itself, taken with no F + F^T to overflow: the
+    # design sees f2 = 0.3 as the floor (to LAPACK's scaling), and the first
+    # step blows up
+    floor = TwoLinkArm(TwoLinkParams(f1=float(f1))).dissipation_floor()
+    assert floor == pytest.approx(0.3, rel=1e-15)
+    path = tmp_path / "sticky.ini"
+    path.write_text(f"[model]\nf1 = {f1}\n[observer]\nv_max = 1.5\n")
+    assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_SIMULATION
+    assert capsys.readouterr().err == (
+        "simulation failed: state component left |x| <= 1e+06 at t = 0.001\n")
+
+
 def test_an_overflowing_gravity_term_is_one_line(tmp_path, capsys):
     # g(q) overflows to inf - inf in the design grid's array pass, which is
     # silent as the float kernel is; the run then blows up at its first step
@@ -378,19 +392,39 @@ def test_a_constant_gain_override_designs_at_the_design_speed(tmp_path, name):
         assert (flag / file).read_bytes() == (given / file).read_bytes()
 
 
-def test_a_scheduled_gain_override_runs_the_band_of_an_empty_hybrid(tmp_path):
-    # the fallback band is the table's [hybrid] defaults, byte for byte
-    bare = QUICK_INI.replace("v_max = 1.5\n", "")
-    flag, given = tmp_path / "flag.ini", tmp_path / "given.ini"
-    flag.write_text(bare)
-    given.write_text(bare.replace("gain = constant", "gain = scheduled") + "[hybrid]\n")
-    codes = [main(["run", str(path), "--out", str(tmp_path), "--report", *args])
-             for path, args in ((flag, ["--gain", "scheduled"]), (given, []))]
-    assert codes[0] == codes[1]
-    assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
-    reports = [[line for line in (tmp_path / f"{name}_report.txt").read_text().splitlines()
-                if not line.startswith("scenario:")] for name in ("flag", "given")]
-    assert reports[0] == reports[1]
+@pytest.mark.parametrize("v_max, band", [
+    pytest.param(None, None, id="no_band"),
+    pytest.param("2.5", None, id="no_band_v_max"),
+    pytest.param("1.5", "r_min = 3\nr_guess = 2", id="guess_below_floor"),
+    pytest.param("1.5", "r_min = 0\nr_guess = 0", id="floor_zero"),
+    pytest.param("1.5", "r_min = 1\nr_guess = 5", id="guess_above_floor"),
+    pytest.param("1.5", "v_bar = 2.5\nr_guess = 2\nsemantics = hysteresis", id="hysteresis"),
+])
+def test_a_scheduled_gain_override_runs_the_file_that_says_scheduled(tmp_path, capsys, v_max,
+                                                                      band):
+    # --gain scheduled on a constant-gain file is that file with gain =
+    # scheduled: its [hybrid] band and first mode, or with no band those of an
+    # empty [hybrid] whose v_bar is the file's v_max, byte for byte
+    text = QUICK_INI.replace("v_max = 1.5\n", "" if v_max is None else f"v_max = {v_max}\n")
+    flag = text + ("" if band is None else f"[hybrid]\n{band}\n")
+    if band is None:
+        band = "" if v_max is None else f"v_bar = {v_max}"
+    given = text.replace("gain = constant", "gain = scheduled") + f"[hybrid]\n{band}\n"
+    results = []
+    for name, ini, args in (("flag", flag, ["--gain", "scheduled"]), ("given", given, [])):
+        out = tmp_path / name
+        out.mkdir()
+        (out / "quick.ini").write_text(ini)
+        code = main(["run", str(out / "quick.ini"), "--out", str(out), "--report", *args])
+        err = capsys.readouterr().err.replace(str(out), "<out>")
+        written = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "quick.ini"}
+        results.append((code, err, written))
+    assert results[0] == results[1]
+    code, err, written = results[0]
+    assert err.count("\n") == (code == EXIT_CONFIG)
+    assert sorted(written) == ([] if code == EXIT_CONFIG else ["quick.csv", "quick_report.txt"])
+    if band == "r_min = 3\nr_guess = 2":
+        assert err == "error: r_guess must lie between r_min and 9007199250740992\n"
 
 
 def test_a_scheduled_gain_override_takes_a_zero_v_max_as_its_band(tmp_path, capsys):
