@@ -225,8 +225,13 @@ def cmd_sweep(args) -> int:
     # every scenario runs to its own exit code, its error (if any) on stderr
     workers = sweep_workers(args.jobs, len(tokens))
     if workers > 1:
-        import concurrent.futures   # here, so that no other command pays for its import
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # here, so that no other command pays for their import
+        import concurrent.futures
+        import multiprocessing
+        # spawned, not forked: numpy's import leaves this process a second thread
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                    mp_context=spawn) as pool:
             futures = [pool.submit(_exit_code, _sweep_task, tok, args, out_dir)
                        for tok in tokens]
             codes = [fut.result() for fut in futures]

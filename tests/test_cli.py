@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, note, settings
+from hypothesis import event, example, given, note, settings
 from hypothesis import strategies as st
 
 from velobs import cli
@@ -624,6 +624,29 @@ def test_sweep_all_builtins(tmp_path):
         assert "overall: pass" in report.read_text()
 
 
+def test_sweep_workers_are_spawned(tmp_path, monkeypatch):
+    # fork is unsafe in a process with threads, which numpy's import starts
+    import concurrent.futures
+    contexts = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        """A pool that records its start method and runs tasks in threads."""
+
+        def __init__(self, max_workers, mp_context):
+            contexts.append(mp_context.get_start_method())
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(cli, "sweep_workers", lambda jobs, n_tasks: 2)
+    code = main(["sweep", "example1", "example2", "--out", str(tmp_path), "--jobs", "2",
+                 "--t-final", "0.05"])
+    assert contexts == ["spawn"]
+    # 0.05 s is too short for the builtins' checks, which both runs report
+    assert code == EXIT_CHECKS
+    assert all((tmp_path / name / f"{name}_report.txt").is_file()
+               for name in ("example1", "example2"))
+
+
 def test_sweep_reports_every_scenario(tmp_path, capsys):
     # example1 has no hybrid config to switch; the other two still run
     code = main(["sweep", "--out", str(tmp_path), "--jump-semantics", "hysteresis",
@@ -765,6 +788,9 @@ def short_scenario_files(draw) -> str:
 
 @settings(max_examples=40)
 @given(short_scenario_files())
+@example("[initial]\nq0 = 0.0 1.0\ndq0 = 0.0 0.0\ndq0_hat = -5.0 -5.0\n[controller]\n"
+         "type = constant\ntau = 0.0 0.0\n[observer]\nmode = full\ngain = constant\n"
+         "v_max = 1.0\n[simulation]\nt_final = 0.1875\n")
 def test_check_of_an_export_reproduces_its_run_report(text):
     # every line, verdict included, but the full observer's of a `both` run,
     # whose estimate the CSV does not hold; jump_count and chatter_score
@@ -776,6 +802,13 @@ def test_check_of_an_export_reproduces_its_run_report(text):
         ini.write_text(text)
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["run", str(ini), "--report", "--out", out])
+        if code == EXIT_SIMULATION:
+            # a first estimate far outside the certified region can make the
+            # estimate escape (a full observer at dq0_hat = -5 -5 does by
+            # t = 0.19 s): run then writes nothing, and there is no export
+            event("blew up")
+            assert [f.name for f in Path(out).iterdir()] == ["prop.ini"]
+            return
         assert code in (EXIT_OK, EXIT_CHECKS)
         report = (Path(out) / "prop_report.txt").read_text().splitlines()
         with contextlib.redirect_stdout(got):

@@ -26,6 +26,18 @@ def test_open_loop_profiles_at_reference_instants(arm):
     assert np.allclose(unbounded.torque(arm, q, np.zeros(2), np.pi / 2) - g, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("t", [0.0, 0.25, 1.0, math.pi / 3, 2.5, 7.125, 19.999])
+def test_open_loop_laws_are_their_closed_forms_bit_for_bit(arm, t):
+    # each profile written out with math's cos and sin, in the LAW text's order
+    q = np.array([0.3, -0.9])
+    g1, g2 = arm.gravity(q).tolist()
+    est = np.zeros(2)
+    assert OpenLoopBounded().torque(arm, q, est, t).tolist() == [
+        g1 + math.cos(0.5 * t), g2 - math.cos(t)]
+    assert OpenLoopUnbounded().torque(arm, q, est, t).tolist() == [
+        g1 + math.sin(t), g2 + (1.0 + math.sin(2.0 * t))]
+
+
 def test_bounded_profile_stays_within_sqrt2(arm):
     q = est = np.zeros(2)
     g = arm.gravity(q)
