@@ -46,19 +46,14 @@ MAX_SAMPLES = 2_000_000
 ROW = ("t", "q{i}", "dq{i}", "dq{i}_hat", "eps_norm", "V", "r", "k_r", "tau{i}",
        "lower_bound", "upper_bound")
 CSV_COLUMNS = tuple(joints("\n".join(ROW), 2))
-# The CSV columns of few distinct values, by index, each with its format:
-# the mode index r as an integer, the gain k_r as every other value is.
-_CSV_TEXT = {CSV_COLUMNS.index("r"): "%d", CSV_COLUMNS.index("k_r"): "%.17g"}
-# One CSV row: _CSV_TEXT's columns as their text, every other value with 17
+# One CSV row: the mode index r as an integer, every other value with 17
 # significant digits, enough for every float to read back bit for bit.
-_CSV_ROW = ",".join("%s" if j in _CSV_TEXT else "%.17g"
-                    for j in range(len(CSV_COLUMNS))) + "\n"
+_CSV_ROW = ",".join("%d" if c == "r" else "%.17g" for c in CSV_COLUMNS) + "\n"
 # Rows formatted per write by Trajectory.to_csv, and samples one call of the
 # compiled run records in its flat list before simulate packs them into its
-# sample array.  Blocks of 4096 or 16384 rows write and pack no faster.  A
-# run's list holds about 32 bytes a value, 0.6 MB at 1024 of example2's
-# 17-value rows; a CSV block's values, their tuple and their text about 64,
-# 1 MB at 1024 rows.
+# sample array.  Larger blocks write and pack no faster.  A run's list holds
+# about 32 bytes a value, 0.6 MB at 1024 of example2's 17-value rows; a CSV
+# block's values, their tuple and their text about 60, 0.9 MB at 1024 rows.
 CSV_BLOCK_ROWS = 1024
 
 
@@ -231,28 +226,17 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """Write the fixed 15-column schema with 17 significant digits.
 
-        Each distinct value of a _CSV_TEXT column is formatted once, keyed by
-        its bits so that 0.0 and -0.0 stay apart.  Rows are formatted
-        CSV_BLOCK_ROWS at a time, by one `%` over the block's values, and each
-        block is written before the next is made, so the text held in memory
-        is one block's and an index a row per _CSV_TEXT column.
+        Rows are formatted CSV_BLOCK_ROWS at a time, by one `%` over the
+        block's values, and each block is written before the next is made, so
+        the text held in memory is one block's.
         """
         if self.x1.shape[1] != 2:
             raise ScenarioError("the CSV schema is defined for two-joint models")
-        width, rows = len(CSV_COLUMNS), self.table.shape[0]
-        texts = []
-        for j, spec in _CSV_TEXT.items():
-            bits, inverse = np.unique(self.table[:, j].view(np.int64), return_inverse=True)
-            text = np.array([spec % v for v in bits.view(float).tolist()], dtype=object)
-            texts.append((j, text, inverse))
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for start in range(0, rows, CSV_BLOCK_ROWS):
-                stop = min(start + CSV_BLOCK_ROWS, rows)
-                values = self.table[start:stop, :width].ravel().tolist()
-                for j, text, inverse in texts:
-                    values[j::width] = text[inverse[start:stop]].tolist()
-                fh.write(_CSV_ROW * (stop - start) % tuple(values))
+            for start in range(0, self.t.shape[0], CSV_BLOCK_ROWS):
+                block = self.table[start:start + CSV_BLOCK_ROWS, :len(CSV_COLUMNS)]
+                fh.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path, scenario: Scenario) -> "Trajectory":

@@ -121,11 +121,9 @@ ROWS = (
     (D, "f + 0.5 * (f.T - f)", "0.5 * (f + f.T)"),
     # an open-loop profile's constant, scaled by 1 + 1e-7
     (C, "tau2 = g2 + (1.0 + sin(2.0 * t))", "tau2 = g2 + (1.0000001 + sin(2.0 * t))"),
-    # the CSV writer: a text column's values keyed by their bits, r as an
-    # integer, and each block's text put in its own column
-    (S, "np.unique(self.table[:, j].view(np.int64),", "np.unique(self.table[:, j],"),
-    (S, 'CSV_COLUMNS.index("r"): "%d"', 'CSV_COLUMNS.index("r"): "%.17g"'),
-    (S, "values[j::width]", "values[j + 1::width]"),
+    # the CSV writer: r as an integer, and blocks that neither overlap nor skip
+    (S, '"%d" if c == "r"', '"%.17g" if c == "r"'),
+    (S, "start:start + CSV_BLOCK_ROWS,", "start + 1:start + CSV_BLOCK_ROWS,"),
 )
 
 # row number -> why tier-1 cannot tell the mutant from the program

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, note, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from velobs import cli
@@ -788,9 +788,6 @@ def short_scenario_files(draw) -> str:
 
 @settings(max_examples=40)
 @given(short_scenario_files())
-@example("[initial]\nq0 = 0.0 1.0\ndq0 = 0.0 0.0\ndq0_hat = -5.0 -5.0\n[controller]\n"
-         "type = constant\ntau = 0.0 0.0\n[observer]\nmode = full\ngain = constant\n"
-         "v_max = 1.0\n[simulation]\nt_final = 0.1875\n")
 def test_check_of_an_export_reproduces_its_run_report(text):
     # every line, verdict included, but the full observer's of a `both` run,
     # whose estimate the CSV does not hold; jump_count and chatter_score
@@ -802,13 +799,6 @@ def test_check_of_an_export_reproduces_its_run_report(text):
         ini.write_text(text)
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["run", str(ini), "--report", "--out", out])
-        if code == EXIT_SIMULATION:
-            # a first estimate far outside the certified region can make the
-            # estimate escape (a full observer at dq0_hat = -5 -5 does by
-            # t = 0.19 s): run then writes nothing, and there is no export
-            event("blew up")
-            assert [f.name for f in Path(out).iterdir()] == ["prop.ini"]
-            return
         assert code in (EXIT_OK, EXIT_CHECKS)
         report = (Path(out) / "prop_report.txt").read_text().splitlines()
         with contextlib.redirect_stdout(got):
