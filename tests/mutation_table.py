@@ -39,7 +39,7 @@ TAIL = 20
 
 A, O, H = "src/velobs/analysis.py", "src/velobs/observers.py", "src/velobs/hybrid_logic.py"
 S, D, C = "src/velobs/simulator.py", "src/velobs/dynamics.py", "src/velobs/controllers.py"
-E, L = "src/velobs/equations.py", "src/velobs/cli.py"
+E, L, K = "src/velobs/equations.py", "src/velobs/cli.py", "src/velobs/csvtext.py"
 
 ROWS = (
     # the claim layer's constants and comparison edges
@@ -122,8 +122,18 @@ ROWS = (
     # an open-loop profile's constant, scaled by 1 + 1e-7
     (C, "tau2 = g2 + (1.0 + sin(2.0 * t))", "tau2 = g2 + (1.0000001 + sin(2.0 * t))"),
     # the CSV writer: r as an integer, and blocks that neither overlap nor skip
-    (S, '"%d" if c == "r"', '"%.17g" if c == "r"'),
+    (K, "np.trunc(v[:, whole]) + 0.0", "v[:, whole] + 0.0"),
     (S, "start:start + CSV_BLOCK_ROWS,", "start + 1:start + CSV_BLOCK_ROWS,"),
+    # the block formatter's kernel: r's -0.0 made a 0 and r as an integer
+    # where % formats it, the half-even tie, the range edges, the 3-digit
+    # exponent and the low part of 10**p
+    (K, "np.trunc(v[:, whole]) + 0.0", "np.trunc(v[:, whole])"),
+    (K, 'b"%d" % y if', 'b"%.17g" % y if'),
+    (K, "rounded = np.rint(low)", "rounded = np.floor(low + 0.5)"),
+    (K, "LOW, HIGH = 1e-280, 1e16", "LOW, HIGH = 1e-280, 1e18"),
+    (K, "LOW, HIGH = 1e-280, 1e16", "LOW, HIGH = 1e-290, 1e16"),
+    (K, "np.abs(x) >= 100", "np.abs(x) > 100"),
+    (K, "float(10 ** p - int(hi))", "float(0 * p)"),
 )
 
 # row number -> why tier-1 cannot tell the mutant from the program

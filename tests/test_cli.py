@@ -762,13 +762,26 @@ def test_equal_error_norms_over_tiny_times_decay_at_rate_zero(tmp_path, capsys, 
     assert capsys.readouterr() == (report, "")
 
 
+# The farthest a full or both draw puts each component of its first estimate
+# from the speed.  Farther, the full observer may blow up: in 3,000 uniform
+# draws of such 0.2 s files with every component of the estimate in [-6, 6],
+# 26 exited 2, and none of them began with an error of norm under 4.1; this
+# bound keeps the norm under 2.9.
+FULL_ESTIMATE_ERROR = 2.0
+
+
 @st.composite
 def short_scenario_files(draw) -> str:
     """A short scenario file on the default arm: a constant gain with any
     observer, or a scheduled one whose first estimate may lie bands away from
-    its starting mode, so that its logic jumps at time zero."""
+    its starting mode, so that its logic jumps at time zero.  Where the full
+    observer runs, the first estimate lies within FULL_ESTIMATE_ERROR of the
+    speed in each component."""
+    def pair(lo, hi):
+        return [draw(st.floats(lo, hi)) for _ in range(2)]
+
     def vec(lo, hi):
-        return " ".join(repr(draw(st.floats(lo, hi))) for _ in range(2))
+        return " ".join(map(repr, pair(lo, hi)))
 
     mode = draw(st.sampled_from(OBSERVER_MODES))
     gain = "constant" if mode == "full" else draw(st.sampled_from(GAIN_MODES))
@@ -776,8 +789,14 @@ def short_scenario_files(draw) -> str:
                                 "type = pd\nkp = 40 20\nkd = 60 30\n"
                                 f"setpoint = {vec(-1.0, 1.0)}"]))
     r_min = draw(st.integers(0, 1))
-    return (f"[initial]\nq0 = {vec(-3.0, 3.0)}\ndq0 = {vec(-2.0, 2.0)}\n"
-            f"dq0_hat = {vec(-6.0, 6.0)}\n[controller]\n{law}\n"
+    q0, dq0 = vec(-3.0, 3.0), pair(-2.0, 2.0)
+    if mode == "reduced":
+        dq0_hat = pair(-6.0, 6.0)
+    else:
+        bound = FULL_ESTIMATE_ERROR
+        dq0_hat = [v + e for v, e in zip(dq0, pair(-bound, bound))]
+    return (f"[initial]\nq0 = {q0}\ndq0 = {' '.join(map(repr, dq0))}\n"
+            f"dq0_hat = {' '.join(map(repr, dq0_hat))}\n[controller]\n{law}\n"
             f"[observer]\nmode = {mode}\ngain = {gain}\nv_max = {draw(st.floats(0.5, 3.0))!r}\n"
             f"[hybrid]\nv_bar = {draw(st.floats(0.5, 2.0))!r}\nr_min = {r_min}\n"
             f"r_guess = {draw(st.integers(r_min, 4))}\n"
@@ -806,6 +825,35 @@ def test_check_of_an_export_reproduces_its_run_report(text):
     both = "mode = both" in text
     assert got.getvalue().splitlines() == [
         ln for ln in report if not (both and ln.startswith("full_"))]
+
+
+# A file short_scenario_files no longer draws: the full observer's first
+# estimate 8.2 rad/s from the speed
+FAR_ESTIMATE_INI = """\
+[initial]
+q0 = 1.4630859186941096 0.7198640541915116
+dq0 = 1.0652954972294384 0.7927267239918216
+dq0_hat = -5.828723264347715 -3.6981622247026222
+[controller]
+type = constant
+tau = 0.3641122315735199 4.698602036773476
+[observer]
+mode = full
+gain = constant
+v_max = 2.386544890456973
+[simulation]
+dt = 2e-3
+t_final = 0.2
+"""
+
+
+def test_a_full_observer_started_far_from_the_speed_blows_up(tmp_path, capsys):
+    path = tmp_path / "far.ini"
+    path.write_text(FAR_ESTIMATE_INI)
+    assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_SIMULATION
+    assert capsys.readouterr().err == (
+        "simulation failed: state component left |x| <= 1e+06 at t = 0.192\n")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 # Each usage error, and the one line it prints
