@@ -328,3 +328,7 @@ def _exit_code(func, *args) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

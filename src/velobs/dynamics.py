@@ -96,11 +96,6 @@ class RobotModel(ABC):
 
     @property
     @abstractmethod
-    def c0_max(self) -> float:
-        """Uniform upper bound on c0(q) over all configurations."""
-
-    @property
-    @abstractmethod
     def dissipation(self) -> np.ndarray:
         """Viscous friction matrix F (F + F^T positive semidefinite)."""
 
@@ -149,11 +144,6 @@ class RobotModel(ABC):
     def c0_bound(self, q) -> float:
         """Configuration-dependent bound with ||C(q, v)|| <= c0(q) ||v||."""
         return self.c0(self._check_joint_vector(q, "q").tolist())
-
-    def dissipation_floor(self) -> float:
-        """Smallest eigenvalue of F's symmetric part, F + (F^T - F) / 2: no F + F^T to overflow."""
-        f = self.dissipation
-        return float(np.linalg.eigvalsh(f + 0.5 * (f.T - f))[0])
 
     def _check_joint_vector(self, x, name: str) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -321,7 +311,6 @@ class SingleLinkModel(RobotModel):
     damping: float = 0.0
 
     n = 1
-    c0_max = 0.0        # no Coriolis term
 
     def __post_init__(self):
         if not (self.inertia_value > 0.0 and math.isfinite(self.inertia_value)):
@@ -374,15 +363,18 @@ def inertia_solver(m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 class GridTables(NamedTuple):
-    """Per-grid-row inertia eigenvalue range and Coriolis bound."""
+    """What the gain design reads from a model: per-grid-row tables and three constants."""
 
     lam_min: np.ndarray
     lam_max: np.ndarray
     c0: np.ndarray
+    lambda1: float      # lambda1 ||e||^2 <= e^T M(q) e / 2 <= lambda2 ||e||^2 on the grid
+    lambda2: float
+    floor: float        # the smallest eigenvalue of F's symmetric part
 
 
 def grid_tables(model: RobotModel) -> GridTables:
-    """Evaluate eigenvalue and c0 tables over the model's design grid."""
+    """Evaluate the design's tables and constants over the model's design grid."""
     # the kernel's code and c0 in ARRAYS, once over the grid's columns (each
     # entry the float kernel's at its row), the eigenvalues in one batched call
     q = model.design_grid().T
@@ -390,7 +382,11 @@ def grid_tables(model: RobotModel) -> GridTables:
         terms = types.FunctionType(type(model).kernel.__code__, ARRAYS)(model, q)
     w = np.linalg.eigvalsh(model.inertia_stack(terms, q.shape[1]))
     c0 = np.full(q.shape[1], model.c0(q, ARRAYS))
-    return GridTables(w[:, 0].copy(), w[:, -1].copy(), c0)
+    # F's symmetric part as F + (F^T - F) / 2: no F + F^T to overflow
+    f = model.dissipation
+    floor = float(np.linalg.eigvalsh(f + 0.5 * (f.T - f))[0])
+    return GridTables(w[:, 0].copy(), w[:, -1].copy(), c0,
+                      0.5 * float(w[:, 0].min()), 0.5 * float(w[:, -1].max()), floor)
 
 
 @lru_cache(maxsize=DESIGN_TABLES_CACHE)
@@ -399,17 +395,9 @@ def design_tables(model: RobotModel) -> GridTables:
     dataclasses compared by value, so equal models (same class and
     parameters) share one build, read-only, since every caller gets it."""
     tables = grid_tables(model)
-    for table in tables:
+    for table in tables[:3]:        # the arrays; the constants are floats
         table.flags.writeable = False
     return tables
-
-
-def spectral_bounds(model: RobotModel) -> tuple[float, float]:
-    """Constants (lambda1, lambda2) with lambda1 ||e||^2 <= e^T M(q) e / 2 <= lambda2 ||e||^2."""
-    tables = design_tables(model)
-    lambda1 = 0.5 * float(tables.lam_min.min())
-    lambda2 = 0.5 * float(tables.lam_max.max())
-    return lambda1, lambda2
 
 
 def total_energy(model: RobotModel, state: PlantState) -> float:

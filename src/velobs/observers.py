@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import RobotModel, design_tables, spectral_bounds
+from .dynamics import RobotModel, design_tables
 from .equations import define, joints, names
 
 # Positive floor applied to designed gains (the grid formula can go negative
@@ -78,51 +78,22 @@ def reduced_rate(model: RobotModel, terms, tau, xhat2, k0: float) -> tuple[float
     return _rates(model.n)[0](model.accel(terms, tau, xhat2), xhat2, k0)
 
 
-def _check_design_inputs(eta: float, v_max: float) -> None:
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-    if v_max < 0.0:
-        raise ValueError("v_max must be nonnegative")
-
-
 def compute_k0(model: RobotModel, eta: float, v_max: float) -> GainDesign:
     """Size the constant observer gain by maximizing over the design grid.
 
     k0 = max over grid of (c0(q) (v_max + eta) - lambda_min(F)) / lambda_min(M(q)),
-    floored at K_MIN.  This is the one grid-gain formula: the scheduled gain
-    of mode r is this gain at v_max = r * v_bar (hybrid_logic.compute_kr).
+    floored at K_MIN.  This is the one gain formula: the scheduled gain of
+    mode r is this gain at v_max = r * v_bar (hybrid_logic.compute_kr).
     """
-    _check_design_inputs(eta, v_max)
+    if eta <= 0.0 or v_max < 0.0:
+        raise ValueError("eta must be positive" if eta <= 0.0 else "v_max must be nonnegative")
     tables = design_tables(model)
     # a speed bound near the float limit overflows here; check_gain refuses
     # the gain that comes out, so numpy's warning would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = (tables.c0 * (v_max + eta) - model.dissipation_floor()) / tables.lam_min
+        ratios = (tables.c0 * (v_max + eta) - tables.floor) / tables.lam_min
     k0 = check_gain(max(float(ratios.max()), K_MIN), "designed gain k0")
-    return GainDesign(eta, v_max, k0, *spectral_bounds(model))
-
-
-def compute_k0_conservative(model: RobotModel, eta: float, v_max: float) -> GainDesign:
-    """Grid-free variant using the uniform bounds c0_max and 2 lambda1.
-
-    Always at least as large as the grid gain, since it replaces the
-    numerator by its maximum and the denominator by its minimum.
-    """
-    _check_design_inputs(eta, v_max)
-    lambda1, lambda2 = spectral_bounds(model)
-    lam_f = model.dissipation_floor()
-    k0 = max((model.c0_max * (v_max + eta) - lam_f) / (2.0 * lambda1), K_MIN)
-    return GainDesign(eta, v_max, check_gain(k0, "designed gain k0"), lambda1, lambda2)
-
-
-def convergence_rate(design: GainDesign, eps_max: float) -> float:
-    """Guaranteed exponential rate for errors bounded by eps_max.
-
-    Positive only while eps_max is small enough relative to the design margin.
-    """
-    if eps_max < 0.0:
-        raise ValueError("eps_max must be nonnegative")
-    return design.eta - math.sqrt(design.lambda2 / design.lambda1) * eps_max
+    return GainDesign(eta, v_max, k0, tables.lambda1, tables.lambda2)
 
 
 def full_rate(model: RobotModel, terms, tau, y, x1_hat, x2_hat, kd: float, kp: float

@@ -119,6 +119,11 @@ ROWS = (
     (L, "hybrid=hybrid, r_guess=r_guess)", "hybrid=hybrid, r_guess=max(r_guess, hybrid.r_min))"),
     # F's symmetric part, with no F + F^T to overflow
     (D, "f + 0.5 * (f.T - f)", "0.5 * (f + f.T)"),
+    # the design record's constants: lambda1 half the least eigenvalue,
+    # lambda2 half the greatest, and the floor that the gain formula reads
+    (D, "0.5 * float(w[:, 0].min())", "0.5 * float(w[:, 0].max())"),
+    (D, "0.5 * float(w[:, -1].max())", "0.5 * float(w[:, -1].min())"),
+    (O, "- tables.floor)", "- 0.0)"),
     # an open-loop profile's constant, scaled by 1 + 1e-7
     (C, "tau2 = g2 + (1.0 + sin(2.0 * t))", "tau2 = g2 + (1.0000001 + sin(2.0 * t))"),
     # the CSV writer: r as an integer, and blocks that neither overlap nor skip

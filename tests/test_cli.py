@@ -1,12 +1,16 @@
-"""End-to-end command-line tests, all in process through main()."""
+"""End-to-end command-line tests, in process through main(), and once
+through `python -m velobs.cli`."""
 from __future__ import annotations
 
 import argparse
 import contextlib
 import dataclasses
 import io
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -25,7 +29,7 @@ from velobs.cli import (
     load_scenario_file,
     main,
 )
-from velobs.dynamics import TwoLinkArm, TwoLinkParams
+from velobs.dynamics import TwoLinkArm, TwoLinkParams, design_tables
 from velobs.hybrid_logic import MAX_INIT_JUMPS
 from velobs.simulator import (BUILTIN_NAMES, GAIN_MODES, OBSERVER_MODES, Scenario,
                               Trajectory, builtin_scenarios, simulate)
@@ -218,7 +222,7 @@ def test_a_friction_too_large_to_double_is_a_blow_up(tmp_path, capsys, f1):
     # F's symmetric part is F itself, taken with no F + F^T to overflow: the
     # design sees f2 = 0.3 as the floor (to LAPACK's scaling), and the first
     # step blows up
-    floor = TwoLinkArm(TwoLinkParams(f1=float(f1))).dissipation_floor()
+    floor = design_tables(TwoLinkArm(TwoLinkParams(f1=float(f1)))).floor
     assert floor == pytest.approx(0.3, rel=1e-15)
     path = tmp_path / "sticky.ini"
     path.write_text(f"[model]\nf1 = {f1}\n[observer]\nv_max = 1.5\n")
@@ -854,6 +858,27 @@ def test_a_full_observer_started_far_from_the_speed_blows_up(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "simulation failed: state component left |x| <= 1e+06 at t = 0.192\n")
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_the_module_runs_its_command(tmp_path):
+    # `python -m velobs.cli` is the entry point `velobs`: it runs the command
+    # and exits with its code
+    src = str(Path(cli.__file__).parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "velobs.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = module("list")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        EXIT_OK, "".join(f"{name}\n" for name in BUILTIN_NAMES), "")
+    path = tmp_path / "far.ini"
+    path.write_text(FAR_ESTIMATE_INI)
+    done = module("run", str(path), "--out", str(tmp_path))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        EXIT_SIMULATION, "", "simulation failed: state component left |x| <= 1e+06 at t = 0.192\n")
 
 
 # Each usage error, and the one line it prints

@@ -19,12 +19,13 @@ from velobs.dynamics import (
     SingularInertiaError,
     TwoLinkArm,
     TwoLinkParams,
+    design_tables,
     grid_tables,
     inertia_solver,
     _spd2_determinant,
-    spectral_bounds,
     total_energy,
 )
+from velobs.observers import K_MIN, compute_k0
 
 from oracles import TwoLinkOracle, coriolis_norm_samples
 
@@ -360,18 +361,18 @@ def test_parameter_validation():
 
 
 def test_spectral_bounds_frozen_values(arm):
-    lo, hi = spectral_bounds(arm)
+    lo, hi = design_tables(arm).lambda1, design_tables(arm).lambda2
     assert math.isclose(lo, SPECTRAL_LO, rel_tol=1e-12)
     assert math.isclose(hi, SPECTRAL_HI, rel_tol=1e-12)
 
 
 def test_spectral_bounds_single_link(single):
-    lo, hi = spectral_bounds(single)
+    lo, hi = design_tables(single).lambda1, design_tables(single).lambda2
     assert lo == hi == single.inertia_value / 2.0
 
 
 def test_spectral_bounds_match_oracle(arm, oracle):
-    lo, hi = spectral_bounds(arm)
+    lo, hi = design_tables(arm).lambda1, design_tables(arm).lambda2
     o_lo, o_hi, _ = oracle.design_constants(1.0, 1.5)
     assert math.isclose(lo, o_lo, rel_tol=1e-12)
     assert math.isclose(hi, o_hi, rel_tol=1e-12)
@@ -387,15 +388,21 @@ def test_grid_tables_shapes(arm):
 
 def reference_tables(model):
     """grid_tables row by row: eigvalsh of the stacked model.inertia(q) and
-    model.c0_bound(q), each on one grid row."""
+    model.c0_bound(q), each on one grid row; half the least and the greatest
+    of those eigenvalues; and the eigvalsh of F's symmetric part."""
     grid = model.design_grid()
     w = np.linalg.eigvalsh(np.array([model.inertia(q) for q in grid]))
-    return w[:, 0], w[:, -1], np.array([model.c0_bound(q) for q in grid])
+    f = model.dissipation
+    return (w[:, 0], w[:, -1], np.array([model.c0_bound(q) for q in grid]),
+            0.5 * min(w[:, 0].tolist()), 0.5 * max(w[:, -1].tolist()),
+            float(np.linalg.eigvalsh(0.5 * (f + f.T))[0]))
 
 
 def same_bits(tables, reference) -> bool:
+    # the constants as 0-d float64 arrays, so a float is compared bit for bit too
     return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-               for a, b in zip(tables, reference, strict=True))
+               for a, b in zip(map(np.asarray, tables), map(np.asarray, reference),
+                               strict=True))
 
 
 class OneUlpArm(TwoLinkArm):
@@ -416,9 +423,14 @@ def design_models():
 
 
 @settings(max_examples=40)
-@given(design_models())
-def test_grid_tables_are_the_per_row_reference(model):
-    assert same_bits(grid_tables(model), reference_tables(model))
+@given(design_models(), st.floats(0.01, 10.0), st.floats(0.0, 100.0))
+def test_grid_tables_are_the_per_row_reference(model, eta, v_max):
+    reference = reference_tables(model)
+    assert same_bits(grid_tables(model), reference)
+    # the gain formula over the reference's columns and floor
+    lam_min, _, c0, _, _, floor = reference
+    k0 = max(float(((c0 * (v_max + eta) - floor) / lam_min).max()), K_MIN)
+    assert compute_k0(model, eta, v_max).k0 == k0
 
 
 def test_a_one_ulp_inertia_entry_is_caught(arm):
@@ -456,8 +468,8 @@ class FineArm(TwoLinkArm):
 def test_grid_refinement_is_converged(arm):
     fine = FineArm()
     assert len(fine.design_grid()) == 4096
-    lo, hi = spectral_bounds(arm)
-    lo_f, hi_f = spectral_bounds(fine)
+    lo, hi = design_tables(arm).lambda1, design_tables(arm).lambda2
+    lo_f, hi_f = design_tables(fine).lambda1, design_tables(fine).lambda2
     assert abs(lo_f - lo) / lo < 1e-3
     assert abs(hi_f - hi) / hi < 1e-3
 

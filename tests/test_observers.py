@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from velobs.controllers import ConstantTorque
-from velobs.dynamics import SingleLinkModel, TwoLinkArm, inertia_solver
+from velobs.dynamics import SingleLinkModel, TwoLinkArm, design_tables, inertia_solver
 from velobs.hybrid_logic import LogicState
 from velobs.observers import (
     K_MIN,
     GainDesign,
     compute_k0,
-    compute_k0_conservative,
-    convergence_rate,
     full_rate,
     reduced_rate,
 )
@@ -23,7 +21,6 @@ from velobs.simulator import flat_rhs, record_columns
 # Frozen gain-design constants for the two-link arm, eta = 1.
 K0_SLOW = 13.35798304843369        # v_max = 1.5
 K0_FAST = 37.46755075659672        # v_max = 6.0
-K0_CONSERVATIVE = 40.29278378402821
 REGION_RADIUS = 0.13667045197664296
 
 
@@ -58,8 +55,6 @@ def test_frozen_design_constants(arm, design15):
     assert math.isclose(design15.region_radius, REGION_RADIUS, rel_tol=1e-12)
     fast = compute_k0(arm, 1.0, 6.0)
     assert math.isclose(fast.k0, K0_FAST, rel_tol=1e-12)
-    cons = compute_k0_conservative(arm, 1.0, 1.5)
-    assert math.isclose(cons.k0, K0_CONSERVATIVE, rel_tol=1e-12)
 
 
 def test_a_design_keeps_its_field_order_and_region_radius(design15):
@@ -90,45 +85,33 @@ def test_gain_monotone_in_speed_envelope_and_eta(arm):
 
 
 def test_conservative_gain_dominates_grid_gain(arm):
+    # the grid-free bound: the numerator at c0's maximum over every q, the
+    # denominator at its least, 2 lambda1
+    tables = design_tables(arm)
     for eta, v_max in [(1.0, 0.0), (1.0, 1.5), (0.3, 4.0), (2.0, 6.0)]:
         grid = compute_k0(arm, eta, v_max)
-        cons = compute_k0_conservative(arm, eta, v_max)
-        assert cons.k0 >= grid.k0
-        assert cons.lambda1 == grid.lambda1
-        assert cons.lambda2 == grid.lambda2
+        bound = max((arm.c0_max * (v_max + eta) - tables.floor) / (2.0 * tables.lambda1), K_MIN)
+        assert grid.k0 <= bound
+        assert (grid.lambda1, grid.lambda2) == (tables.lambda1, tables.lambda2)
 
 
 def test_gain_clamped_for_heavily_damped_model():
     # no Coriolis term and strong friction push the formula negative
     model = SingleLinkModel(inertia_value=1.0, damping=1.0)
     assert compute_k0(model, 1.0, 1.5).k0 == K_MIN
-    assert compute_k0_conservative(model, 1.0, 1.5).k0 == K_MIN
     assert K_MIN == 0.01
 
 
-def test_design_input_validation(arm, design15):
+def test_design_input_validation(arm):
     with pytest.raises(ValueError):
         compute_k0(arm, 0.0, 1.0)
     with pytest.raises(ValueError):
         compute_k0(arm, 1.0, -0.5)
-    with pytest.raises(ValueError):
-        compute_k0_conservative(arm, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        convergence_rate(design15, -1e-9)
     # a gain that overflows, or whose square (the full observer's kp) does;
     # numpy's overflow warning is an error under this suite
     for v_max in (1e308, 1e160):
         with pytest.raises(ValueError, match="finite square"):
             compute_k0(arm, 1.0, v_max)
-        with pytest.raises(ValueError, match="finite square"):
-            compute_k0_conservative(arm, 1.0, v_max)
-
-
-def test_convergence_rate_endpoints(design15):
-    eta = design15.eta
-    assert convergence_rate(design15, 0.0) == pytest.approx(eta)
-    assert convergence_rate(design15, design15.region_radius) == pytest.approx(0.0, abs=1e-12)
-    assert convergence_rate(design15, design15.region_radius / 2.0) == pytest.approx(eta / 2.0)
 
 
 def test_error_dynamics_identity(arm):
